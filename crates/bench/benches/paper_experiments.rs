@@ -1,34 +1,46 @@
 //! One benchmark group per table/figure of the paper, each running a
 //! scaled-down (but structurally identical) version of the experiment that
-//! regenerates it. The full-scale harnesses are the `experiments` binaries
-//! (`fig2_throughput_sim`, `table1_overhead`, …); these benches track the
+//! regenerates it. The full-scale harness is `repro --figure <id>`; these
+//! benches track the
 //! cost of the underlying scenario machinery and keep every experiment
 //! exercised by `cargo bench`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use experiments::runner::{run_mesh_once, run_testbed_once};
-use experiments::scenario::{MeshScenario, TestbedScenario};
+use experiments::scenario::MeshScenario;
+use experiments::scenario_compiler::{compile, WorkloadScenario};
+use experiments::{run, RunMeasurement, RunSpec};
 use mcast_metrics::{choose_path, figure1_candidates, figure3_candidates, MetricKind};
 use mesh_sim::time::SimTime;
 use odmrp::Variant;
 
 /// A miniature of the §4.1 mesh: 16 nodes, 20 s of data.
-fn tiny_mesh() -> MeshScenario {
-    let mut s = MeshScenario::quick();
-    s.nodes = 16;
-    s.area_side = 500.0;
-    s.groups = 1;
-    s.members_per_group = 4;
-    s.data_start = SimTime::from_secs(10);
-    s.data_stop = SimTime::from_secs(30);
+fn tiny_mesh() -> WorkloadScenario {
+    WorkloadScenario::from_mesh(
+        "tiny",
+        MeshScenario {
+            nodes: 16,
+            area_side: 500.0,
+            groups: 1,
+            members_per_group: 4,
+            data_start: SimTime::from_secs(10),
+            data_stop: SimTime::from_secs(30),
+            ..MeshScenario::paper_default()
+        },
+    )
+}
+
+/// The testbed deck with 30 s of data.
+fn tiny_testbed() -> WorkloadScenario {
+    let mut s = compile(include_str!("../../../scenarios/testbed-quick.toml"))
+        .expect("testbed-quick compiles")
+        .scenario;
+    s.mesh.data_start = SimTime::from_secs(10);
+    s.mesh.data_stop = SimTime::from_secs(40);
     s
 }
 
-fn tiny_testbed() -> TestbedScenario {
-    let mut s = TestbedScenario::quick();
-    s.data_start = SimTime::from_secs(10);
-    s.data_stop = SimTime::from_secs(40);
-    s
+fn measure(s: &WorkloadScenario, v: Variant) -> RunMeasurement {
+    run(&RunSpec::new(s, v, 1))
 }
 
 /// Figures 1 and 3: the analytic worked examples.
@@ -73,14 +85,14 @@ fn bench_fig2_sim(c: &mut Criterion) {
             &variant,
             |b, &v| {
                 let s = tiny_mesh();
-                b.iter(|| black_box(run_mesh_once(&s, v, 1).pdr()))
+                b.iter(|| black_box(measure(&s, v).pdr()))
             },
         );
     }
     g.bench_function("ETX_high_overhead_x5", |b| {
         let mut s = tiny_mesh();
-        s.probe_rate = 5.0; // Fig. 2 "Throughput-high overhead" / §4.2.2
-        b.iter(|| black_box(run_mesh_once(&s, Variant::Metric(MetricKind::Etx), 1).pdr()))
+        s.mesh.probe_rate = 5.0; // Fig. 2 "Throughput-high overhead" / §4.2.2
+        b.iter(|| black_box(measure(&s, Variant::Metric(MetricKind::Etx)).pdr()))
     });
     g.finish();
 }
@@ -91,9 +103,7 @@ fn bench_table1(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("ETT_overhead_measurement", |b| {
         let s = tiny_mesh();
-        b.iter(|| {
-            black_box(run_mesh_once(&s, Variant::Metric(MetricKind::Ett), 1).probe_overhead_pct)
-        })
+        b.iter(|| black_box(measure(&s, Variant::Metric(MetricKind::Ett)).probe_overhead_pct))
     });
     g.finish();
 }
@@ -104,9 +114,9 @@ fn bench_multi_source(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("two_sources_per_group", |b| {
         let mut s = tiny_mesh();
-        s.members_per_group = 3;
-        s.sources_per_group = 2;
-        b.iter(|| black_box(run_mesh_once(&s, Variant::Metric(MetricKind::Spp), 1).pdr()))
+        s.mesh.members_per_group = 3;
+        s.mesh.sources_per_group = 2;
+        b.iter(|| black_box(measure(&s, Variant::Metric(MetricKind::Spp)).pdr()))
     });
     g.finish();
 }
@@ -121,7 +131,7 @@ fn bench_testbed(c: &mut Criterion) {
             &variant,
             |b, &v| {
                 let s = tiny_testbed();
-                b.iter(|| black_box(run_testbed_once(&s, v, 1).pdr()))
+                b.iter(|| black_box(measure(&s, v).pdr()))
             },
         );
     }

@@ -7,12 +7,14 @@
 //!   round-robin of transmitters (what `bench_fanout` measures in detail and
 //!   records in `results/BENCH_fanout.json`);
 //! * `sim_scale/*` — a short slice of a full ODMRP run on the large-N
-//!   `MeshScenario::scale` configurations, so MAC/event-queue costs are
+//!   paper-density configurations (the area grows with `sqrt(N / 50)`, so
+//!   each node keeps the paper's expected neighborhood), so MAC/event-queue costs are
 //!   included and the medium speedup is seen in context.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use experiments::runner::run_mesh_once;
 use experiments::scenario::MeshScenario;
+use experiments::scenario_compiler::WorkloadScenario;
+use experiments::{run, RunSpec};
 use mesh_sim::prelude::*;
 use odmrp::Variant;
 
@@ -57,20 +59,27 @@ fn bench_sim_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_scale");
     group.sample_size(2);
     for &nodes in &[50usize, 200] {
-        let mut scenario = MeshScenario::scale(nodes);
         // A thin slice: probing is active from t=0, so five sim-seconds
         // already exercise the medium heavily without CBR data.
-        scenario.data_start = SimTime::from_secs(4);
-        scenario.data_stop = SimTime::from_secs(5);
+        let mut scenario = WorkloadScenario::from_mesh(
+            "sim-scale",
+            MeshScenario {
+                nodes,
+                area_side: 1000.0 * (nodes as f64 / 50.0).sqrt(),
+                data_start: SimTime::from_secs(4),
+                data_stop: SimTime::from_secs(5),
+                ..MeshScenario::paper_default()
+            },
+        );
         for indexed in [false, true] {
-            scenario.indexed_medium = indexed;
+            scenario.mesh.indexed_medium = indexed;
             let id = BenchmarkId::new(
                 format!("n{nodes}"),
                 if indexed { "indexed" } else { "naive" },
             );
             let s = scenario.clone();
             group.bench_function(id, move |b| {
-                b.iter(|| black_box(run_mesh_once(&s, Variant::Original, 1).delivered))
+                b.iter(|| black_box(run(&RunSpec::new(&s, Variant::Original, 1)).delivered))
             });
         }
     }

@@ -1,9 +1,8 @@
 //! Scalability benchmark for `PhysicalMedium::fan_out`: the naive full scan
-//! vs the spatially-indexed cache under its two maintenance policies —
-//! wholesale rebuild on every move (the pre-incremental cost model) and
-//! incremental epoch-based invalidation — across network sizes, densities
-//! and mobility patterns. Verifies all three paths produce bit-identical
-//! `RxPlan` streams before timing them, and writes
+//! vs the spatially-indexed cache with incremental epoch-based
+//! invalidation, across network sizes, densities and mobility patterns.
+//! Verifies both paths produce bit-identical `RxPlan` streams before timing
+//! them, and writes
 //! `results/BENCH_fanout.json` (then re-reads and validates it: missing
 //! fields or a NaN/inf anywhere fail the run).
 //!
@@ -13,13 +12,11 @@
 //! over a proportionally larger area (constant nodes-per-kilometre corridor
 //! spacing), where pruning dominates and the speedup grows with N.
 //!
-//! Mobility is where the maintenance policy matters: under wholesale
-//! rebuild, every position change discards all per-transmitter candidate
-//! lists, so with round-robin transmitters every fan-out pays the full
-//! query-sort-filter cost and the "speedup" collapses toward 1×. The
-//! incremental path re-buckets only cell-crossing nodes and re-filters only
-//! the transmitters whose cell neighborhood saw motion, keeping mobile
-//! configurations close to static-index throughput.
+//! Mobility is where the maintenance policy matters: the incremental path
+//! re-buckets only cell-crossing nodes and re-filters only the transmitters
+//! whose cell neighborhood saw motion, keeping mobile configurations close
+//! to static-index throughput (a wholesale rebuild on every move, the
+//! earlier policy, managed only ~1.26× at mobile-metro-n500).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -53,24 +50,17 @@ impl Motion {
     }
 }
 
-/// The three measured fan-out implementations.
+/// The two measured fan-out implementations.
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     /// Full O(N) scan per frame, no caching.
     Naive,
-    /// Spatial index, wholesale cache rebuild on every position change.
-    Rebuild,
     /// Spatial index, incremental re-bucketing + epoch invalidation.
     Incremental,
 }
 
 fn medium(mode: Mode) -> PhysicalMedium {
-    let m = PhysicalMedium::new(PhyParams::default());
-    match mode {
-        Mode::Naive => m.with_indexing(false),
-        Mode::Rebuild => m.with_indexing(true).with_incremental(false),
-        Mode::Incremental => m.with_indexing(true).with_incremental(true),
-    }
+    PhysicalMedium::new(PhyParams::default()).with_indexing(mode == Mode::Incremental)
 }
 
 struct Config {
@@ -84,7 +74,6 @@ struct Measurement {
     config: Config,
     frames: usize,
     ns_naive: f64,
-    ns_rebuild: f64,
     ns_incremental: f64,
 }
 
@@ -93,16 +82,6 @@ impl Measurement {
     fn speedup(&self) -> f64 {
         if self.ns_incremental > 0.0 {
             self.ns_naive / self.ns_incremental
-        } else {
-            0.0
-        }
-    }
-
-    /// Wholesale-rebuild speedup over the naive scan (the old cost model).
-    /// Never NaN/inf.
-    fn speedup_rebuild(&self) -> f64 {
-        if self.ns_rebuild > 0.0 {
-            self.ns_naive / self.ns_rebuild
         } else {
             0.0
         }
@@ -263,7 +242,7 @@ fn measure(config: Config, quick: bool) -> Measurement {
     // Capped so the N=2000 naive reference stays affordable.
     let frames = (config.nodes * 40).clamp(20_000, 40_000) / if quick { 10 } else { 1 };
 
-    // Equivalence first: all three paths must emit bit-identical RxPlan
+    // Equivalence first: both paths must emit bit-identical RxPlan
     // streams under identical movement.
     let run_plans = |mode: Mode| {
         drive(
@@ -279,24 +258,15 @@ fn measure(config: Config, quick: bool) -> Measurement {
     let plans_naive = run_plans(Mode::Naive);
     assert_eq!(
         plans_naive,
-        run_plans(Mode::Rebuild),
-        "{}: rebuild-indexed fan-out diverged from the naive scan",
-        config.name
-    );
-    assert_eq!(
-        plans_naive,
         run_plans(Mode::Incremental),
         "{}: incremental fan-out diverged from the naive scan",
         config.name
     );
 
     // Timing: best of three samples per mode, interleaved.
-    let mut best = [f64::INFINITY; 3];
+    let mut best = [f64::INFINITY; 2];
     for _ in 0..3 {
-        for (slot, mode) in [Mode::Naive, Mode::Rebuild, Mode::Incremental]
-            .into_iter()
-            .enumerate()
-        {
+        for (slot, mode) in [Mode::Naive, Mode::Incremental].into_iter().enumerate() {
             let (t, _) = drive(
                 &mut medium(mode),
                 &mut positions.clone(),
@@ -312,8 +282,7 @@ fn measure(config: Config, quick: bool) -> Measurement {
         config,
         frames,
         ns_naive: best[0],
-        ns_rebuild: best[1],
-        ns_incremental: best[2],
+        ns_incremental: best[1],
     }
 }
 
@@ -327,18 +296,15 @@ fn json(measurements: &[Measurement]) -> String {
             s,
             "    {{\"name\": \"{}\", \"nodes\": {}, \"area_side_m\": {:.1}, \
              \"mobile\": {}, \"frames\": {}, \"ns_per_frame_naive\": {:.1}, \
-             \"ns_per_frame_indexed\": {:.1}, \"ns_per_frame_incremental\": {:.1}, \
-             \"speedup\": {:.2}, \"speedup_rebuild\": {:.2}}}{}",
+             \"ns_per_frame_incremental\": {:.1}, \"speedup\": {:.2}}}{}",
             m.config.name,
             m.config.nodes,
             m.config.side,
             m.config.motion.is_mobile(),
             m.frames,
             m.ns_naive,
-            m.ns_rebuild,
             m.ns_incremental,
             m.speedup(),
-            m.speedup_rebuild(),
             sep
         );
     }
@@ -359,10 +325,8 @@ fn validate_report(text: &str, expected_configs: usize) -> Result<(), String> {
         "\"nodes\":",
         "\"frames\":",
         "\"ns_per_frame_naive\":",
-        "\"ns_per_frame_indexed\":",
         "\"ns_per_frame_incremental\":",
         "\"speedup\":",
-        "\"speedup_rebuild\":",
     ];
     for key in required {
         let count = text.matches(key).count();
@@ -401,14 +365,11 @@ fn main() {
         eprintln!("measuring {} ...", config.name);
         let m = measure(config, args.quick);
         eprintln!(
-            "  {}: naive {:.0} ns/frame, rebuild {:.0} ns/frame, \
-             incremental {:.0} ns/frame, speedup {:.2}x (rebuild {:.2}x)",
+            "  {}: naive {:.0} ns/frame, incremental {:.0} ns/frame, speedup {:.2}x",
             m.config.name,
             m.ns_naive,
-            m.ns_rebuild,
             m.ns_incremental,
-            m.speedup(),
-            m.speedup_rebuild()
+            m.speedup()
         );
         measurements.push(m);
     }

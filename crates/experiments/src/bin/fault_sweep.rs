@@ -9,47 +9,53 @@
 //! better than the one to its left.
 
 use experiments::cli::CliArgs;
-use experiments::runner::{paper_variants, run_matrix, run_mesh_once, run_mesh_with_faults};
-use experiments::scenario::MeshScenario;
+use experiments::runner::{paper_variants, run_matrix};
+use experiments::scenario_compiler::{compile, FaultSpec};
+use experiments::{run, RunSpec};
 use mesh_sim::time::SimDuration;
 
 const INTENSITIES: [f64; 3] = [0.3, 0.6, 1.0];
 
 fn main() {
     let args = CliArgs::from_env();
-    let mut scenario = if args.quick {
-        MeshScenario::quick()
+    let deck = if args.quick {
+        include_str!("../../../../scenarios/fig2-quick.toml")
     } else {
-        MeshScenario::paper_default()
+        include_str!("../../../../scenarios/fig2.toml")
     };
+    let mut scenario = compile(deck).expect("committed deck compiles").scenario;
     if let Some(r) = args.probe_rate {
-        scenario.probe_rate = r;
+        scenario.mesh.probe_rate = r;
     }
-    let seeds = args.seeds(5);
+    let seeds = args.seeds(5).unwrap_or_else(|e| e.exit());
     eprintln!(
         "fault sweep: {} nodes, {} topologies, intensities {:?}",
-        scenario.nodes,
+        scenario.mesh.nodes,
         seeds.len(),
         INTENSITIES
     );
 
     let variants = paper_variants();
-    let check = Some(SimDuration::from_secs(10));
     let t0 = std::time::Instant::now();
 
     // Column 0: fault-free baseline.
-    let clean = run_matrix(&variants, &seeds, |v, s| run_mesh_once(&scenario, v, s));
+    let clean = run_matrix(&variants, &seeds, |v, s| {
+        run(&RunSpec::new(&scenario, v, s))
+    });
     let mut columns = vec![("none".to_string(), clean)];
     for &intensity in &INTENSITIES {
+        let mut faulted = scenario.clone();
+        faulted.faults = FaultSpec::Random { intensity };
         let runs = run_matrix(&variants, &seeds, |v, s| {
-            let plan = scenario.random_fault_plan(s, intensity);
-            let m = run_mesh_with_faults(&scenario, v, s, &plan, check);
+            let mut spec = RunSpec::new(&faulted, v, s);
+            spec.supervise.oracles = Some(SimDuration::from_secs(10));
+            let m = run(&spec);
             eprintln!(
                 "  {} seed={} intensity={} faults={} pdr={:.3} ({:.1}s elapsed)",
                 m.variant,
                 s,
                 intensity,
-                plan.len(),
+                faulted.random_fault_plan(s, intensity).len(),
                 m.pdr(),
                 t0.elapsed().as_secs_f64()
             );

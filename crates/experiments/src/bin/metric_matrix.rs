@@ -9,22 +9,24 @@
 
 use experiments::cli::CliArgs;
 use experiments::report;
-use experiments::runner::{run_matrix, run_mesh_once, summarize};
-use experiments::scenario::MeshScenario;
+use experiments::runner::{run_matrix, summarize};
+use experiments::scenario_compiler::compile;
+use experiments::{run, RunSpec};
 use mcast_metrics::{MetricKind, MetricRegistry};
 use odmrp::Variant;
 
 fn main() {
     let args = CliArgs::from_env();
-    let mut scenario = if args.quick {
-        MeshScenario::quick()
+    let deck = if args.quick {
+        include_str!("../../../../scenarios/fig2-quick.toml")
     } else {
-        MeshScenario::paper_default()
+        include_str!("../../../../scenarios/fig2.toml")
     };
+    let mut scenario = compile(deck).expect("committed deck compiles").scenario;
     if let Some(r) = args.probe_rate {
-        scenario.probe_rate = r;
+        scenario.mesh.probe_rate = r;
     }
-    let seeds = args.seeds(2);
+    let seeds = args.seeds(2).unwrap_or_else(|e| e.exit());
 
     // Baseline plus *every* registered plugin, including the ones that opt
     // out of the paper comparison tables (HOP, ETX-bidir).
@@ -34,11 +36,11 @@ fn main() {
         "metric matrix: {} variants x {} seeds, {} nodes",
         variants.len(),
         seeds.len(),
-        scenario.nodes
+        scenario.mesh.nodes
     );
 
     let results = run_matrix(&variants, &seeds, |v, s| {
-        let m = run_mesh_once(&scenario, v, s);
+        let m = run(&RunSpec::new(&scenario, v, s));
         eprintln!("  {} seed={} pdr={:.3}", m.variant, s, m.pdr());
         m
     });

@@ -2,7 +2,7 @@
 //! fault plan, with degraded mode off vs on.
 //!
 //! For every topology seed the same deterministic fault plan used by the
-//! fault sweep (`MeshScenario::random_fault_plan`) is replayed against every
+//! fault sweep (`WorkloadScenario::random_fault_plan`) is replayed against every
 //! variant twice — once with the baseline protocol and once with degraded
 //! mode (staleness quarantine, refresh backoff, min-hop fallback). Each run
 //! records a metrics timeseries with buckets one refresh interval wide, so
@@ -14,25 +14,29 @@
 //! reported as a structured failure and the rest of the sweep is salvaged.
 
 use experiments::recovery::{analyze, RecoverySpec};
-use experiments::runner::{paper_variants, run_matrix_supervised, run_recovery};
-use experiments::scenario::MeshScenario;
-use experiments::{cli::CliArgs, RunMeasurement};
+use experiments::runner::{paper_variants, run_matrix_supervised};
+use experiments::scenario_compiler::{compile, FaultSpec, WorkloadScenario};
+use experiments::{cli::CliArgs, run, RunMeasurement, RunSpec};
 use odmrp::Variant;
 
 const FAULT_INTENSITY: f64 = 0.6;
 
 fn main() {
     let args = CliArgs::from_env();
-    let base = if args.quick {
-        MeshScenario::quick()
+    let deck = if args.quick {
+        include_str!("../../../../scenarios/fig2-quick.toml")
     } else {
-        MeshScenario::paper_default()
+        include_str!("../../../../scenarios/fig2.toml")
     };
-    let seeds = args.seeds(5);
+    let mut base = compile(deck).expect("committed deck compiles").scenario;
+    base.faults = FaultSpec::Random {
+        intensity: FAULT_INTENSITY,
+    };
+    let seeds = args.seeds(5).unwrap_or_else(|e| e.exit());
     let variants = paper_variants();
     eprintln!(
         "recovery sweep: {} nodes, {} topologies, fault intensity {FAULT_INTENSITY}",
-        base.nodes,
+        base.mesh.nodes,
         seeds.len(),
     );
     let t0 = std::time::Instant::now();
@@ -48,13 +52,15 @@ fn main() {
     );
     for degraded in [false, true] {
         let mut scenario = base.clone();
-        scenario.degraded = degraded;
+        scenario.mesh.degraded = degraded;
         if let Some(r) = args.probe_rate {
-            scenario.probe_rate = r;
+            scenario.mesh.probe_rate = r;
         }
         let report = run_matrix_supervised(&variants, &seeds, 1, |v, s| {
-            let plan = scenario.random_fault_plan(s, FAULT_INTENSITY);
-            let m = run_recovery(&scenario, v, s, &plan, None);
+            // Buckets one refresh interval wide, so time-to-recover reads
+            // in refresh rounds.
+            let refresh = scenario.mesh.odmrp_config(v).refresh_interval;
+            let m = run(&RunSpec::new(&scenario, v, s).supervised().metrics(refresh));
             eprintln!(
                 "  {} seed={} degraded={} pdr={:.3} ({:.1}s elapsed)",
                 m.variant,
@@ -80,9 +86,9 @@ fn main() {
     eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
 }
 
-fn render_row(scenario: &MeshScenario, m: &RunMeasurement, degraded: bool) -> String {
+fn render_row(scenario: &WorkloadScenario, m: &RunMeasurement, degraded: bool) -> String {
     let plan = scenario.random_fault_plan(m.seed, FAULT_INTENSITY);
-    let spec = RecoverySpec::for_scenario(scenario, &plan);
+    let spec = RecoverySpec::for_scenario(&scenario.mesh, &plan);
     let ts = m.timeseries.as_ref().expect("recovery runs record metrics");
     let a = analyze(ts, &spec);
     let ttr = match a.rounds_to_recover {

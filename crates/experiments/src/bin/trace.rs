@@ -15,9 +15,10 @@
 
 use std::io::{BufRead, BufReader};
 
-use experiments::runner::run_mesh_observed;
 use experiments::scenario::MeshScenario;
+use experiments::scenario_compiler::{FaultSpec, WorkloadScenario};
 use experiments::stats::render_table;
+use experiments::{run, RunSpec};
 use mesh_sim::time::SimTime;
 use mesh_sim::trace::{JsonlTrace, TraceEvent, TraceEventKind};
 use odmrp::Variant;
@@ -55,6 +56,25 @@ fn parse_f64(flag: &str, v: Option<String>) -> f64 {
         .unwrap_or_else(|_| die(&format!("bad value for {flag}: {v}")))
 }
 
+/// A deliberately small mesh: enough traffic for every event kind in a few
+/// wall-clock seconds. `faults` draws a random plan at that intensity.
+fn small_mesh(faults: Option<f64>) -> WorkloadScenario {
+    let mut w = WorkloadScenario::from_mesh(
+        "trace-bisect",
+        MeshScenario {
+            nodes: 25,
+            area_side: 700.0,
+            data_start: SimTime::from_secs(5),
+            data_stop: SimTime::from_secs(15),
+            ..MeshScenario::paper_default()
+        },
+    );
+    if let Some(x) = faults {
+        w.faults = FaultSpec::Random { intensity: x };
+    }
+    w
+}
+
 /// Read and parse every line of a JSONL trace file; line numbers are
 /// 1-based in error messages.
 fn load(path: &str) -> Vec<TraceEvent> {
@@ -85,31 +105,16 @@ fn cmd_run(mut args: std::vec::IntoIter<String>) {
             other => die(&format!("unknown argument: {other}")),
         }
     }
-    // A deliberately small mesh: enough traffic for every event kind in a
-    // few wall-clock seconds.
-    let scenario = MeshScenario {
-        nodes: 25,
-        area_side: 700.0,
-        data_start: SimTime::from_secs(5),
-        data_stop: SimTime::from_secs(15),
-        ..MeshScenario::paper_default()
-    };
-    let plan = faults.map(|x| scenario.random_fault_plan(seed, x));
+    let scenario = small_mesh(faults);
     if let Some(dir) = std::path::Path::new(&out).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("mkdir {dir:?}: {e}")));
         }
     }
     let sink = JsonlTrace::create(&out).unwrap_or_else(|e| die(&format!("create {out}: {e}")));
-    let (m, sink) = run_mesh_observed(
-        &scenario,
-        Variant::Original,
-        seed,
-        plan.as_ref(),
-        None,
-        Some(Box::new(sink)),
-    );
-    let mut sink = sink.expect("sink returned");
+    let spec = RunSpec::new(&scenario, Variant::Original, seed).trace(Box::new(sink));
+    let m = run(&spec);
+    let mut sink = spec.take_trace().expect("sink returned");
     let jsonl: &mut JsonlTrace = sink
         .as_any_mut()
         .downcast_mut()
@@ -287,7 +292,7 @@ fn cmd_drops(mut args: std::vec::IntoIter<String>) {
 /// the command reports so; after a checkpoint regression the reported
 /// window brackets the first event whose state round-trips unfaithfully.
 fn cmd_bisect(mut args: std::vec::IntoIter<String>) {
-    use experiments::scenario_compiler::{parse_variant, FaultSpec, WorkloadScenario};
+    use experiments::scenario_compiler::parse_variant;
 
     let mut seed = 1u64;
     let mut faults: Option<f64> = None;
@@ -307,21 +312,8 @@ fn cmd_bisect(mut args: std::vec::IntoIter<String>) {
             other => die(&format!("unknown argument: {other}")),
         }
     }
-    // The same deliberately small mesh `trace run` uses, as a workload so
-    // the checkpoint fingerprint machinery applies.
-    let mut w = WorkloadScenario::from_mesh(
-        "trace-bisect",
-        MeshScenario {
-            nodes: 25,
-            area_side: 700.0,
-            data_start: SimTime::from_secs(5),
-            data_stop: SimTime::from_secs(15),
-            ..MeshScenario::paper_default()
-        },
-    );
-    if let Some(x) = faults {
-        w.faults = FaultSpec::Random { intensity: x };
-    }
+    // The same small mesh `trace run` uses.
+    let w = small_mesh(faults);
     let end = w.run_until();
     let fp = w.fingerprint(variant, seed);
 

@@ -1,25 +1,27 @@
 //! # experiments — regenerating the paper's evaluation
 //!
-//! Scenario builders, measurement, parallel runners and report rendering for
+//! Scenario decks, measurement, parallel runners and report rendering for
 //! every table and figure of *"High-Throughput Multicast Routing Metrics in
 //! Wireless Mesh Networks"* (ICDCS 2006). The mapping from experiment to
 //! binary lives in `DESIGN.md`; results are recorded in `EXPERIMENTS.md`.
 //!
 //! The crate is a library so tests and benches can run scaled-down versions
-//! of each experiment; the `src/bin/` entry points are thin wrappers that
-//! parse flags, run the matching scenario matrix and print our numbers next
-//! to the paper's.
+//! of each experiment. [`run`] is the one way a simulation runs; the
+//! `repro` binary turns each figure's deck into a variant × seed matrix of
+//! such runs and prints our numbers next to the paper's.
 //!
 //! ## Example: a miniature Figure-2 run
 //!
 //! ```no_run
-//! use experiments::runner::{paper_variants, run_matrix, run_mesh_once, summarize};
-//! use experiments::scenario::MeshScenario;
+//! use experiments::runner::{paper_variants, run_matrix, summarize};
+//! use experiments::scenario_compiler::compile;
+//! use experiments::{run, RunSpec};
 //! use odmrp::Variant;
 //!
-//! let scenario = MeshScenario::quick();
+//! let deck = std::fs::read_to_string("scenarios/fig2-quick.toml").unwrap();
+//! let scenario = compile(&deck).unwrap().scenario;
 //! let results = run_matrix(&paper_variants(), &[1, 2, 3], |v, s| {
-//!     run_mesh_once(&scenario, v, s)
+//!     run(&RunSpec::new(&scenario, v, s))
 //! });
 //! let summaries = summarize(&results, Variant::Original);
 //! println!("{}", experiments::report::throughput_table(
@@ -44,8 +46,8 @@ pub mod trees;
 pub use measure::RunMeasurement;
 pub use recovery::{RecoveryAnalysis, RecoverySpec};
 pub use runner::{
-    paper_variants, run_jobs_supervised, run_matrix, run_matrix_supervised, run_mesh_observed,
-    run_mesh_once, run_testbed_once, summarize, MatrixReport, RunFailure, VariantSummary,
+    paper_variants, run, run_jobs_supervised, run_matrix, run_matrix_supervised, summarize,
+    MatrixReport, RunFailure, RunSpec, VariantSummary,
 };
-pub use scenario::{GroupSpec, MeshScenario, ScenarioLayout, TestbedScenario};
+pub use scenario::{GroupSpec, MeshScenario, ScenarioLayout};
 pub use scenario_compiler::WorkloadScenario;

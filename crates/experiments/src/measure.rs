@@ -33,7 +33,7 @@ pub struct RunMeasurement {
     /// equal hashes (see `mesh_sim::Simulator::schedule_hash`).
     pub schedule_hash: u64,
     /// Per-bucket metrics timeseries, when the run recorded one
-    /// (see [`crate::runner::run_mesh_observed`]).
+    /// (see [`crate::runner::Observe::metrics`]).
     pub timeseries: Option<TimeSeries>,
 }
 

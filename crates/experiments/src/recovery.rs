@@ -2,7 +2,7 @@
 //! back after a fault window clears.
 //!
 //! The analysis is pure arithmetic over the per-bucket metrics timeseries a
-//! run records (see [`crate::runner::run_mesh_observed`]): bucket width is
+//! run records (see [`crate::runner::Observe::metrics`]): bucket width is
 //! set to the protocol's refresh interval, so "recovered within N buckets"
 //! reads directly as "recovered within N refresh rounds". A run counts as
 //! recovered at the first post-fault bucket whose PDR is within the spec's
@@ -212,7 +212,7 @@ mod tests {
 
     #[test]
     fn spec_for_scenario_brackets_the_plan() {
-        let s = MeshScenario::quick();
+        let s = MeshScenario::paper_default();
         let plan = FaultPlan::new().crash_window(
             mesh_sim::ids::NodeId::new(1),
             SimTime::from_secs(40),

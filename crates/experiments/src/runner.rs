@@ -1,11 +1,20 @@
-//! Running variant × topology matrices, in parallel across topologies.
+//! Running one cell ([`run`]) and variant × topology matrices of them, in
+//! parallel across topologies.
 
-use mesh_sim::fault::FaultPlan;
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex};
+
+use maodv::{MaodvConfig, MaodvNode};
+use mesh_sim::protocol::Protocol;
+use mesh_sim::simulator::{Oracle, Simulator, WatchdogBudget};
+use mesh_sim::snapshot::{Snap, SnapshotState};
 use mesh_sim::time::{SimDuration, SimTime};
-use odmrp::Variant;
+use mesh_sim::trace::TraceSink;
+use odmrp::{MulticastApp, OdmrpNode, Variant};
 
 use crate::measure::RunMeasurement;
-use crate::scenario::{MeshScenario, TestbedScenario};
+use crate::scenario::GroupSpec;
+use crate::scenario_compiler::{ProtocolKind, WorkloadScenario};
 use crate::stats::Summary;
 
 /// All variants of Figure 2, baseline first. This is the *paper's* set —
@@ -35,122 +44,238 @@ pub fn comparison_variants() -> Vec<Variant> {
     v
 }
 
-/// Run one mesh-scenario simulation to completion and measure it.
-pub fn run_mesh_once(scenario: &MeshScenario, variant: Variant, seed: u64) -> RunMeasurement {
-    let groups = scenario.layout(seed).groups;
-    let mut sim = scenario.build(variant, seed);
-    sim.run_until(scenario.run_until());
-    RunMeasurement::from_sim(&sim, &groups, seed)
+/// What a run records besides its measurement. Observation only: the
+/// measurement — `schedule_hash` included — is bit-identical with or
+/// without it, apart from the attached `timeseries`.
+#[derive(Debug, Default)]
+pub struct Observe {
+    /// Record a metrics timeseries with buckets this wide into
+    /// [`RunMeasurement::timeseries`].
+    pub metrics: Option<SimDuration>,
+    /// Stream the typed event trace into this sink. [`run`] puts the sink
+    /// back when the run ends; take it with [`RunSpec::take_trace`] to
+    /// downcast a ring buffer or finish a JSONL file.
+    pub trace: RefCell<Option<Box<dyn TraceSink>>>,
 }
 
-/// Run one mesh-scenario simulation with `plan` injected and — when
-/// `check_every` is set — the full invariant-oracle suite (world oracles
-/// plus the ODMRP protocol oracles) run at that checkpoint interval.
-/// Panics on any invariant violation.
-pub fn run_mesh_with_faults(
-    scenario: &MeshScenario,
-    variant: Variant,
-    seed: u64,
-    plan: &FaultPlan,
-    check_every: Option<SimDuration>,
-) -> RunMeasurement {
-    let groups = scenario.layout(seed).groups;
-    let mut sim = scenario.build_with_faults(variant, seed, plan);
-    if let Some(every) = check_every {
-        sim.set_invariant_interval(every);
-        sim.add_oracle(odmrp::invariants::oracle());
+/// How a run is supervised.
+#[derive(Debug, Clone, Default)]
+pub struct Supervise {
+    /// Check the world invariant oracles — plus ODMRP's protocol oracles
+    /// on ODMRP runs — at this interval; a violation panics.
+    pub oracles: Option<SimDuration>,
+    /// Arm the sim-time [`WATCHDOG`], which turns a livelocked run into a
+    /// panic carrying [`mesh_sim::simulator::WATCHDOG_PANIC_PREFIX`].
+    pub watchdog: bool,
+    /// Resume from, and checkpoint into, a [`CheckpointSlot`].
+    pub checkpoint: Option<Checkpoint>,
+}
+
+/// A hook that receives each checkpoint as it lands.
+pub type PersistHook = Arc<dyn Fn(SimTime, &[u8]) + Send + Sync>;
+
+/// Checkpoint/restore through a [`CheckpointSlot`]: a run finding a
+/// checkpoint in the slot resumes from it, and every run checkpoints into
+/// the slot every quarter of its simulated horizon.
+#[derive(Clone)]
+pub struct Checkpoint {
+    /// Where checkpoints land and resumes come from.
+    pub slot: CheckpointSlot,
+    /// Called with each checkpoint after it lands in `slot`.
+    pub persist: Option<PersistHook>,
+}
+
+impl Checkpoint {
+    /// Checkpoint into `slot`, with no persist hook.
+    pub fn new(slot: CheckpointSlot) -> Self {
+        Checkpoint {
+            slot,
+            persist: None,
+        }
     }
-    sim.run_until(scenario.run_until());
-    RunMeasurement::from_sim(&sim, &groups, seed)
+
+    /// Also hand every checkpoint to `hook`.
+    pub fn persist(mut self, hook: impl FnMut(SimTime, &[u8]) + Send + 'static) -> Self {
+        let hook = Mutex::new(hook);
+        self.persist = Some(Arc::new(move |at: SimTime, bytes: &[u8]| {
+            (hook.lock().expect("persist hook poisoned"))(at, bytes)
+        }));
+        self
+    }
 }
 
-/// Run one mesh-scenario simulation with observability attached: an
-/// optional fault `plan`, an optional metrics timeseries with buckets of
-/// `metrics_bucket`, and an optional trace sink. Returns the measurement
-/// (with `timeseries` populated when requested) and the sink, so callers can
-/// downcast a ring buffer or finish a JSONL file.
-///
-/// Observability is observation only: the measurement — including
-/// `schedule_hash` — is bit-identical to [`run_mesh_once`] /
-/// [`run_mesh_with_faults`] for the same `(scenario, variant, seed, plan)`
-/// apart from the attached `timeseries`.
-pub fn run_mesh_observed(
-    scenario: &MeshScenario,
-    variant: Variant,
-    seed: u64,
-    plan: Option<&FaultPlan>,
-    metrics_bucket: Option<SimDuration>,
-    trace: Option<Box<dyn mesh_sim::trace::TraceSink>>,
-) -> (RunMeasurement, Option<Box<dyn mesh_sim::trace::TraceSink>>) {
-    let groups = scenario.layout(seed).groups;
-    let mut sim = match plan {
-        Some(p) => scenario.build_with_faults(variant, seed, p),
-        None => scenario.build(variant, seed),
+impl std::fmt::Debug for Checkpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Checkpoint")
+            .field("slot", &self.slot)
+            .field("persist", &self.persist.is_some())
+            .finish()
+    }
+}
+
+/// The livelock budget of supervised runs: a healthy run dispatches well
+/// under a million events per 100 ms of simulated time; only a zero-delay
+/// scheduling loop gets anywhere near this.
+pub const WATCHDOG: WatchdogBudget = WatchdogBudget {
+    max_events: 20_000_000,
+    min_progress: SimDuration::from_millis(100),
+};
+
+/// Everything one run needs: which cell, what to record, how to supervise.
+#[derive(Debug)]
+pub struct RunSpec<'a> {
+    /// The scenario (compiled from a deck).
+    pub scenario: &'a WorkloadScenario,
+    /// Protocol variant.
+    pub variant: Variant,
+    /// Topology / randomness seed.
+    pub seed: u64,
+    /// Observers to attach.
+    pub observe: Observe,
+    /// Oracles, watchdog and checkpointing.
+    pub supervise: Supervise,
+}
+
+impl<'a> RunSpec<'a> {
+    /// A plain run of `(scenario, variant, seed)`: no observers, no
+    /// supervision.
+    pub fn new(scenario: &'a WorkloadScenario, variant: Variant, seed: u64) -> Self {
+        RunSpec {
+            scenario,
+            variant,
+            seed,
+            observe: Observe::default(),
+            supervise: Supervise::default(),
+        }
+    }
+
+    /// Full supervision, the shape sweep jobs run under: the invariant
+    /// oracles every refresh interval and the [`WATCHDOG`].
+    pub fn supervised(mut self) -> Self {
+        let refresh = self
+            .scenario
+            .mesh
+            .odmrp_config(self.variant)
+            .refresh_interval;
+        self.supervise.oracles = Some(refresh);
+        self.supervise.watchdog = true;
+        self
+    }
+
+    /// Record a metrics timeseries with buckets `width` wide.
+    pub fn metrics(mut self, width: SimDuration) -> Self {
+        self.observe.metrics = Some(width);
+        self
+    }
+
+    /// Stream the event trace into `sink`.
+    pub fn trace(self, sink: Box<dyn TraceSink>) -> Self {
+        *self.observe.trace.borrow_mut() = Some(sink);
+        self
+    }
+
+    /// Take the trace sink back after [`run`].
+    pub fn take_trace(&self) -> Option<Box<dyn TraceSink>> {
+        self.observe.trace.borrow_mut().take()
+    }
+}
+
+/// Run one `(scenario, variant, seed)` cell to completion and measure it —
+/// the one way a simulation runs. The scenario's protocol picks the node
+/// type; the simulator stays monomorphic in each arm.
+pub fn run(spec: &RunSpec) -> RunMeasurement {
+    let w = spec.scenario;
+    let cfg = w.mesh.odmrp_config(spec.variant);
+    match w.protocol {
+        ProtocolKind::Odmrp => drive(
+            spec,
+            || {
+                w.assemble(spec.seed, w.medium(spec.seed), |r| {
+                    OdmrpNode::new(cfg.clone(), r)
+                })
+            },
+            Some(odmrp::invariants::oracle),
+        ),
+        ProtocolKind::Maodv => {
+            let cfg = MaodvConfig {
+                variant: cfg.variant,
+                probe_rate: cfg.probe_rate,
+                delta: cfg.delta,
+                alpha: cfg.alpha,
+                estimator: cfg.estimator,
+                degraded: cfg.degraded,
+                ..MaodvConfig::default()
+            };
+            drive(
+                spec,
+                || {
+                    w.assemble(spec.seed, w.medium(spec.seed), |r| {
+                        MaodvNode::new(cfg.clone(), r)
+                    })
+                },
+                None,
+            )
+        }
+    }
+}
+
+/// The body of [`run`] for one node type: attach what `spec` asks for,
+/// resume from a checkpoint if one is waiting, run, measure.
+fn drive<P>(
+    spec: &RunSpec,
+    build: impl Fn() -> (Simulator<P>, Vec<GroupSpec>),
+    oracle: Option<fn() -> Oracle<P>>,
+) -> RunMeasurement
+where
+    P: Protocol + MulticastApp + SnapshotState,
+    P::Msg: Snap,
+{
+    let w = spec.scenario;
+    let setup = || {
+        let (mut sim, groups) = build();
+        if let Some(width) = spec.observe.metrics {
+            sim.world_mut().set_metrics(width);
+        }
+        if let Some(every) = spec.supervise.oracles {
+            sim.set_invariant_interval(every);
+            if let Some(oracle) = oracle {
+                sim.add_oracle(oracle());
+            }
+        }
+        if spec.supervise.watchdog {
+            sim.set_watchdog(WATCHDOG);
+        }
+        (sim, groups)
     };
-    if let Some(width) = metrics_bucket {
-        sim.world_mut().set_metrics(width);
+    let (mut sim, groups) = setup();
+    if let Some(ckpt) = &spec.supervise.checkpoint {
+        let fp = w.fingerprint(spec.variant, spec.seed);
+        if let Some((_, bytes)) = ckpt.slot.get() {
+            if sim.restore(&bytes, fp).is_err() {
+                // Stale or foreign checkpoint: discard it and rebuild (the
+                // restore may have half-overwritten the simulator).
+                ckpt.slot.clear();
+                sim = setup().0;
+            }
+        }
+        let slot = ckpt.slot.clone();
+        let persist = ckpt.persist.clone();
+        let every = SimDuration::from_nanos((w.run_until().as_nanos() / 4).max(1));
+        sim.checkpoint_every(every, fp, move |at, bytes| {
+            if let Some(hook) = &persist {
+                hook(at, &bytes);
+            }
+            slot.store(at, bytes);
+        });
     }
-    if let Some(sink) = trace {
+    if let Some(sink) = spec.take_trace() {
         sim.world_mut().set_trace(sink);
     }
-    sim.run_until(scenario.run_until());
-    let mut m = RunMeasurement::from_sim(&sim, &groups, seed);
+    sim.run_until(w.run_until());
+    let mut m = RunMeasurement::from_sim(&sim, &groups, spec.seed);
     m.timeseries = sim.world_mut().take_metrics();
-    (m, sim.world_mut().take_trace())
-}
-
-/// Run one mesh-scenario simulation instrumented for recovery measurement:
-/// `plan` injected, metrics buckets one refresh interval wide (so
-/// time-to-recover reads in refresh rounds), the full ODMRP oracle suite
-/// checking every refresh interval (including the no-quarantined-route
-/// oracle when the scenario runs degraded), and a sim-time watchdog that
-/// turns a livelocked run into a classifiable panic instead of a hang.
-///
-/// The optional `trace` sink is attached as-is; pass `None` for the
-/// zero-cost path.
-pub fn run_recovery(
-    scenario: &MeshScenario,
-    variant: Variant,
-    seed: u64,
-    plan: &FaultPlan,
-    trace: Option<Box<dyn mesh_sim::trace::TraceSink>>,
-) -> RunMeasurement {
-    let groups = scenario.layout(seed).groups;
-    let refresh = scenario.odmrp_config(variant).refresh_interval;
-    let mut sim = scenario.build_with_faults(variant, seed, plan);
-    sim.world_mut().set_metrics(refresh);
-    sim.set_invariant_interval(refresh);
-    sim.add_oracle(odmrp::invariants::oracle());
-    // Generous budget: a healthy quick run dispatches well under a million
-    // events per 100 ms of simulated time; only a zero-delay scheduling loop
-    // gets anywhere near this.
-    sim.set_watchdog(mesh_sim::simulator::WatchdogBudget {
-        max_events: 2_000_000,
-        min_progress: SimDuration::from_millis(100),
-    });
-    if let Some(sink) = trace {
-        sim.world_mut().set_trace(sink);
-    }
-    sim.run_until(scenario.run_until());
-    let mut m = RunMeasurement::from_sim(&sim, &groups, seed);
-    m.timeseries = sim.world_mut().take_metrics();
+    *spec.observe.trace.borrow_mut() = sim.world_mut().take_trace();
     m
-}
-
-/// Run one mesh-scenario simulation under the **tree-based** protocol.
-pub fn run_tree_once(scenario: &MeshScenario, variant: Variant, seed: u64) -> RunMeasurement {
-    let groups = scenario.layout(seed).groups;
-    let mut sim = scenario.build_tree(variant, seed);
-    sim.run_until(scenario.run_until());
-    RunMeasurement::from_sim(&sim, &groups, seed)
-}
-
-/// Run one testbed simulation to completion and measure it.
-pub fn run_testbed_once(scenario: &TestbedScenario, variant: Variant, seed: u64) -> RunMeasurement {
-    let groups = scenario.layout().groups;
-    let mut sim = scenario.build(variant, seed);
-    sim.run_until(scenario.run_until());
-    RunMeasurement::from_sim(&sim, &groups, seed)
 }
 
 /// A thread-safe mailbox holding the **last good checkpoint** of one job.
@@ -381,7 +506,7 @@ where
 /// the slot into `Simulator::checkpoint_every` leaves its last good
 /// checkpoint behind when it panics, and the retry (same closure, same
 /// slot) can restore from it instead of replaying from `t = 0` — see
-/// `WorkloadScenario::run_supervised_resumable`. Each attempt's starting
+/// `WorkloadScenario::run_supervised_checkpointed`. Each attempt's starting
 /// point (`None` = scratch, `Some(t)` = resumed from the checkpoint at `t`)
 /// is recorded in [`RunFailure::resume_points`].
 pub fn run_jobs_supervised_resumable<F, O>(

@@ -1,19 +1,14 @@
-//! Scenario construction: the paper's simulation and testbed setups.
+//! The paper's protocol knobs and the layout types every scenario shares.
+//!
+//! Scenarios themselves are decks (`scenarios/*.toml`) compiled into a
+//! [`WorkloadScenario`](crate::scenario_compiler::WorkloadScenario); the
+//! [`MeshScenario`] inside one carries the knobs §4.1 defines.
 
 use mcast_metrics::EstimatorConfig;
-use mesh_sim::fault::{FaultPlan, RandomFaultConfig};
-use mesh_sim::geometry::Area;
 use mesh_sim::ids::{GroupId, NodeId};
-use mesh_sim::mac::MacParams;
-use mesh_sim::medium::{Medium, PhysicalMedium};
-use mesh_sim::propagation::{FadingModel, PathLossModel, PhyParams};
 use mesh_sim::rng::SimRng;
-use mesh_sim::simulator::Simulator;
 use mesh_sim::time::{SimDuration, SimTime};
-use mesh_sim::topology;
-use mesh_sim::world::WorldConfig;
-use odmrp::{CbrSource, NodeRole, OdmrpConfig, OdmrpNode, Variant};
-use testbed::TestbedMedium;
+use odmrp::{CbrSource, NodeRole, OdmrpConfig, Variant};
 
 /// The 50-node random-mesh scenario of §4.1.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,162 +69,6 @@ impl MeshScenario {
         }
     }
 
-    /// A reduced configuration for CI/bench runs: fewer nodes, shorter run.
-    pub fn quick() -> Self {
-        MeshScenario {
-            nodes: 30,
-            area_side: 800.0,
-            data_stop: SimTime::from_secs(150),
-            ..MeshScenario::paper_default()
-        }
-    }
-
-    /// A large-N scalability configuration: `nodes` nodes at the paper's
-    /// node density (the area grows with `sqrt(nodes / 50)` so each node
-    /// keeps the same expected neighborhood), with a shortened 60 s data
-    /// window so runs at N=1000 stay tractable.
-    pub fn scale(nodes: usize) -> Self {
-        MeshScenario {
-            nodes,
-            area_side: 1000.0 * (nodes as f64 / 50.0).sqrt(),
-            data_start: SimTime::from_secs(30),
-            data_stop: SimTime::from_secs(90),
-            ..MeshScenario::paper_default()
-        }
-    }
-
-    /// When the whole run (including trailing delivery) ends.
-    pub fn run_until(&self) -> SimTime {
-        self.data_stop + SimDuration::from_secs(2)
-    }
-
-    /// Total data packets each source will originate.
-    pub fn packets_per_source(&self) -> u64 {
-        let span = self.data_stop.saturating_since(self.data_start);
-        span.as_nanos() / SimDuration::from_millis(50).as_nanos()
-    }
-
-    /// Derive the node roles for topology `seed`: positions, sources and
-    /// members are a pure function of the seed, so every variant runs on the
-    /// identical layout.
-    pub fn layout(&self, seed: u64) -> ScenarioLayout {
-        self.layout_with_spare(seed).0
-    }
-
-    /// Like [`layout`](Self::layout), additionally returning the shuffled
-    /// node ids that received no role — churn-enabled workloads (see
-    /// `scenario_compiler`) draw their windowed receivers from these so the
-    /// base layout stays bit-identical with churn off.
-    pub fn layout_with_spare(&self, seed: u64) -> (ScenarioLayout, Vec<usize>) {
-        let mut rng = SimRng::seed_from(seed ^ 0xC0FF_EE00);
-        let positions = topology::random_connected(
-            self.nodes,
-            Area::square(self.area_side),
-            self.range,
-            &mut rng,
-            10_000,
-        );
-        draw_layout(
-            positions,
-            &mut rng,
-            self.groups,
-            self.members_per_group,
-            self.sources_per_group,
-            self.data_start,
-            self.data_stop,
-        )
-    }
-
-    /// The paper's physical medium for this scenario (fading + two-ray
-    /// ground, spatial indexing per `indexed_medium`).
-    pub(crate) fn phy_medium(&self) -> Box<PhysicalMedium> {
-        let phy = PhyParams {
-            fading: if self.fading {
-                FadingModel::Rayleigh
-            } else {
-                FadingModel::None
-            },
-            path_loss: PathLossModel::TwoRayGround,
-            ..PhyParams::default()
-        };
-        Box::new(PhysicalMedium::new(phy).with_indexing(self.indexed_medium))
-    }
-
-    /// Draw a random but fully deterministic fault plan for topology `seed`:
-    /// crashes, link faults and possibly a partition inside the data window,
-    /// scaled by `intensity` in `[0, 1]`. Sources are protected — crashing
-    /// the only traffic generator makes every delivery measurement vacuous —
-    /// and faults clear before the run ends so recovery is observable.
-    pub fn random_fault_plan(&self, seed: u64, intensity: f64) -> FaultPlan {
-        let layout = self.layout(seed);
-        let protected: Vec<NodeId> = layout
-            .groups
-            .iter()
-            .flat_map(|g| g.sources.iter().copied())
-            .collect();
-        let margin = SimDuration::from_secs(5);
-        let mut cfg =
-            RandomFaultConfig::new(self.nodes, (self.data_start + margin, self.data_stop));
-        cfg.protected = protected;
-        cfg.intensity = intensity;
-        cfg.area_width_m = Some(self.area_side);
-        // Decorrelate the plan from the topology and MAC streams.
-        let mut rng = SimRng::seed_from(seed ^ 0xFA17_0000);
-        FaultPlan::random(&cfg, &mut rng)
-    }
-
-    /// Build a ready-to-run simulator for `variant` on topology `seed` with
-    /// `plan` attached.
-    pub fn build_with_faults(
-        &self,
-        variant: Variant,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> Simulator<OdmrpNode> {
-        let mut sim = self.build(variant, seed);
-        sim.set_fault_plan(plan.clone());
-        sim
-    }
-
-    /// Build a ready-to-run simulator for `variant` on topology `seed`.
-    pub fn build(&self, variant: Variant, seed: u64) -> Simulator<OdmrpNode> {
-        let layout = self.layout(seed);
-        build_simulator(layout, self.phy_medium(), self.odmrp_config(variant), seed)
-    }
-
-    /// Build a simulator running the **tree-based** protocol (`maodv`) for
-    /// `variant` on topology `seed` — the §4.3 comparison point.
-    pub fn build_tree(&self, variant: Variant, seed: u64) -> Simulator<maodv::MaodvNode> {
-        let layout = self.layout(seed);
-        let medium = self.phy_medium();
-        let cfg = maodv::MaodvConfig {
-            variant,
-            probe_rate: self.probe_rate,
-            delta: self.delta,
-            alpha: self.alpha,
-            estimator: EstimatorConfig::default(),
-            degraded: odmrp::DegradedModeConfig {
-                enabled: self.degraded,
-                ..odmrp::DegradedModeConfig::default()
-            },
-            ..maodv::MaodvConfig::default()
-        };
-        let nodes: Vec<maodv::MaodvNode> = layout
-            .roles
-            .into_iter()
-            .map(|r| maodv::MaodvNode::new(cfg.clone(), r))
-            .collect();
-        Simulator::new(
-            layout.positions,
-            medium,
-            WorldConfig {
-                mac: MacParams::default(),
-                seed,
-            },
-            nodes,
-        )
-    }
-
     /// The protocol configuration used for `variant`.
     pub fn odmrp_config(&self, variant: Variant) -> OdmrpConfig {
         OdmrpConfig {
@@ -244,95 +83,6 @@ impl MeshScenario {
             },
             ..OdmrpConfig::default()
         }
-    }
-}
-
-/// The testbed scenario of §5: Figure-4 floorplan, two groups.
-#[derive(Debug, Clone)]
-pub struct TestbedScenario {
-    /// CBR start (probing warms up before).
-    pub data_start: SimTime,
-    /// CBR stop (paper: 400 s runs).
-    pub data_stop: SimTime,
-    /// Probe-rate factor.
-    pub probe_rate: f64,
-    /// δ.
-    pub delta: SimDuration,
-    /// α.
-    pub alpha: SimDuration,
-}
-
-impl TestbedScenario {
-    /// The paper's testbed runs: 400 s of CBR at 20 pkt/s × 512 B.
-    pub fn paper_default() -> Self {
-        TestbedScenario {
-            data_start: SimTime::from_secs(30),
-            data_stop: SimTime::from_secs(430),
-            probe_rate: 1.0,
-            delta: SimDuration::from_millis(30),
-            alpha: SimDuration::from_millis(20),
-        }
-    }
-
-    /// Shorter variant for CI/bench runs.
-    pub fn quick() -> Self {
-        TestbedScenario {
-            data_stop: SimTime::from_secs(150),
-            ..TestbedScenario::paper_default()
-        }
-    }
-
-    /// End of the run.
-    pub fn run_until(&self) -> SimTime {
-        self.data_stop + SimDuration::from_secs(2)
-    }
-
-    /// Node roles per Figure 4 / §5.3.
-    pub fn layout(&self) -> ScenarioLayout {
-        let mut roles = vec![NodeRole::forwarder(); 8];
-        let mut groups = Vec::new();
-        for (g, (src, members)) in testbed::paper_groups().into_iter().enumerate() {
-            let gid = GroupId(g as u32);
-            let sid = testbed::id_of(src);
-            roles[sid.index()].sources.push(CbrSource::paper_default(
-                gid,
-                self.data_start,
-                self.data_stop,
-            ));
-            let mut mlist = Vec::new();
-            for m in members {
-                let mid = testbed::id_of(m);
-                roles[mid.index()].member_of.push(gid);
-                mlist.push(mid);
-            }
-            groups.push(GroupSpec {
-                group: gid,
-                sources: vec![sid],
-                members: mlist,
-                churners: Vec::new(),
-            });
-        }
-        ScenarioLayout {
-            positions: testbed::floorplan::positions(),
-            roles,
-            groups,
-        }
-    }
-
-    /// Build a ready-to-run simulator for `variant`; `seed` drives the
-    /// link-loss random walk (the paper repeats each run five times).
-    pub fn build(&self, variant: Variant, seed: u64) -> Simulator<OdmrpNode> {
-        let layout = self.layout();
-        let mut medium_rng = SimRng::seed_from(seed ^ 0x7E57_BED0);
-        let medium = Box::new(TestbedMedium::new(&mut medium_rng));
-        let cfg = OdmrpConfig {
-            variant,
-            probe_rate: self.probe_rate,
-            delta: self.delta,
-            alpha: self.alpha,
-            ..OdmrpConfig::default()
-        };
-        build_simulator(layout, medium, cfg, seed)
     }
 }
 
@@ -430,28 +180,6 @@ pub(crate) fn draw_layout(
     )
 }
 
-pub(crate) fn build_simulator(
-    layout: ScenarioLayout,
-    medium: Box<dyn Medium>,
-    cfg: OdmrpConfig,
-    seed: u64,
-) -> Simulator<OdmrpNode> {
-    let nodes: Vec<OdmrpNode> = layout
-        .roles
-        .into_iter()
-        .map(|r| OdmrpNode::new(cfg.clone(), r))
-        .collect();
-    Simulator::new(
-        layout.positions,
-        medium,
-        WorldConfig {
-            mac: MacParams::default(),
-            seed,
-        },
-        nodes,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,54 +192,7 @@ mod tests {
         assert_eq!(s.groups, 2);
         assert_eq!(s.members_per_group, 10);
         assert_eq!(s.sources_per_group, 1);
-        assert_eq!(s.packets_per_source(), 7200); // 360s at 20 pkt/s
-    }
-
-    #[test]
-    fn layout_is_deterministic_and_disjoint() {
-        let s = MeshScenario::quick();
-        let a = s.layout(3);
-        let b = s.layout(3);
-        assert_eq!(a.positions, b.positions);
-        assert_eq!(a.groups, b.groups);
-        // Sources and members are all distinct nodes.
-        let mut seen = std::collections::HashSet::new();
-        for g in &a.groups {
-            for n in g.sources.iter().chain(g.members.iter()) {
-                assert!(seen.insert(*n), "node {n} has two roles");
-            }
-        }
-    }
-
-    #[test]
-    fn different_seeds_different_topologies() {
-        let s = MeshScenario::quick();
-        assert_ne!(s.layout(1).positions, s.layout(2).positions);
-    }
-
-    #[test]
-    fn testbed_layout_matches_paper() {
-        let t = TestbedScenario::paper_default();
-        let l = t.layout();
-        assert_eq!(l.positions.len(), 8);
-        assert_eq!(l.groups.len(), 2);
-        assert_eq!(l.groups[0].sources, vec![testbed::id_of(2)]);
-        assert_eq!(
-            l.groups[0].members,
-            vec![testbed::id_of(3), testbed::id_of(5)]
-        );
-        assert_eq!(l.groups[1].sources, vec![testbed::id_of(4)]);
-    }
-
-    #[test]
-    fn builds_simulators_for_all_variants() {
-        let s = MeshScenario::quick();
-        for v in [
-            Variant::Original,
-            Variant::Metric(mcast_metrics::MetricKind::Spp),
-        ] {
-            let sim = s.build(v, 1);
-            assert_eq!(sim.protocols().len(), s.nodes);
-        }
+        assert_eq!(s.data_start, SimTime::from_secs(30));
+        assert_eq!(s.data_stop, SimTime::from_secs(390));
     }
 }

@@ -13,8 +13,8 @@ use odmrp::Variant;
 use crate::scenario::MeshScenario;
 use crate::scenario_compiler::toml::{self, Doc, Entry, Table, TomlError};
 use crate::scenario_compiler::workload::{
-    grid_side, metro_side, ChurnSpec, ChurnWindow, FaultSpec, FaultWindow, MobilitySpec,
-    TopologyFamily, TrafficMix, WorkloadScenario,
+    grid_side, metro_side, testbed_side, ChurnSpec, ChurnWindow, FaultSpec, FaultWindow,
+    MobilitySpec, ProtocolKind, TopologyFamily, TrafficMix, WorkloadScenario, TESTBED_NODES,
 };
 
 /// Sweep settings compiled from `[sweep]` / `[sweep.axes]`.
@@ -134,12 +134,13 @@ fn compile_doc(doc: &Doc) -> Result<CompiledScenario, TomlError> {
 
     let mut mesh = MeshScenario::paper_default();
     compile_time(doc, &mut mesh)?;
-    compile_protocol(doc, &mut mesh)?;
+    let protocol = compile_protocol(doc, &mut mesh)?;
     compile_groups(doc, &mut mesh)?;
     let (topology, topo_line) = compile_topology(doc, &mut mesh)?;
 
     let mut scenario = WorkloadScenario::from_mesh(&name, mesh);
     scenario.topology = topology;
+    scenario.protocol = protocol;
     scenario.traffic = compile_traffic(doc)?;
     scenario.churn = compile_churn(doc, scenario.run_until())?;
     scenario.mobility = compile_mobility(doc)?;
@@ -294,10 +295,37 @@ fn compile_topology(
             mesh.area_side = metro_side(mesh.nodes, side);
             TopologyFamily::Metro { side_per_50: side }
         }
+        "testbed" => {
+            forbid(
+                &[
+                    "nodes",
+                    "area_side",
+                    "cols",
+                    "rows",
+                    "spacing",
+                    "side_per_50",
+                ],
+                "the Figure-4 floor plan fixes the placement",
+            )?;
+            if let Some(g) = doc.table("groups") {
+                return Err(TomlError::at(
+                    g.line,
+                    "[groups] does not apply to family \"testbed\": Figure 4 fixes its two groups",
+                ));
+            }
+            mesh.nodes = TESTBED_NODES;
+            mesh.area_side = testbed_side();
+            mesh.groups = 2;
+            mesh.members_per_group = 2;
+            mesh.sources_per_group = 1;
+            TopologyFamily::Testbed
+        }
         other => {
             return Err(TomlError::at(
                 family.line,
-                format!("unknown topology family \"{other}\" (expected random, grid or metro)"),
+                format!(
+                    "unknown topology family \"{other}\" (expected random, grid, metro or testbed)"
+                ),
             ))
         }
     };
@@ -356,11 +384,12 @@ fn compile_time(doc: &Doc, mesh: &mut MeshScenario) -> Result<(), TomlError> {
     Ok(())
 }
 
-fn compile_protocol(doc: &Doc, mesh: &mut MeshScenario) -> Result<(), TomlError> {
+fn compile_protocol(doc: &Doc, mesh: &mut MeshScenario) -> Result<ProtocolKind, TomlError> {
     let Some(t) = doc.table("protocol") else {
-        return Ok(());
+        return Ok(ProtocolKind::Odmrp);
     };
     t.reject_unknown(&[
+        "kind",
         "probe_rate",
         "delta_ms",
         "alpha_ms",
@@ -396,7 +425,17 @@ fn compile_protocol(doc: &Doc, mesh: &mut MeshScenario) -> Result<(), TomlError>
     if let Some(e) = t.get("degraded") {
         mesh.degraded = e.bool()?;
     }
-    Ok(())
+    match t.get("kind") {
+        None => Ok(ProtocolKind::Odmrp),
+        Some(e) => match e.str()? {
+            "odmrp" => Ok(ProtocolKind::Odmrp),
+            "maodv" => Ok(ProtocolKind::Maodv),
+            other => Err(TomlError::at(
+                e.line,
+                format!("unknown protocol kind \"{other}\" (expected odmrp or maodv)"),
+            )),
+        },
+    }
 }
 
 fn compile_traffic(doc: &Doc) -> Result<TrafficMix, TomlError> {
@@ -818,6 +857,34 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.line, 4);
         assert!(err.msg.contains("not valid for family"), "{}", err.msg);
+    }
+
+    #[test]
+    fn testbed_family_fixes_the_floor_plan() {
+        let c = compile("name = \"tb\"\n[topology]\nfamily = \"testbed\"\n").unwrap();
+        assert_eq!(c.scenario.topology, TopologyFamily::Testbed);
+        assert_eq!(c.scenario.mesh.nodes, 8);
+        assert_eq!(c.scenario.mesh.members_per_group, 2);
+        let err =
+            compile("name = \"tb\"\n[topology]\nfamily = \"testbed\"\nnodes = 8\n").unwrap_err();
+        assert_eq!(err.line, 4);
+        let err = compile("name = \"tb\"\n[topology]\nfamily = \"testbed\"\n[groups]\ncount = 1\n")
+            .unwrap_err();
+        assert_eq!(err.line, 4);
+        assert!(err.msg.contains("Figure 4"), "{}", err.msg);
+    }
+
+    #[test]
+    fn protocol_kind_selects_the_tree_protocol() {
+        assert_eq!(
+            compile(MINIMAL).unwrap().scenario.protocol,
+            ProtocolKind::Odmrp
+        );
+        let c = compile(&format!("{MINIMAL}[protocol]\nkind = \"maodv\"\n")).unwrap();
+        assert_eq!(c.scenario.protocol, ProtocolKind::Maodv);
+        let err = compile(&format!("{MINIMAL}[protocol]\nkind = \"dvmrp\"\n")).unwrap_err();
+        assert_eq!(err.line, 6);
+        assert!(err.msg.contains("unknown protocol kind"), "{}", err.msg);
     }
 
     #[test]

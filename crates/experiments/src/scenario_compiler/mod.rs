@@ -7,12 +7,10 @@
 //! `serialize::to_toml` closes the loop: compiled scenarios serialize back
 //! to canonical TOML that re-compiles to an equal struct.
 //!
-//! The compiler is an alternate *front-end*, not a second semantics: it
-//! targets the same [`workload::WorkloadScenario`] backend hand-written
-//! Rust scenarios use, and everything a scenario produces (layouts, fault
-//! plans, simulators) is a pure function of the struct plus `(variant,
-//! seed)` — so equal structs run bit-identically, which the
-//! compile-equivalence test suite asserts via `schedule_hash`.
+//! Decks are the only source of scenarios: everything a scenario produces
+//! (layouts, fault plans, simulators) is a pure function of the compiled
+//! struct plus `(variant, seed)`, so equal structs run bit-identically, and
+//! the `run_golden` suite pins the `schedule_hash` of committed decks.
 
 pub mod compile;
 pub mod serialize;
@@ -25,6 +23,6 @@ pub use serialize::to_toml;
 pub use sweep::{check, expand, job_count, quicken, CheckReport, SweepJob, DEFAULT_CAP};
 pub use toml::TomlError;
 pub use workload::{
-    grid_side, metro_side, ChurnSpec, ChurnWindow, FaultSpec, FaultWindow, MobilitySpec,
-    TopologyFamily, TrafficMix, WorkloadScenario,
+    grid_side, metro_side, testbed_side, ChurnSpec, ChurnWindow, FaultSpec, FaultWindow,
+    MobilitySpec, ProtocolKind, TopologyFamily, TrafficMix, WorkloadScenario, TESTBED_NODES,
 };

@@ -10,7 +10,7 @@
 
 use crate::scenario_compiler::compile::{variant_name, SweepSpec};
 use crate::scenario_compiler::workload::{
-    FaultSpec, FaultWindow, TopologyFamily, TrafficMix, WorkloadScenario,
+    FaultSpec, FaultWindow, ProtocolKind, TopologyFamily, TrafficMix, WorkloadScenario,
 };
 use mesh_sim::time::{SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -70,19 +70,27 @@ pub fn to_toml(w: &WorkloadScenario, sweep: Option<&SweepSpec>) -> String {
             let _ = writeln!(s, "nodes = {}", w.mesh.nodes);
             let _ = writeln!(s, "side_per_50 = {}", f(side_per_50));
         }
+        TopologyFamily::Testbed => {
+            let _ = writeln!(s, "family = \"testbed\"");
+        }
     }
     let _ = writeln!(s, "range = {}", f(w.mesh.range));
 
-    let _ = writeln!(s, "\n[groups]");
-    let _ = writeln!(s, "count = {}", w.mesh.groups);
-    let _ = writeln!(s, "members = {}", w.mesh.members_per_group);
-    let _ = writeln!(s, "sources = {}", w.mesh.sources_per_group);
+    if w.topology != TopologyFamily::Testbed {
+        let _ = writeln!(s, "\n[groups]");
+        let _ = writeln!(s, "count = {}", w.mesh.groups);
+        let _ = writeln!(s, "members = {}", w.mesh.members_per_group);
+        let _ = writeln!(s, "sources = {}", w.mesh.sources_per_group);
+    }
 
     let _ = writeln!(s, "\n[time]");
     let _ = writeln!(s, "data_start_secs = {}", secs(w.mesh.data_start));
     let _ = writeln!(s, "data_stop_secs = {}", secs(w.mesh.data_stop));
 
     let _ = writeln!(s, "\n[protocol]");
+    if w.protocol == ProtocolKind::Maodv {
+        let _ = writeln!(s, "kind = \"maodv\"");
+    }
     let _ = writeln!(s, "probe_rate = {}", f(w.mesh.probe_rate));
     let _ = writeln!(s, "delta_ms = {}", f(w.mesh.delta.as_secs_f64() * 1000.0));
     let _ = writeln!(s, "alpha_ms = {}", f(w.mesh.alpha.as_secs_f64() * 1000.0));
@@ -261,8 +269,16 @@ mod tests {
     }
 
     #[test]
+    fn round_trips_a_testbed_tree_scenario() {
+        let src = "name = \"tb\"\n[topology]\nfamily = \"testbed\"\n[protocol]\nkind = \"maodv\"\n";
+        let w = compile(src).unwrap().scenario;
+        let back = compile(&to_toml(&w, None)).unwrap();
+        assert_eq!(back.scenario, w);
+    }
+
+    #[test]
     fn round_trips_fault_windows_and_sweep() {
-        let mut w = WorkloadScenario::grid("fw", 5, 5, 150.0, MeshScenario::quick());
+        let mut w = WorkloadScenario::grid("fw", 5, 5, 150.0, MeshScenario::paper_default());
         w.faults = FaultSpec::Windows(vec![
             FaultWindow::Crash {
                 node: 3,

@@ -46,8 +46,11 @@ fn as_count(key: &str, v: f64) -> Result<usize, String> {
 pub fn apply_axis(w: &mut WorkloadScenario, key: &str, v: f64) -> Result<(), String> {
     match key {
         "topology.nodes" => {
-            if matches!(w.topology, TopologyFamily::Grid { .. }) {
-                return Err("axis `topology.nodes` does not apply to grid topologies (sweep `topology.spacing` or cols/rows instead)".into());
+            if matches!(
+                w.topology,
+                TopologyFamily::Grid { .. } | TopologyFamily::Testbed
+            ) {
+                return Err("axis `topology.nodes` does not apply to grid or testbed topologies (sweep `topology.spacing` or cols/rows instead)".into());
             }
             let n = as_count(key, v)?;
             if n < 2 {
@@ -127,7 +130,7 @@ pub fn apply_axis(w: &mut WorkloadScenario, key: &str, v: f64) -> Result<(), Str
 /// families).
 fn rederive(w: &mut WorkloadScenario) {
     match w.topology {
-        TopologyFamily::Random => {}
+        TopologyFamily::Random | TopologyFamily::Testbed => {}
         TopologyFamily::Grid {
             cols,
             rows,

@@ -1,30 +1,33 @@
-//! The generalized scenario backend the compiler targets.
+//! The scenario every run is built from.
 //!
-//! A [`WorkloadScenario`] wraps the paper's [`MeshScenario`] with the knobs
-//! the paper never varies: topology families beyond the random 1000 m mesh
-//! (grids, metro-density placements), traffic mixes beyond steady CBR
-//! (bursty on/off), per-group receiver join/leave churn windows, mobility,
-//! and fault plans. It is **one semantics with two front-ends**: hand-built
-//! Rust constructors and the TOML compiler both produce this struct, and
-//! every derived artifact (layout, simulator, fault plan) is a pure function
-//! of the struct plus `(variant, seed)` — so two equal `WorkloadScenario`s
-//! are guaranteed to run bit-identically, and a `WorkloadScenario` with all
-//! extensions off runs bit-identically to its inner [`MeshScenario`]
-//! (asserted by the compile-equivalence suite).
+//! A [`WorkloadScenario`] is what a deck (`scenarios/*.toml`) compiles to:
+//! the paper's [`MeshScenario`] knobs plus the topology family (random
+//! mesh, grid, metro density, or the §5 testbed floor plan), the multicast
+//! protocol, the traffic mix, per-group receiver churn, mobility and
+//! faults. Every derived artifact (layout, medium, simulator, fault plan)
+//! is a pure function of the struct plus `(variant, seed)`, so two equal
+//! `WorkloadScenario`s run bit-identically. [`WorkloadScenario::assemble`]
+//! is the one place a simulator is put together.
 
 use mesh_sim::fault::{FaultPlan, RandomFaultConfig};
 use mesh_sim::geometry::Area;
 use mesh_sim::ids::{GroupId, NodeId};
+use mesh_sim::mac::MacParams;
+use mesh_sim::medium::{Medium, PhysicalMedium};
 use mesh_sim::mobility::RandomWaypoint;
+use mesh_sim::propagation::{FadingModel, PathLossModel, PhyParams};
+use mesh_sim::protocol::Protocol;
 use mesh_sim::rng::SimRng;
 use mesh_sim::simulator::Simulator;
 use mesh_sim::time::{SimDuration, SimTime};
 use mesh_sim::topology;
-use odmrp::{CbrSource, MembershipWindow, OdmrpNode, Variant};
+use mesh_sim::world::WorldConfig;
+use odmrp::{CbrSource, MembershipWindow, NodeRole, OdmrpNode, Variant};
+use testbed::TestbedMedium;
 
 use crate::measure::RunMeasurement;
-use crate::runner::CheckpointSlot;
-use crate::scenario::{build_simulator, draw_layout, MeshScenario, ScenarioLayout};
+use crate::runner::{run, Checkpoint, CheckpointSlot, RunSpec};
+use crate::scenario::{draw_layout, GroupSpec, MeshScenario, ScenarioLayout};
 
 /// How nodes are placed.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,6 +52,20 @@ pub enum TopologyFamily {
         /// Area side at 50 nodes, meters.
         side_per_50: f64,
     },
+    /// The §5 testbed: the Figure-4 office floor plan, its two groups
+    /// (node 2 → {3, 5}, node 4 → {1, 7}) and the lossy-link
+    /// [`TestbedMedium`] in place of the radio model. `mesh.nodes`,
+    /// `mesh.area_side` and the group shape are fixed by the floor plan.
+    Testbed,
+}
+
+/// Which multicast protocol the nodes run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProtocolKind {
+    /// Mesh-based ODMRP (§3), the paper's protocol.
+    Odmrp,
+    /// The MAODV-style shared tree (§4.3's comparison point).
+    Maodv,
 }
 
 /// The per-source traffic shape.
@@ -197,6 +214,8 @@ pub struct WorkloadScenario {
     pub mesh: MeshScenario,
     /// Node placement family.
     pub topology: TopologyFamily,
+    /// Multicast protocol.
+    pub protocol: ProtocolKind,
     /// Traffic shape.
     pub traffic: TrafficMix,
     /// Receiver join/leave churn.
@@ -219,14 +238,25 @@ pub fn metro_side(nodes: usize, side_per_50: f64) -> f64 {
     side_per_50 * nodes as f64 / 50.0
 }
 
+/// Nodes on the Figure-4 floor plan.
+pub const TESTBED_NODES: usize = 8;
+
+/// The side of the square holding the Figure-4 floor plan, meters.
+pub fn testbed_side() -> f64 {
+    testbed::floorplan::positions()
+        .iter()
+        .fold(1.0, |side, p| side.max(p.x).max(p.y))
+}
+
 impl WorkloadScenario {
-    /// Wrap a plain [`MeshScenario`]: random topology, steady CBR, no
-    /// churn/mobility/faults. Runs bit-identically to `mesh` itself.
+    /// Wrap a plain [`MeshScenario`]: random topology, ODMRP, steady CBR,
+    /// no churn/mobility/faults.
     pub fn from_mesh(name: &str, mesh: MeshScenario) -> Self {
         WorkloadScenario {
             name: name.to_string(),
             mesh,
             topology: TopologyFamily::Random,
+            protocol: ProtocolKind::Odmrp,
             traffic: TrafficMix::Steady,
             churn: None,
             mobility: None,
@@ -266,97 +296,10 @@ impl WorkloadScenario {
         }
     }
 
-    /// The Figure-2 workload: the paper's Section 4.1 configuration wrapped
-    /// unchanged. Twin of `scenarios/fig2.toml`.
-    pub fn fig2() -> Self {
-        WorkloadScenario::from_mesh("fig2", MeshScenario::paper_default())
-    }
-
-    /// The reduced Figure-2 workload used by CI. Twin of
-    /// `scenarios/fig2-quick.toml`.
-    pub fn fig2_quick() -> Self {
-        WorkloadScenario::from_mesh("fig2-quick", MeshScenario::quick())
-    }
-
-    /// The Table-1 "high overhead" column: Figure 2 with the probing rate
-    /// multiplied by 5. Twin of `scenarios/table1-high-overhead.toml`.
-    pub fn table1_high_overhead() -> Self {
-        WorkloadScenario::from_mesh(
-            "table1-high-overhead",
-            MeshScenario {
-                probe_rate: 5.0,
-                ..MeshScenario::paper_default()
-            },
-        )
-    }
-
-    /// The metro-density workload: 100 nodes at the fan-out bench's metro
-    /// density (1000 m of side per 50 nodes) with a 60 s data window so
-    /// runs stay tractable. Twin of `scenarios/metro.toml`.
-    pub fn metro_default() -> Self {
-        WorkloadScenario::metro(
-            "metro",
-            100,
-            1000.0,
-            MeshScenario {
-                data_stop: SimTime::from_secs(90),
-                ..MeshScenario::paper_default()
-            },
-        )
-    }
-
-    /// The mobile workload: [`WorkloadScenario::metro_default`] under
-    /// pedestrian random-waypoint motion (the bench's 1.5 m/s point:
-    /// speeds drawn from `[0.75, 2.25]` m/s, no pause). Twin of
-    /// `scenarios/mobile.toml`.
-    pub fn mobile() -> Self {
-        WorkloadScenario {
-            name: "mobile".to_string(),
-            mobility: Some(MobilitySpec {
-                min_speed: 0.75,
-                max_speed: 2.25,
-                pause: SimDuration::ZERO,
-            }),
-            ..WorkloadScenario::metro_default()
-        }
-    }
-
-    /// The flagship city-scale churn workload: 120 nodes at a dense metro
-    /// layout, 6 concurrent groups of 3 receivers, and 2 churning
-    /// receivers per group cycling through a 35–65 s window. The TOML twin
-    /// (`scenarios/city-churn.toml`) additionally carries the sweep axes
-    /// (`groups.count`, `churn.per_group`) that expand this into the
-    /// 100-run supervised matrix.
-    pub fn city_churn() -> Self {
-        WorkloadScenario {
-            name: "city-churn".to_string(),
-            churn: Some(ChurnSpec {
-                per_group: 2,
-                start: SimTime::from_secs(35),
-                end: SimTime::from_secs(65),
-                dwell: SimDuration::from_secs(12),
-                stagger: SimDuration::from_secs(2),
-                flash: false,
-                explicit: Vec::new(),
-            }),
-            ..WorkloadScenario::metro(
-                "city-churn",
-                120,
-                450.0,
-                MeshScenario {
-                    groups: 6,
-                    members_per_group: 3,
-                    data_start: SimTime::from_secs(30),
-                    data_stop: SimTime::from_secs(70),
-                    ..MeshScenario::paper_default()
-                },
-            )
-        }
-    }
-
-    /// When the whole run ends (delegates to the mesh scenario).
+    /// When the whole run ends: two seconds after the data window, so the
+    /// last packets can arrive.
     pub fn run_until(&self) -> SimTime {
-        self.mesh.run_until()
+        self.mesh.data_stop + SimDuration::from_secs(2)
     }
 
     /// Cross-field validation: every rule the TOML front-end enforces, so a
@@ -416,6 +359,24 @@ impl WorkloadScenario {
                 if self.mesh.area_side != metro_side(n, side_per_50) {
                     return Err(
                         "metro area_side is inconsistent; build via WorkloadScenario::metro".into(),
+                    );
+                }
+            }
+            TopologyFamily::Testbed => {
+                if n != TESTBED_NODES || self.mesh.area_side != testbed_side() {
+                    return Err(format!(
+                        "the testbed floor plan has {TESTBED_NODES} nodes; nodes and area_side are fixed"
+                    ));
+                }
+                if (
+                    self.mesh.groups,
+                    self.mesh.members_per_group,
+                    self.mesh.sources_per_group,
+                ) != (2, 2, 1)
+                {
+                    return Err(
+                        "the testbed floor plan fixes Figure 4's two groups (1 source, 2 members each)"
+                            .into(),
                     );
                 }
             }
@@ -606,7 +567,25 @@ impl WorkloadScenario {
     /// mix rewrite and the churn overlay. Pure function of `(self, seed)`.
     pub fn layout(&self, seed: u64) -> ScenarioLayout {
         let (mut layout, spare) = match self.topology {
-            TopologyFamily::Random => self.mesh.layout_with_spare(seed),
+            TopologyFamily::Random => {
+                let mut rng = SimRng::seed_from(seed ^ 0xC0FF_EE00);
+                let positions = topology::random_connected(
+                    self.mesh.nodes,
+                    Area::square(self.mesh.area_side),
+                    self.mesh.range,
+                    &mut rng,
+                    10_000,
+                );
+                draw_layout(
+                    positions,
+                    &mut rng,
+                    self.mesh.groups,
+                    self.mesh.members_per_group,
+                    self.mesh.sources_per_group,
+                    self.mesh.data_start,
+                    self.mesh.data_stop,
+                )
+            }
             TopologyFamily::Grid {
                 cols,
                 rows,
@@ -640,10 +619,48 @@ impl WorkloadScenario {
                     self.mesh.data_stop,
                 )
             }
+            TopologyFamily::Testbed => self.testbed_layout(),
         };
         self.apply_traffic(&mut layout);
         self.apply_churn(&mut layout, spare);
         layout
+    }
+
+    /// The Figure-4 roles (§5.3), plus the roleless node ids in ascending
+    /// order for the churn overlay.
+    fn testbed_layout(&self) -> (ScenarioLayout, Vec<usize>) {
+        let mut roles = vec![NodeRole::forwarder(); TESTBED_NODES];
+        let mut groups = Vec::new();
+        for (g, (src, members)) in testbed::paper_groups().into_iter().enumerate() {
+            let gid = GroupId(g as u32);
+            let sid = testbed::id_of(src);
+            roles[sid.index()].sources.push(CbrSource::paper_default(
+                gid,
+                self.mesh.data_start,
+                self.mesh.data_stop,
+            ));
+            let mut mlist = Vec::new();
+            for m in members {
+                let mid = testbed::id_of(m);
+                roles[mid.index()].member_of.push(gid);
+                mlist.push(mid);
+            }
+            groups.push(GroupSpec {
+                group: gid,
+                sources: vec![sid],
+                members: mlist,
+                churners: Vec::new(),
+            });
+        }
+        let spare = (0..TESTBED_NODES)
+            .filter(|&i| roles[i].sources.is_empty() && roles[i].member_of.is_empty())
+            .collect();
+        let layout = ScenarioLayout {
+            positions: testbed::floorplan::positions(),
+            roles,
+            groups,
+        };
+        (layout, spare)
     }
 
     /// Rewrite each whole-window CBR source into its burst segments.
@@ -719,9 +736,11 @@ impl WorkloadScenario {
             .push((NodeId::new(node as u32), expected));
     }
 
-    /// The seeded random fault plan (sources protected, faults clear before
-    /// the run ends) — the [`MeshScenario::random_fault_plan`] procedure
-    /// over this workload's layout and area.
+    /// Draw a random but fully deterministic fault plan for topology `seed`:
+    /// crashes, link faults and possibly a partition inside the data window,
+    /// scaled by `intensity` in `[0, 1]`. Sources are protected — crashing
+    /// the only traffic generator makes every delivery measurement vacuous —
+    /// and faults clear before the run ends so recovery is observable.
     pub fn random_fault_plan(&self, seed: u64, intensity: f64) -> FaultPlan {
         let layout = self.layout(seed);
         let protected: Vec<NodeId> = layout
@@ -737,6 +756,7 @@ impl WorkloadScenario {
         cfg.protected = protected;
         cfg.intensity = intensity;
         cfg.area_width_m = Some(self.mesh.area_side);
+        // Decorrelate the plan from the topology and MAC streams.
         let mut rng = SimRng::seed_from(seed ^ 0xFA17_0000);
         FaultPlan::random(&cfg, &mut rng)
     }
@@ -775,15 +795,47 @@ impl WorkloadScenario {
         }
     }
 
-    /// Build a ready-to-run simulator for `variant` on topology `seed`,
-    /// with mobility and the fault plan attached.
-    pub fn build(&self, variant: Variant, seed: u64) -> Simulator<OdmrpNode> {
+    /// The medium of topology `seed`: the Figure-4 testbed model (its
+    /// link-loss walk seeded from `seed`) or the paper's two-ray ground
+    /// medium, Rayleigh-faded per `mesh.fading` and spatially indexed per
+    /// `mesh.indexed_medium`.
+    pub fn medium(&self, seed: u64) -> Box<dyn Medium> {
+        if self.topology == TopologyFamily::Testbed {
+            let mut rng = SimRng::seed_from(seed ^ 0x7E57_BED0);
+            return Box::new(TestbedMedium::new(&mut rng));
+        }
+        let phy = PhyParams {
+            fading: if self.mesh.fading {
+                FadingModel::Rayleigh
+            } else {
+                FadingModel::None
+            },
+            path_loss: PathLossModel::TwoRayGround,
+            ..PhyParams::default()
+        };
+        Box::new(PhysicalMedium::new(phy).with_indexing(self.mesh.indexed_medium))
+    }
+
+    /// Put a simulator together for topology `seed`: layout, one node per
+    /// role from `node`, `medium`, then mobility and the fault plan. Returns
+    /// the groups for measurement alongside. Generic over the node type, so
+    /// every protocol's event loop stays monomorphic.
+    pub fn assemble<P: Protocol>(
+        &self,
+        seed: u64,
+        medium: Box<dyn Medium>,
+        node: impl FnMut(NodeRole) -> P,
+    ) -> (Simulator<P>, Vec<GroupSpec>) {
         let layout = self.layout(seed);
-        let mut sim = build_simulator(
-            layout,
-            self.mesh.phy_medium(),
-            self.mesh.odmrp_config(variant),
-            seed,
+        let nodes: Vec<P> = layout.roles.into_iter().map(node).collect();
+        let mut sim = Simulator::new(
+            layout.positions,
+            medium,
+            WorldConfig {
+                mac: MacParams::default(),
+                seed,
+            },
+            nodes,
         );
         if let Some(m) = &self.mobility {
             sim.set_mobility(Box::new(RandomWaypoint::new(
@@ -796,26 +848,26 @@ impl WorkloadScenario {
         if let Some(plan) = self.fault_plan(seed) {
             sim.set_fault_plan(plan);
         }
-        sim
+        (sim, layout.groups)
     }
 
-    /// Run one `(variant, seed)` job to completion and measure it.
-    pub fn run_once(&self, variant: Variant, seed: u64) -> RunMeasurement {
-        let groups = self.layout(seed).groups;
-        let mut sim = self.build(variant, seed);
-        sim.run_until(self.run_until());
-        RunMeasurement::from_sim(&sim, &groups, seed)
-    }
-
-    /// Run one job under full supervision: the ODMRP + world invariant
-    /// oracles checked every refresh interval, and the sim-time watchdog
-    /// that turns a livelocked run into a classifiable panic — the shape
-    /// `run_matrix_supervised` expects from sweep jobs.
-    pub fn run_supervised(&self, variant: Variant, seed: u64) -> RunMeasurement {
-        let groups = self.layout(seed).groups;
-        let mut sim = self.supervised_sim(variant, seed);
-        sim.run_until(self.run_until());
-        RunMeasurement::from_sim(&sim, &groups, seed)
+    /// Build a ready-to-run ODMRP simulator for `variant` on topology
+    /// `seed`, with mobility and the fault plan attached.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a MAODV scenario, whose nodes are not [`OdmrpNode`]s;
+    /// [`run`](crate::runner::run) runs either protocol.
+    pub fn build(&self, variant: Variant, seed: u64) -> Simulator<OdmrpNode> {
+        assert_eq!(
+            self.protocol,
+            ProtocolKind::Odmrp,
+            "`{}` runs MAODV; build its simulator through experiments::run",
+            self.name
+        );
+        let cfg = self.mesh.odmrp_config(variant);
+        self.assemble(seed, self.medium(seed), |r| OdmrpNode::new(cfg.clone(), r))
+            .0
     }
 
     /// The snapshot-header fingerprint of one `(scenario, variant, seed)`
@@ -837,67 +889,24 @@ impl WorkloadScenario {
         h
     }
 
-    fn supervised_sim(&self, variant: Variant, seed: u64) -> Simulator<OdmrpNode> {
-        let refresh = self.mesh.odmrp_config(variant).refresh_interval;
-        let mut sim = self.build(variant, seed);
-        sim.set_invariant_interval(refresh);
-        sim.add_oracle(odmrp::invariants::oracle());
-        sim.set_watchdog(mesh_sim::simulator::WatchdogBudget {
-            max_events: 20_000_000,
-            min_progress: SimDuration::from_millis(100),
-        });
-        sim
-    }
-
-    /// [`WorkloadScenario::run_supervised`] with **checkpoint/restore**: if
-    /// `slot` holds a checkpoint (left behind by a previous panicking
-    /// attempt), the run resumes from it instead of replaying from `t = 0`;
-    /// either way the run checkpoints into `slot` every quarter of the
-    /// simulated horizon. Resume is exact — the deterministic-resume
-    /// contract guarantees the resumed run's `schedule_hash`, counters and
-    /// timeseries are bit-identical to an uninterrupted run.
-    ///
-    /// A checkpoint that fails to restore (fingerprint mismatch, truncation)
-    /// is discarded and the run falls back to a fresh start.
-    pub fn run_supervised_resumable(
-        &self,
-        variant: Variant,
-        seed: u64,
-        slot: &CheckpointSlot,
-    ) -> RunMeasurement {
-        self.run_supervised_checkpointed(variant, seed, slot, |_, _| {})
-    }
-
-    /// [`WorkloadScenario::run_supervised_resumable`] with an extra
-    /// `persist` hook invoked after each checkpoint lands in `slot` — the
-    /// sweep binary uses it to mirror checkpoints to disk so a SIGKILLed
-    /// sweep can resume mid-cell in a fresh process.
+    /// One fully supervised run (see [`RunSpec::supervised`]) with
+    /// **checkpoint/restore** through `slot`: if `slot` holds a checkpoint
+    /// (left behind by a previous panicking attempt), the run resumes from
+    /// it instead of replaying from `t = 0`; either way it checkpoints into
+    /// `slot` every quarter of the simulated horizon and hands each
+    /// checkpoint to `persist` — the sweep binary mirrors them to disk so a
+    /// SIGKILLed sweep can resume mid-cell in a fresh process. A thin
+    /// wrapper over [`run`].
     pub fn run_supervised_checkpointed(
         &self,
         variant: Variant,
         seed: u64,
         slot: &CheckpointSlot,
-        mut persist: impl FnMut(SimTime, &[u8]) + Send + 'static,
+        persist: impl FnMut(SimTime, &[u8]) + Send + 'static,
     ) -> RunMeasurement {
-        let groups = self.layout(seed).groups;
-        let fp = self.fingerprint(variant, seed);
-        let mut sim = self.supervised_sim(variant, seed);
-        if let Some((_, bytes)) = slot.get() {
-            if sim.restore(&bytes, fp).is_err() {
-                // Stale or foreign checkpoint: discard it and rebuild (the
-                // restore may have half-overwritten the simulator).
-                slot.clear();
-                sim = self.supervised_sim(variant, seed);
-            }
-        }
-        let sink_slot = slot.clone();
-        let every = SimDuration::from_nanos((self.run_until().as_nanos() / 4).max(1));
-        sim.checkpoint_every(every, fp, move |at, bytes| {
-            persist(at, &bytes);
-            sink_slot.store(at, bytes);
-        });
-        sim.run_until(self.run_until());
-        RunMeasurement::from_sim(&sim, &groups, seed)
+        let mut spec = RunSpec::new(self, variant, seed).supervised();
+        spec.supervise.checkpoint = Some(Checkpoint::new(slot.clone()).persist(persist));
+        run(&spec)
     }
 }
 
@@ -956,14 +965,58 @@ mod tests {
     }
 
     #[test]
-    fn plain_wrapper_layout_matches_mesh_layout() {
-        let mesh = tiny();
-        let w = WorkloadScenario::from_mesh("tiny", mesh.clone()).validated();
-        let a = w.layout(7);
-        let b = mesh.layout(7);
+    fn layout_is_deterministic_and_disjoint() {
+        let w = WorkloadScenario::from_mesh("tiny", tiny()).validated();
+        let a = w.layout(3);
+        let b = w.layout(3);
         assert_eq!(a.positions, b.positions);
         assert_eq!(a.groups, b.groups);
-        assert_eq!(a.roles, b.roles);
+        assert_ne!(a.positions, w.layout(4).positions);
+        // Sources and members are all distinct nodes.
+        let mut seen = std::collections::HashSet::new();
+        for g in &a.groups {
+            for n in g.sources.iter().chain(g.members.iter()) {
+                assert!(seen.insert(*n), "node {n} has two roles");
+            }
+        }
+    }
+
+    fn testbed() -> WorkloadScenario {
+        WorkloadScenario {
+            topology: TopologyFamily::Testbed,
+            ..WorkloadScenario::from_mesh(
+                "tb",
+                MeshScenario {
+                    nodes: TESTBED_NODES,
+                    area_side: testbed_side(),
+                    members_per_group: 2,
+                    ..MeshScenario::paper_default()
+                },
+            )
+        }
+        .validated()
+    }
+
+    #[test]
+    fn testbed_layout_matches_paper() {
+        let l = testbed().layout(1);
+        assert_eq!(l.positions.len(), 8);
+        assert_eq!(l.groups.len(), 2);
+        assert_eq!(l.groups[0].sources, vec![testbed::id_of(2)]);
+        assert_eq!(
+            l.groups[0].members,
+            vec![testbed::id_of(3), testbed::id_of(5)]
+        );
+        assert_eq!(l.groups[1].sources, vec![testbed::id_of(4)]);
+        // The layout is the floor plan, whatever the seed.
+        assert_eq!(l.positions, testbed().layout(9).positions);
+    }
+
+    #[test]
+    fn testbed_rejects_a_different_group_shape() {
+        let mut w = testbed();
+        w.mesh.groups = 3;
+        assert!(w.validate().unwrap_err().contains("Figure 4"));
     }
 
     #[test]

@@ -1,53 +1,21 @@
-//! Differential compile-equivalence: the headline contract of the scenario
-//! compiler. Every TOML twin in `scenarios/` must compile to a struct
-//! **equal** to its hand-built Rust constructor — and, because everything a
-//! [`WorkloadScenario`] produces is a pure function of the struct plus
-//! `(variant, seed)`, the compiled scenario must *run* bit-identically:
-//! same `schedule_hash` (the FNV fold over every dequeued event), same
-//! counters, same delivery numbers.
-//!
-//! A proptest then closes the loop from the other side: randomized
-//! scenarios round-trip through `to_toml` → `parse` → `compile` unchanged.
+//! Scenario-compiler round trip: randomized scenarios serialize through
+//! `to_toml` → `parse` → `compile` unchanged, and the flagship deck carries
+//! its sweep. (Replay of the committed decks is pinned by `run_golden`.)
 
-use experiments::runner::run_mesh_once;
 use experiments::scenario::MeshScenario;
 use experiments::scenario_compiler::{
-    compile, to_toml, ChurnSpec, CompiledScenario, FaultSpec, FaultWindow, MobilitySpec, SweepSpec,
-    TrafficMix, WorkloadScenario,
+    compile, to_toml, ChurnSpec, FaultSpec, FaultWindow, MobilitySpec, SweepSpec, TrafficMix,
+    WorkloadScenario,
 };
 use mesh_sim::time::{SimDuration, SimTime};
 use odmrp::Variant;
 use proptest::prelude::*;
 
-/// Compile one of the checked-in scenario files.
-fn twin(file: &str) -> CompiledScenario {
-    let path = format!("{}/../../scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
-    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    compile(&src).unwrap_or_else(|e| panic!("{file} failed to compile: {e}"))
-}
-
-/// Assert a TOML twin equals its constructor, field for field.
-fn assert_twin(file: &str, built: WorkloadScenario) -> CompiledScenario {
-    let c = twin(file);
-    assert_eq!(
-        c.scenario, built,
-        "{file} compiled to a different scenario than its Rust constructor"
-    );
-    c
-}
-
 #[test]
-fn every_toml_twin_compiles_to_its_constructor_struct() {
-    assert_twin("fig2.toml", WorkloadScenario::fig2());
-    assert_twin("fig2-quick.toml", WorkloadScenario::fig2_quick());
-    assert_twin(
-        "table1-high-overhead.toml",
-        WorkloadScenario::table1_high_overhead(),
-    );
-    assert_twin("metro.toml", WorkloadScenario::metro_default());
-    assert_twin("mobile.toml", WorkloadScenario::mobile());
-    let c = assert_twin("city-churn.toml", WorkloadScenario::city_churn());
-    // The flagship file also carries the 100-run sweep: 2 group counts x
+fn city_churn_deck_carries_its_sweep() {
+    let c = compile(include_str!("../../../scenarios/city-churn.toml"))
+        .unwrap_or_else(|e| panic!("city-churn.toml failed to compile: {e}"));
+    // The flagship file carries the 100-run sweep: 2 group counts x
     // 2 churn rates x 5 variants x 5 seeds, capped at 120.
     assert_eq!(c.sweep.seeds, 5);
     assert_eq!(c.sweep.limit, Some(120));
@@ -60,113 +28,6 @@ fn every_toml_twin_compiles_to_its_constructor_struct() {
         ]
     );
     assert_eq!(experiments::scenario_compiler::job_count(&c.sweep), 100);
-}
-
-/// Run the compiled and the hand-built scenario (after the same shrink, so
-/// tests stay fast) and demand identical replay fingerprints.
-fn assert_runs_bit_identical(
-    file: &str,
-    built: WorkloadScenario,
-    shrink: impl Fn(&mut WorkloadScenario),
-    variant: Variant,
-    seed: u64,
-) {
-    let mut compiled = twin(file).scenario;
-    let mut built = built;
-    shrink(&mut compiled);
-    shrink(&mut built);
-    assert_eq!(compiled, built, "{file}: shrink must preserve equality");
-    let a = compiled.validated().run_once(variant, seed);
-    let b = built.validated().run_once(variant, seed);
-    assert_eq!(
-        a.schedule_hash, b.schedule_hash,
-        "{file}: compiled TOML and Rust constructor diverged in replay"
-    );
-    assert_eq!(a.counters, b.counters, "{file}: counters diverged");
-    assert_eq!(
-        (a.sent, a.expected, a.delivered),
-        (b.sent, b.expected, b.delivered)
-    );
-    assert!(a.sent > 0, "{file}: shrunk run sent no data");
-}
-
-#[test]
-fn fig2_quick_twin_replays_bit_identically() {
-    let shrink = |w: &mut WorkloadScenario| {
-        w.mesh.data_stop = SimTime::from_secs(45);
-    };
-    assert_runs_bit_identical(
-        "fig2-quick.toml",
-        WorkloadScenario::fig2_quick(),
-        shrink,
-        Variant::Original,
-        1,
-    );
-    assert_runs_bit_identical(
-        "fig2-quick.toml",
-        WorkloadScenario::fig2_quick(),
-        shrink,
-        Variant::Metric(mcast_metrics::MetricKind::Spp),
-        2,
-    );
-}
-
-#[test]
-fn city_churn_twin_replays_bit_identically_with_churn_active() {
-    // Shrink to a 15 s data window on a 60-node metro square; the churn
-    // overlay stays active (two churners per group inside the window).
-    let shrink = |w: &mut WorkloadScenario| {
-        w.mesh.nodes = 60;
-        w.mesh.area_side = experiments::scenario_compiler::metro_side(60, 450.0);
-        w.mesh.groups = 3;
-        w.mesh.data_stop = SimTime::from_secs(45);
-        let churn = w.churn.as_mut().expect("city-churn has churn");
-        churn.end = SimTime::from_secs(44);
-        churn.dwell = SimDuration::from_secs(5);
-    };
-    let built = WorkloadScenario::city_churn();
-    let mut check = built.clone();
-    shrink(&mut check);
-    let layout = check.clone().validated().layout(3);
-    assert!(
-        layout.groups.iter().all(|g| g.churners.len() == 2),
-        "shrunk city-churn must still attach 2 churners per group"
-    );
-    assert_runs_bit_identical(
-        "city-churn.toml",
-        built,
-        shrink,
-        Variant::Metric(mcast_metrics::MetricKind::Ett),
-        3,
-    );
-}
-
-#[test]
-fn wrapped_mesh_replays_bit_identically_to_the_plain_scenario() {
-    // The wrapper is an alternate front-end, not a second semantics: a
-    // plain MeshScenario run through the workload pipeline produces the
-    // exact event stream of the original `run_mesh_once` path.
-    let mesh = MeshScenario {
-        nodes: 14,
-        area_side: 500.0,
-        groups: 1,
-        members_per_group: 3,
-        data_start: SimTime::from_secs(10),
-        data_stop: SimTime::from_secs(40),
-        ..MeshScenario::paper_default()
-    };
-    for (variant, seed) in [
-        (Variant::Original, 7),
-        (Variant::Metric(mcast_metrics::MetricKind::Etx), 8),
-    ] {
-        let plain = run_mesh_once(&mesh, variant, seed);
-        let wrapped = WorkloadScenario::from_mesh("wrap", mesh.clone())
-            .validated()
-            .run_once(variant, seed);
-        assert_eq!(plain.schedule_hash, wrapped.schedule_hash);
-        assert_eq!(plain.counters, wrapped.counters);
-        assert_eq!(plain.delivered, wrapped.delivered);
-    }
 }
 
 /// Build a canonical scenario from sampled knobs. Bounds are chosen so

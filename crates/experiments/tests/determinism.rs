@@ -2,22 +2,30 @@
 //! `(configuration, seed)` produces bit-identical results run-to-run, and
 //! the spatially-indexed medium changes nothing at all.
 
-use experiments::runner::run_mesh_once;
 use experiments::scenario::MeshScenario;
+use experiments::scenario_compiler::WorkloadScenario;
+use experiments::{RunMeasurement, RunSpec};
 use mesh_sim::time::SimTime;
 use odmrp::Variant;
 
 /// A small fig2-style configuration that still exercises probing, join
 /// floods and CBR data, but finishes in well under a second.
-fn tiny() -> MeshScenario {
-    MeshScenario {
-        // Two groups of 10 members + 1 source each need 22 distinct roles.
-        nodes: 25,
-        area_side: 700.0,
-        data_start: SimTime::from_secs(5),
-        data_stop: SimTime::from_secs(10),
-        ..MeshScenario::paper_default()
-    }
+fn tiny() -> WorkloadScenario {
+    WorkloadScenario::from_mesh(
+        "tiny",
+        MeshScenario {
+            // Two groups of 10 members + 1 source each need 22 distinct roles.
+            nodes: 25,
+            area_side: 700.0,
+            data_start: SimTime::from_secs(5),
+            data_stop: SimTime::from_secs(10),
+            ..MeshScenario::paper_default()
+        },
+    )
+}
+
+fn measure(scenario: &WorkloadScenario, variant: Variant, seed: u64) -> RunMeasurement {
+    experiments::run(&RunSpec::new(scenario, variant, seed))
 }
 
 #[test]
@@ -27,8 +35,8 @@ fn same_config_and_seed_is_bit_identical() {
         Variant::Original,
         Variant::Metric(mcast_metrics::MetricKind::Etx),
     ] {
-        let a = run_mesh_once(&scenario, variant, 7);
-        let b = run_mesh_once(&scenario, variant, 7);
+        let a = measure(&scenario, variant, 7);
+        let b = measure(&scenario, variant, 7);
         assert_eq!(a.sent, b.sent);
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.mean_delay_s.to_bits(), b.mean_delay_s.to_bits());
@@ -52,7 +60,7 @@ fn three_runs_same_process_identical_counters_and_schedule() {
     let scenario = tiny();
     let runs: Vec<_> = (0..3)
         .map(|_| {
-            run_mesh_once(
+            measure(
                 &scenario,
                 Variant::Metric(mcast_metrics::MetricKind::Spp),
                 11,
@@ -77,10 +85,10 @@ fn three_runs_same_process_identical_counters_and_schedule() {
 fn indexed_medium_is_bit_identical_to_naive() {
     let mut scenario = tiny();
     for seed in [1u64, 2, 3] {
-        scenario.indexed_medium = true;
-        let indexed = run_mesh_once(&scenario, Variant::Original, seed);
-        scenario.indexed_medium = false;
-        let naive = run_mesh_once(&scenario, Variant::Original, seed);
+        scenario.mesh.indexed_medium = true;
+        let indexed = measure(&scenario, Variant::Original, seed);
+        scenario.mesh.indexed_medium = false;
+        let naive = measure(&scenario, Variant::Original, seed);
         assert!(indexed.sent > 0, "no data sent — vacuous comparison");
         assert_eq!(indexed.sent, naive.sent);
         assert_eq!(indexed.delivered, naive.delivered);

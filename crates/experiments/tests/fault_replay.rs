@@ -9,8 +9,9 @@
 //! 5 % of the fault-free delivery rate once ODMRP rebuilds its forwarding
 //! group.
 
-use experiments::runner::{run_mesh_once, run_mesh_with_faults};
 use experiments::scenario::MeshScenario;
+use experiments::scenario_compiler::{FaultSpec, WorkloadScenario};
+use experiments::{run, RunSpec};
 use mcast_metrics::MetricKind;
 use mesh_sim::fault::FaultPlan;
 use mesh_sim::prelude::*;
@@ -18,16 +19,19 @@ use odmrp::{NodeRole, OdmrpConfig, OdmrpNode, Variant};
 use proptest::prelude::*;
 
 /// A mesh small enough that a proptest case (three full runs) stays fast.
-fn tiny_mesh() -> MeshScenario {
-    MeshScenario {
-        nodes: 12,
-        area_side: 500.0,
-        groups: 1,
-        members_per_group: 3,
-        data_start: SimTime::from_secs(10),
-        data_stop: SimTime::from_secs(40),
-        ..MeshScenario::paper_default()
-    }
+fn tiny_mesh() -> WorkloadScenario {
+    WorkloadScenario::from_mesh(
+        "tiny",
+        MeshScenario {
+            nodes: 12,
+            area_side: 500.0,
+            groups: 1,
+            members_per_group: 3,
+            data_start: SimTime::from_secs(10),
+            data_stop: SimTime::from_secs(40),
+            ..MeshScenario::paper_default()
+        },
+    )
 }
 
 const VARIANTS: [Variant; 3] = [
@@ -50,15 +54,19 @@ proptest! {
         let scenario = tiny_mesh();
         let variant = VARIANTS[variant_idx];
         let plan = scenario.random_fault_plan(seed, intensity);
+        let with_faults = WorkloadScenario {
+            faults: FaultSpec::Random { intensity },
+            ..scenario.clone()
+        };
 
-        let clean = run_mesh_once(&scenario, variant, seed);
+        let clean = run(&RunSpec::new(&scenario, variant, seed));
         // (a) with the full oracle suite at 5 s checkpoints: any violated
         // invariant panics inside the run.
-        let faulted = run_mesh_with_faults(
-            &scenario, variant, seed, &plan, Some(SimDuration::from_secs(5)),
-        );
+        let mut checked = RunSpec::new(&with_faults, variant, seed);
+        checked.supervise.oracles = Some(SimDuration::from_secs(5));
+        let faulted = run(&checked);
         // (b) replay without oracles: observation must not perturb the run.
-        let replay = run_mesh_with_faults(&scenario, variant, seed, &plan, None);
+        let replay = run(&RunSpec::new(&with_faults, variant, seed));
         prop_assert_eq!(
             &faulted.counters, &replay.counters,
             "replay of the same (scenario, plan, seed) diverged"

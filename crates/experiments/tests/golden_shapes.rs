@@ -1,7 +1,7 @@
 //! Golden-value regression tests for the paper's qualitative orderings.
 //!
-//! Full Figure 2 / Table 1 reproductions live in the `fig2_*` and
-//! `table1_overhead` binaries (minutes of release-mode runtime); these
+//! Full Figure 2 / Table 1 reproductions live in `repro --figure fig2` and
+//! `repro --figure table1` (minutes of release-mode runtime); these
 //! tests pin the *orderings* those tables must show, so a change that
 //! flips one (a metric regression, an estimator bug, a probing accounting
 //! change) fails in CI long before anyone re-runs the paper matrix.
@@ -10,20 +10,22 @@
 //!
 //! - **Overhead** (Table 1) is a bytes ratio with almost no topology noise:
 //!   a small matrix pins it, and the test runs in the default suite.
-//! - **Throughput** (Fig. 2) needs the full `quick()` matrix to rise above
+//! - **Throughput** (Fig. 2) needs the full `fig2-quick` matrix to rise above
 //!   topology noise, so that test is `#[ignore]`d in the default suite and
 //!   run explicitly — in release mode — by the CI fault/golden job.
 
 use experiments::report::{overhead_shape_failures, throughput_shape_failures};
-use experiments::runner::{paper_variants, run_matrix, run_mesh_once, summarize, VariantSummary};
+use experiments::runner::{paper_variants, run_matrix, summarize, VariantSummary};
 use experiments::scenario::MeshScenario;
+use experiments::scenario_compiler::{compile, WorkloadScenario};
+use experiments::{run, RunSpec};
 use mcast_metrics::MetricKind;
 use mesh_sim::time::SimTime;
 use odmrp::Variant;
 
-fn summaries_for(scenario: &MeshScenario, seeds: &[u64]) -> Vec<VariantSummary> {
+fn summaries_for(scenario: &WorkloadScenario, seeds: &[u64]) -> Vec<VariantSummary> {
     let results = run_matrix(&paper_variants(), seeds, |v, s| {
-        run_mesh_once(scenario, v, s)
+        run(&RunSpec::new(scenario, v, s))
     });
     summarize(&results, Variant::Original)
 }
@@ -40,18 +42,21 @@ fn mean_of(
         .unwrap_or_else(|| panic!("{kind:?} missing from summaries"))
 }
 
-/// Table 1's orderings: reuse the binary's own shape suite so this test and
-/// `table1_overhead` can never drift apart, then pin the finer ETX < ETT
+/// Table 1's orderings: reuse the figure's own shape suite so this test and
+/// `repro --figure table1` can never drift apart, then pin the finer ETX < ETT
 /// and ETX < PP gaps with tolerance.
 #[test]
 fn table1_overhead_orderings_hold() {
-    let scenario = MeshScenario {
-        nodes: 25,
-        area_side: 700.0,
-        data_start: SimTime::from_secs(10),
-        data_stop: SimTime::from_secs(70),
-        ..MeshScenario::paper_default()
-    };
+    let scenario = WorkloadScenario::from_mesh(
+        "table1-small",
+        MeshScenario {
+            nodes: 25,
+            area_side: 700.0,
+            data_start: SimTime::from_secs(10),
+            data_stop: SimTime::from_secs(70),
+            ..MeshScenario::paper_default()
+        },
+    );
     let summaries = summaries_for(&scenario, &[1, 2]);
 
     let oh = overhead_shape_failures(&summaries);
@@ -72,13 +77,15 @@ fn table1_overhead_orderings_hold() {
 }
 
 /// Fig. 2's orderings on the same matrix CI's release smoke run uses
-/// (`fig2_throughput_sim --quick --topologies 2`): every metric beats the
+/// (`repro --figure fig2 --quick --topologies 2`): every metric beats the
 /// baseline and SPP/PP sit on top. Too slow for the debug suite — the CI
 /// fault/golden job runs it with `--release -- --include-ignored`.
 #[test]
 #[ignore = "quick-matrix golden run; CI executes it in release mode"]
 fn fig2_throughput_orderings_hold() {
-    let summaries = summaries_for(&MeshScenario::quick(), &[1, 2]);
+    let deck = include_str!("../../../scenarios/fig2-quick.toml");
+    let scenario = compile(deck).expect("fig2-quick compiles").scenario;
+    let summaries = summaries_for(&scenario, &[1, 2]);
 
     let tp = throughput_shape_failures(&summaries);
     assert!(tp.is_empty(), "throughput shape regressions: {tp:#?}");

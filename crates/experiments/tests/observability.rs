@@ -4,40 +4,52 @@
 //! `schedule_hash` — and the trace itself must be complete: every planned
 //! data arrival appears as exactly one `rx_start` with a terminal outcome.
 
-use experiments::runner::{run_mesh_observed, run_mesh_once};
 use experiments::scenario::MeshScenario;
-use mesh_sim::fault::{FaultKind, FaultPlan};
+use experiments::scenario_compiler::{FaultSpec, FaultWindow, WorkloadScenario};
+use experiments::{run, RunSpec};
 use mesh_sim::ids::NodeId;
 use mesh_sim::time::{SimDuration, SimTime};
 use mesh_sim::trace::{DropReason, JsonlTrace, RingTrace, TraceEvent, TraceEventKind};
 use odmrp::Variant;
 
 /// The determinism-suite scenario: small but exercises probing, join
-/// floods, CBR data and (with the plan below) every fault code path.
-fn tiny() -> MeshScenario {
-    MeshScenario {
-        nodes: 25,
-        area_side: 700.0,
-        data_start: SimTime::from_secs(5),
-        data_stop: SimTime::from_secs(10),
-        ..MeshScenario::paper_default()
+/// floods and CBR data.
+fn tiny() -> WorkloadScenario {
+    WorkloadScenario::from_mesh(
+        "tiny",
+        MeshScenario {
+            nodes: 25,
+            area_side: 700.0,
+            data_start: SimTime::from_secs(5),
+            data_stop: SimTime::from_secs(10),
+            ..MeshScenario::paper_default()
+        },
+    )
+}
+
+/// [`tiny`] with faults on every fault code path: a crash and a
+/// class-targeted loss burst.
+fn faulted(windows: Vec<FaultWindow>) -> WorkloadScenario {
+    WorkloadScenario {
+        faults: FaultSpec::Windows(windows),
+        ..tiny()
     }
 }
 
-fn plan() -> FaultPlan {
-    FaultPlan::new()
-        .crash_window(NodeId::new(3), SimTime::from_secs(6), SimTime::from_secs(8))
-        .at(
-            SimTime::from_secs(7),
-            FaultKind::ClassLossBurst {
-                class: 0,
-                drop: 0.3,
-            },
-        )
-        .at(
-            SimTime::from_secs(9),
-            FaultKind::ClassLossClear { class: 0 },
-        )
+fn plan() -> Vec<FaultWindow> {
+    vec![
+        FaultWindow::Crash {
+            node: 3,
+            from: SimTime::from_secs(6),
+            to: SimTime::from_secs(8),
+        },
+        FaultWindow::ClassLoss {
+            class: 0,
+            drop: 0.3,
+            from: SimTime::from_secs(7),
+            to: SimTime::from_secs(9),
+        },
+    ]
 }
 
 fn temp_jsonl(tag: &str) -> std::path::PathBuf {
@@ -49,29 +61,21 @@ fn temp_jsonl(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn tracing_off_ring_and_file_are_bit_identical() {
-    let scenario = tiny();
+    let scenario = faulted(plan());
     let seed = 7;
-    let p = plan();
 
-    let baseline = run_mesh_once(&scenario, Variant::Original, seed);
-    let (off, _) = run_mesh_observed(&scenario, Variant::Original, seed, Some(&p), None, None);
-    let (ring, ring_sink) = run_mesh_observed(
-        &scenario,
-        Variant::Original,
-        seed,
-        Some(&p),
-        Some(SimDuration::from_secs(2)),
-        Some(Box::new(RingTrace::new(1 << 20))),
-    );
+    let baseline = run(&RunSpec::new(&tiny(), Variant::Original, seed));
+    let off = run(&RunSpec::new(&scenario, Variant::Original, seed));
+    let ring_spec = RunSpec::new(&scenario, Variant::Original, seed)
+        .metrics(SimDuration::from_secs(2))
+        .trace(Box::new(RingTrace::new(1 << 20)));
+    let ring = run(&ring_spec);
+    let ring_sink = ring_spec.take_trace();
     let path = temp_jsonl("observer");
-    let (file, file_sink) = run_mesh_observed(
-        &scenario,
-        Variant::Original,
-        seed,
-        Some(&p),
-        None,
-        Some(Box::new(JsonlTrace::create(&path).expect("create temp"))),
-    );
+    let file_spec = RunSpec::new(&scenario, Variant::Original, seed)
+        .trace(Box::new(JsonlTrace::create(&path).expect("create temp")));
+    let file = run(&file_spec);
+    let file_sink = file_spec.take_trace();
 
     // The fault plan really changed the run (otherwise the comparison is
     // weaker than it looks).
@@ -118,16 +122,11 @@ fn tracing_off_ring_and_file_are_bit_identical() {
 /// `delivered` or `rx_drop` — mirroring the counter-conservation oracle.
 #[test]
 fn every_planned_arrival_has_one_rx_start_and_one_terminal() {
-    let scenario = tiny();
-    let (m, sink) = run_mesh_observed(
-        &scenario,
-        Variant::Original,
-        11,
-        Some(&plan()),
-        None,
-        Some(Box::new(RingTrace::new(1 << 22))),
-    );
-    let sink = sink.expect("sink returned");
+    let scenario = faulted(plan());
+    let spec =
+        RunSpec::new(&scenario, Variant::Original, 11).trace(Box::new(RingTrace::new(1 << 22)));
+    let m = run(&spec);
+    let sink = spec.take_trace().expect("sink returned");
     let ring: &RingTrace = sink.as_any().downcast_ref().expect("RingTrace");
     assert!(
         (ring.len() as u64) < (1 << 22),
@@ -173,11 +172,10 @@ fn every_planned_arrival_has_one_rx_start_and_one_terminal() {
 /// not leak NaN into any reported quantity.
 #[test]
 fn all_sources_blacked_out_reports_finite_values() {
-    let scenario = tiny();
     let seed = 5;
     // Crash every source for the whole data phase.
     let sources: Vec<NodeId> = {
-        let layout = scenario.layout(seed);
+        let layout = tiny().layout(seed);
         layout
             .groups
             .iter()
@@ -185,18 +183,18 @@ fn all_sources_blacked_out_reports_finite_values() {
             .collect()
     };
     assert!(!sources.is_empty());
-    let mut p = FaultPlan::new();
-    for s in sources {
-        p = p.at(SimTime::from_secs(1), FaultKind::NodeCrash(s));
-    }
-    let (m, _) = run_mesh_observed(
-        &scenario,
-        Variant::Original,
-        seed,
-        Some(&p),
-        Some(SimDuration::from_secs(5)),
-        None,
+    let scenario = faulted(
+        sources
+            .iter()
+            .map(|s| FaultWindow::Crash {
+                node: s.index(),
+                from: SimTime::from_secs(1),
+                to: SimTime::from_secs(60),
+            })
+            .collect(),
     );
+    let m =
+        run(&RunSpec::new(&scenario, Variant::Original, seed).metrics(SimDuration::from_secs(5)));
     assert_eq!(m.delivered, 0, "crashed sources still delivered data");
     assert!(m.pdr().is_finite());
     assert_eq!(m.pdr(), 0.0);
@@ -213,15 +211,7 @@ fn all_sources_blacked_out_reports_finite_values() {
 /// protocol-reported deliveries.
 #[test]
 fn timeseries_buckets_sum_to_run_totals() {
-    let scenario = tiny();
-    let (m, _) = run_mesh_observed(
-        &scenario,
-        Variant::Original,
-        3,
-        None,
-        Some(SimDuration::from_secs(1)),
-        None,
-    );
+    let m = run(&RunSpec::new(&tiny(), Variant::Original, 3).metrics(SimDuration::from_secs(1)));
     let ts = m.timeseries.as_ref().expect("timeseries recorded");
     let rx_frames: u64 = ts.buckets.iter().map(|b| b.rx_data_frames).sum();
     let total_counter_rx: u64 = m.counters.rx_data.iter().map(|c| c.frames).sum();
@@ -237,15 +227,10 @@ fn timeseries_buckets_sum_to_run_totals() {
 #[test]
 fn drop_histogram_matches_loss_counters() {
     let scenario = tiny();
-    let (m, sink) = run_mesh_observed(
-        &scenario,
-        Variant::Original,
-        13,
-        None,
-        None,
-        Some(Box::new(RingTrace::new(1 << 22))),
-    );
-    let sink = sink.expect("sink returned");
+    let spec =
+        RunSpec::new(&scenario, Variant::Original, 13).trace(Box::new(RingTrace::new(1 << 22)));
+    let m = run(&spec);
+    let sink = spec.take_trace().expect("sink returned");
     let ring: &RingTrace = sink.as_any().downcast_ref().expect("RingTrace");
     let count = |r: DropReason| {
         ring.events()

@@ -56,7 +56,7 @@ pub struct IndexStats {
     /// Fan-outs that rebuilt a candidate list from a fresh grid query
     /// (cell membership near the transmitter changed, or first use).
     pub cache_rebuilds: u64,
-    /// Wholesale cache invalidations (non-incremental mode, or explicit
+    /// Wholesale cache invalidations (explicit
     /// [`Medium::invalidate_positions`] calls while indexed).
     pub full_invalidations: u64,
 }
@@ -801,10 +801,6 @@ pub struct PhysicalMedium {
     /// cannot affect carrier sense or capture in the reception model.
     floor_w: f64,
     indexed: bool,
-    /// Maintain the index across [`Medium::positions_changed`] instead of
-    /// discarding it (on by default; off reproduces the wholesale-rebuild
-    /// cost model for benchmarks).
-    incremental: bool,
     stats: IndexStats,
     cache: Option<FanOutCache>,
     /// Fault-injected per-link overrides; empty in fault-free runs, and the
@@ -822,7 +818,6 @@ impl PhysicalMedium {
             phy,
             floor_w,
             indexed: true,
-            incremental: true,
             stats: IndexStats::default(),
             cache: None,
             faults: BTreeMap::new(),
@@ -864,22 +859,6 @@ impl PhysicalMedium {
     /// Whether the spatial index is enabled.
     pub fn indexing(&self) -> bool {
         self.indexed
-    }
-
-    /// Enable or disable incremental index maintenance (on by default).
-    /// Disabled, every [`Medium::positions_changed`] discards the whole
-    /// cache — the pre-incremental cost model, kept as the rebuild
-    /// reference in benchmarks and equivalence tests. No effect unless
-    /// indexing is enabled.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self.cache = None;
-        self
-    }
-
-    /// Whether incremental index maintenance is enabled.
-    pub fn incremental(&self) -> bool {
-        self.incremental
     }
 
     fn fan_out_scan(&self, tx: NodeId, positions: &[Pos], rng: &mut SimRng, out: &mut Vec<RxPlan>) {
@@ -1004,10 +983,6 @@ impl Medium for PhysicalMedium {
     fn positions_changed(&mut self, moves: &[PositionDelta], positions: &[Pos]) {
         if !self.indexed {
             return; // the scan path reads positions directly, nothing cached
-        }
-        if !self.incremental {
-            self.invalidate_positions();
-            return;
         }
         match self.cache.as_mut() {
             // Not built yet (or node count changed — not a supported move

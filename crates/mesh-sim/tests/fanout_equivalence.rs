@@ -62,15 +62,15 @@ proptest! {
         }
     }
 
-    /// The three maintenance modes — naive O(N) scan, wholesale-rebuild
-    /// index, and incrementally-patched index — stay bit-identical while a
+    /// The two maintenance modes — naive O(N) scan and incrementally-patched
+    /// index — stay bit-identical while a
     /// random-waypoint walk feeds per-tick [`Medium::positions_changed`]
     /// deltas: identical plan sequences, identical RNG consumption, for
     /// every transmitter on every tick. Resting nodes are deliberately left
     /// out of the move list so partial deltas (the incremental fast path)
     /// are exercised, not just full-population ticks.
     #[test]
-    fn incremental_matches_rebuild_and_naive(
+    fn incremental_matches_naive(
         n in 2usize..50,
         seed in any::<u64>(),
         side in 200.0f64..3000.0,
@@ -81,20 +81,15 @@ proptest! {
         let mut positions = topology::random_placement(n, area, &mut rng);
         let mut waypoints = positions.clone();
         let mut naive = PhysicalMedium::default().with_indexing(false);
-        let mut rebuild = PhysicalMedium::default().with_incremental(false);
         let mut incremental = PhysicalMedium::default();
         for tick in 0..6u64 {
             for tx in 0..n {
                 let mut rng_n = SimRng::seed_from(seed ^ (tick << 8) ^ tx as u64);
-                let mut rng_r = rng_n.clone();
                 let mut rng_i = rng_n.clone();
                 let p_n = plans(&mut naive, tx, &positions, &mut rng_n);
-                let p_r = plans(&mut rebuild, tx, &positions, &mut rng_r);
                 let p_i = plans(&mut incremental, tx, &positions, &mut rng_i);
-                prop_assert_eq!(&p_n, &p_r, "rebuild diverged at tick {} tx {}", tick, tx);
                 prop_assert_eq!(&p_n, &p_i, "incremental diverged at tick {} tx {}", tick, tx);
                 let probe = rng_n.next_u64();
-                prop_assert_eq!(probe, rng_r.next_u64());
                 prop_assert_eq!(probe, rng_i.next_u64());
             }
             // One random-waypoint tick: walk toward the waypoint at `speed`,
@@ -118,7 +113,6 @@ proptest! {
                 moves.push(PositionDelta { node: NodeId::new(i as u32), from: p, to });
             }
             naive.positions_changed(&moves, &positions);
-            rebuild.positions_changed(&moves, &positions);
             incremental.positions_changed(&moves, &positions);
         }
     }
@@ -209,15 +203,11 @@ impl Protocol for Beacon {
     }
 }
 
-fn mobile_run(indexed: bool, incremental: bool) -> (Vec<u64>, mesh_sim::counters::Counters, u64) {
+fn mobile_run(indexed: bool) -> (Vec<u64>, mesh_sim::counters::Counters, u64) {
     let mut rng = SimRng::seed_from(0xB0B);
     let area = Area::square(600.0);
     let positions = topology::random_placement(25, area, &mut rng);
-    let medium = Box::new(
-        PhysicalMedium::default()
-            .with_indexing(indexed)
-            .with_incremental(incremental),
-    );
+    let medium = Box::new(PhysicalMedium::default().with_indexing(indexed));
     let protos = (0..25).map(|_| Beacon::default()).collect();
     let mut sim = Simulator::new(positions, medium, WorldConfig::default(), protos);
     sim.set_mobility(Box::new(RandomWaypoint::new(
@@ -232,22 +222,18 @@ fn mobile_run(indexed: bool, incremental: bool) -> (Vec<u64>, mesh_sim::counters
     (heard, sim.counters().clone(), hash)
 }
 
-/// Under random-waypoint mobility all three maintenance modes must match
+/// Under random-waypoint mobility both maintenance modes must match
 /// exactly: identical per-node delivery counts, counters, and — the
 /// strongest fingerprint the simulator has — `schedule_hash`, which folds
 /// every scheduled event of the run.
 #[test]
-fn mobility_three_modes_bit_identical() {
-    let (heard_naive, counters_naive, hash_naive) = mobile_run(false, true);
-    let (heard_rebuild, counters_rebuild, hash_rebuild) = mobile_run(true, false);
-    let (heard_incr, counters_incr, hash_incr) = mobile_run(true, true);
+fn mobility_two_modes_bit_identical() {
+    let (heard_naive, counters_naive, hash_naive) = mobile_run(false);
+    let (heard_incr, counters_incr, hash_incr) = mobile_run(true);
     assert!(
         heard_naive.iter().sum::<u64>() > 0,
         "beacons should be heard — otherwise the test is vacuous"
     );
-    assert_eq!(heard_naive, heard_rebuild);
-    assert_eq!(counters_naive, counters_rebuild);
-    assert_eq!(hash_naive, hash_rebuild);
     assert_eq!(heard_naive, heard_incr);
     assert_eq!(counters_naive, counters_incr);
     assert_eq!(hash_naive, hash_incr);

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example mobile_manet`
 
-use wmm::experiments::scenario::MeshScenario;
+use wmm::experiments::scenario_compiler::{compile, WorkloadScenario};
 use wmm::experiments::RunMeasurement;
 use wmm::mcast_metrics::MetricKind;
 use wmm::mesh_sim::geometry::Area;
@@ -16,13 +16,15 @@ use wmm::mesh_sim::mobility::RandomWaypoint;
 use wmm::mesh_sim::time::{SimDuration, SimTime};
 use wmm::odmrp::Variant;
 
-fn run(scenario: &MeshScenario, variant: Variant, seed: u64, mobile: bool) -> RunMeasurement {
+/// Mobility with a 500 ms tick and 10 s pauses, attached to the built
+/// simulator.
+fn run(scenario: &WorkloadScenario, variant: Variant, seed: u64, mobile: bool) -> RunMeasurement {
     let groups = scenario.layout(seed).groups;
     let mut sim = scenario.build(variant, seed);
     if mobile {
         sim.set_mobility(Box::new(
             RandomWaypoint::new(
-                Area::square(scenario.area_side),
+                Area::square(scenario.mesh.area_side),
                 1.0,
                 5.0, // pedestrian-to-bike speeds
                 SimDuration::from_secs(10),
@@ -35,10 +37,11 @@ fn run(scenario: &MeshScenario, variant: Variant, seed: u64, mobile: bool) -> Ru
 }
 
 fn main() {
-    let mut scenario = MeshScenario::quick();
-    scenario.groups = 1;
-    scenario.members_per_group = 8;
-    scenario.data_stop = SimTime::from_secs(200);
+    let deck = include_str!("../scenarios/fig2-quick.toml");
+    let mut scenario = compile(deck).expect("fig2-quick compiles").scenario;
+    scenario.mesh.groups = 1;
+    scenario.mesh.members_per_group = 8;
+    scenario.mesh.data_stop = SimTime::from_secs(200);
 
     println!(
         "{:<22} {:>10} {:>10} {:>10}",

@@ -3,27 +3,32 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use wmm::experiments::scenario::MeshScenario;
-use wmm::experiments::{run_mesh_once, RunMeasurement};
+use wmm::experiments::scenario_compiler::compile;
+use wmm::experiments::{run, RunMeasurement, RunSpec};
 use wmm::mcast_metrics::MetricKind;
 use wmm::odmrp::Variant;
 
 fn main() {
-    // A 30-node mesh in an 800m square, one multicast group of 10 members,
-    // one CBR source (512-byte packets, 20/s), Rayleigh fading — a scaled
-    // down version of the paper's simulation setup.
-    let mut scenario = MeshScenario::quick();
-    scenario.groups = 1;
-    scenario.members_per_group = 10;
+    // The reduced Figure-2 deck: a 30-node mesh in an 800m square, CBR
+    // sources (512-byte packets, 20/s), Rayleigh fading — a scaled down
+    // version of the paper's simulation setup. Keep one group of 10.
+    let deck = include_str!("../scenarios/fig2-quick.toml");
+    let mut scenario = compile(deck).expect("fig2-quick compiles").scenario;
+    scenario.mesh.groups = 1;
+    scenario.mesh.members_per_group = 10;
 
     println!(
         "nodes: {}, area: {}m^2, group members: 10, CBR 20 pkt/s x 512B\n",
-        scenario.nodes, scenario.area_side
+        scenario.mesh.nodes, scenario.mesh.area_side
     );
 
     let seed = 7;
-    let original: RunMeasurement = run_mesh_once(&scenario, Variant::Original, seed);
-    let spp = run_mesh_once(&scenario, Variant::Metric(MetricKind::Spp), seed);
+    let original: RunMeasurement = run(&RunSpec::new(&scenario, Variant::Original, seed));
+    let spp = run(&RunSpec::new(
+        &scenario,
+        Variant::Metric(MetricKind::Spp),
+        seed,
+    ));
 
     println!(
         "{:<12} {:>8} {:>12} {:>12}",

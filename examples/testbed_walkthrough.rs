@@ -5,20 +5,21 @@
 //!
 //! Run with: `cargo run --release --example testbed_walkthrough`
 
-use wmm::experiments::scenario::TestbedScenario;
+use wmm::experiments::scenario_compiler::compile;
 use wmm::experiments::trees::{heavy_edges, tree_usage};
 use wmm::mcast_metrics::MetricKind;
 use wmm::odmrp::Variant;
 use wmm::testbed::{label_of, paper_groups, LinkClass};
 
 fn main() {
-    let scenario = TestbedScenario::paper_default();
+    let deck = include_str!("../scenarios/testbed.toml");
+    let scenario = compile(deck).expect("testbed deck compiles").scenario;
     println!("8-node testbed, groups: 2 -> {{3,5}} and 4 -> {{1,7}}; 400s runs\n");
 
     let mut sim = scenario.build(Variant::Metric(MetricKind::Pp), 1);
     sim.run_until(scenario.run_until());
 
-    let layout = scenario.layout();
+    let layout = scenario.layout(1);
     println!("per-receiver delivery (ODMRP_PP):");
     for g in &layout.groups {
         let sent: u64 = sim.protocols()[g.sources[0].index()]

@@ -9,17 +9,23 @@
 //! Run with: `cargo run --release --example video_multicast`
 
 use wmm::experiments::scenario::MeshScenario;
+use wmm::experiments::scenario_compiler::WorkloadScenario;
 use wmm::mcast_metrics::MetricKind;
 use wmm::mesh_sim::time::SimTime;
 use wmm::odmrp::Variant;
 
 fn main() {
-    let mut scenario = MeshScenario::paper_default();
-    scenario.nodes = 40;
-    scenario.groups = 1;
-    scenario.members_per_group = 15;
-    scenario.data_start = SimTime::from_secs(30);
-    scenario.data_stop = SimTime::from_secs(330);
+    let scenario = WorkloadScenario::from_mesh(
+        "video",
+        MeshScenario {
+            nodes: 40,
+            groups: 1,
+            members_per_group: 15,
+            data_start: SimTime::from_secs(30),
+            data_stop: SimTime::from_secs(330),
+            ..MeshScenario::paper_default()
+        },
+    );
 
     let seed = 11;
     let layout = scenario.layout(seed);

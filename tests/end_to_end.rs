@@ -1,22 +1,37 @@
 //! Cross-crate integration tests: metrics + ODMRP + simulator + testbed
 //! model + experiment harness, exercised through the umbrella crate.
 
-use wmm::experiments::runner::{paper_variants, run_matrix, run_mesh_once, summarize};
-use wmm::experiments::scenario::{MeshScenario, TestbedScenario};
-use wmm::experiments::{run_testbed_once, RunMeasurement};
+use wmm::experiments::runner::{paper_variants, run_matrix, summarize};
+use wmm::experiments::scenario::MeshScenario;
+use wmm::experiments::scenario_compiler::{compile, WorkloadScenario};
+use wmm::experiments::{RunMeasurement, RunSpec};
 use wmm::mcast_metrics::MetricKind;
 use wmm::mesh_sim::time::SimTime;
 use wmm::odmrp::Variant;
 
-fn tiny_mesh() -> MeshScenario {
-    let mut s = MeshScenario::quick();
-    s.nodes = 20;
-    s.area_side = 600.0;
-    s.groups = 1;
-    s.members_per_group = 5;
-    s.data_start = SimTime::from_secs(15);
-    s.data_stop = SimTime::from_secs(75);
-    s
+fn tiny_mesh() -> WorkloadScenario {
+    WorkloadScenario::from_mesh(
+        "tiny",
+        MeshScenario {
+            nodes: 20,
+            area_side: 600.0,
+            groups: 1,
+            members_per_group: 5,
+            data_start: SimTime::from_secs(15),
+            data_stop: SimTime::from_secs(75),
+            ..MeshScenario::paper_default()
+        },
+    )
+}
+
+fn run(s: &WorkloadScenario, v: Variant, seed: u64) -> RunMeasurement {
+    wmm::experiments::run(&RunSpec::new(s, v, seed))
+}
+
+fn testbed_quick() -> WorkloadScenario {
+    compile(include_str!("../scenarios/testbed-quick.toml"))
+        .expect("testbed-quick deck compiles")
+        .scenario
 }
 
 #[test]
@@ -26,8 +41,8 @@ fn spp_beats_original_on_average() {
     let mut orig = 0.0;
     let mut spp = 0.0;
     for &seed in &seeds {
-        orig += run_mesh_once(&s, Variant::Original, seed).pdr();
-        spp += run_mesh_once(&s, Variant::Metric(MetricKind::Spp), seed).pdr();
+        orig += run(&s, Variant::Original, seed).pdr();
+        spp += run(&s, Variant::Metric(MetricKind::Spp), seed).pdr();
     }
     assert!(
         spp > orig,
@@ -41,7 +56,7 @@ fn spp_beats_original_on_average() {
 fn every_variant_delivers_something() {
     let s = tiny_mesh();
     for v in paper_variants() {
-        let m = run_mesh_once(&s, v, 5);
+        let m = run(&s, v, 5);
         assert!(
             m.pdr() > 0.1,
             "{v}: PDR {:.3} suspiciously low — protocol broken?",
@@ -60,7 +75,7 @@ fn probe_overhead_ordering_matches_table1() {
     // Pair-probing metrics (PP, ETT) must pay several times the overhead of
     // single-probe metrics (ETX, METX, SPP); the baseline pays none.
     let s = tiny_mesh();
-    let get = |v: Variant| run_mesh_once(&s, v, 9).probe_overhead_pct;
+    let get = |v: Variant| run(&s, v, 9).probe_overhead_pct;
     let none = get(Variant::Original);
     let etx = get(Variant::Metric(MetricKind::Etx));
     let spp = get(Variant::Metric(MetricKind::Spp));
@@ -79,7 +94,7 @@ fn experiment_matrix_is_deterministic() {
         let r = run_matrix(
             &[Variant::Original, Variant::Metric(MetricKind::Metx)],
             &[4, 5],
-            |v, seed| run_mesh_once(&s, v, seed),
+            |v, seed| run(&s, v, seed),
         );
         r.iter().map(|m| (m.delivered, m.sent)).collect::<Vec<_>>()
     };
@@ -92,7 +107,7 @@ fn summaries_normalize_against_baseline() {
     let results: Vec<RunMeasurement> = run_matrix(
         &[Variant::Original, Variant::Metric(MetricKind::Spp)],
         &[1, 2],
-        |v, seed| run_mesh_once(&s, v, seed),
+        |v, seed| run(&s, v, seed),
     );
     let summ = summarize(&results, Variant::Original);
     let base = summ
@@ -105,17 +120,15 @@ fn summaries_normalize_against_baseline() {
 
 #[test]
 fn testbed_model_metric_variant_beats_original() {
-    let s = TestbedScenario {
-        data_start: SimTime::from_secs(20),
-        data_stop: SimTime::from_secs(180),
-        ..TestbedScenario::quick()
-    };
+    let mut s = testbed_quick();
+    s.mesh.data_start = SimTime::from_secs(20);
+    s.mesh.data_stop = SimTime::from_secs(180);
     let seeds = [1u64, 2, 3];
     let mut orig = 0.0;
     let mut best = 0.0;
     for &seed in &seeds {
-        orig += run_testbed_once(&s, Variant::Original, seed).pdr();
-        best += run_testbed_once(&s, Variant::Metric(MetricKind::Spp), seed).pdr();
+        orig += run(&s, Variant::Original, seed).pdr();
+        best += run(&s, Variant::Metric(MetricKind::Spp), seed).pdr();
     }
     assert!(
         best > orig,
@@ -143,7 +156,7 @@ fn analytic_figures_match_paper_exactly() {
 
 #[test]
 fn tree_extraction_produces_connected_edges() {
-    let s = TestbedScenario::quick();
+    let s = testbed_quick();
     let mut sim = s.build(Variant::Metric(MetricKind::Pp), 3);
     sim.run_until(s.run_until());
     let edges = wmm::experiments::trees::tree_usage(&sim);

@@ -81,7 +81,7 @@ fn never_joined_receives_nothing() {
 // ---------------------------------------------------------------------------
 
 use wmm::experiments::scenario_compiler::compile;
-use wmm::experiments::WorkloadScenario;
+use wmm::experiments::{RunSpec, WorkloadScenario};
 use wmm::mesh_sim::simulator::Simulator;
 use wmm::odmrp::stats::MulticastApp as _;
 
@@ -159,7 +159,7 @@ fn compiled_multi_group_churn_passes_oracles_and_credits_windows() {
         (Variant::Original, 1),
         (Variant::Metric(MetricKind::Ett), 1),
     ] {
-        let m = w.run_supervised(variant, seed);
+        let m = wmm::experiments::run(&RunSpec::new(&w, variant, seed).supervised());
         assert!(m.sent > 0, "{variant:?}: no data sent");
         assert!(m.delivered > 0, "{variant:?}: nothing delivered");
         assert!(

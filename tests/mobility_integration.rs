@@ -2,6 +2,7 @@
 //! topology changes under it.
 
 use wmm::experiments::scenario::MeshScenario;
+use wmm::experiments::scenario_compiler::WorkloadScenario;
 use wmm::experiments::RunMeasurement;
 use wmm::mcast_metrics::MetricKind;
 use wmm::mesh_sim::geometry::Area;
@@ -9,25 +10,36 @@ use wmm::mesh_sim::mobility::{RandomWaypoint, Static};
 use wmm::mesh_sim::time::{SimDuration, SimTime};
 use wmm::odmrp::Variant;
 
-fn scenario() -> MeshScenario {
-    let mut s = MeshScenario::quick();
-    s.nodes = 20;
-    s.area_side = 600.0;
-    s.groups = 1;
-    s.members_per_group = 5;
-    s.data_start = SimTime::from_secs(15);
-    s.data_stop = SimTime::from_secs(90);
-    s
+fn scenario() -> WorkloadScenario {
+    WorkloadScenario::from_mesh(
+        "mobility",
+        MeshScenario {
+            nodes: 20,
+            area_side: 600.0,
+            groups: 1,
+            members_per_group: 5,
+            data_start: SimTime::from_secs(15),
+            data_stop: SimTime::from_secs(90),
+            ..MeshScenario::paper_default()
+        },
+    )
 }
 
+/// Mobility with a 500 ms tick, which decks do not expose, so the model is
+/// attached to the built simulator.
 fn run(mobile: Option<(f64, f64)>, variant: Variant, seed: u64) -> RunMeasurement {
     let s = scenario();
     let groups = s.layout(seed).groups;
     let mut sim = s.build(variant, seed);
     match mobile {
         Some((lo, hi)) => sim.set_mobility(Box::new(
-            RandomWaypoint::new(Area::square(s.area_side), lo, hi, SimDuration::from_secs(5))
-                .with_tick(SimDuration::from_millis(500)),
+            RandomWaypoint::new(
+                Area::square(s.mesh.area_side),
+                lo,
+                hi,
+                SimDuration::from_secs(5),
+            )
+            .with_tick(SimDuration::from_millis(500)),
         )),
         None => sim.set_mobility(Box::new(Static)),
     }
@@ -50,11 +62,11 @@ fn protocol_survives_mobility() {
 fn static_model_matches_no_model() {
     // Attaching the Static mobility model must not perturb the simulation.
     let with_static = run(None, Variant::Original, 3);
-    let s = scenario();
-    let groups = s.layout(3).groups;
-    let mut sim = s.build(Variant::Original, 3);
-    sim.run_until(s.run_until());
-    let without = RunMeasurement::from_sim(&sim, &groups, 3);
+    let without = wmm::experiments::run(&wmm::experiments::RunSpec::new(
+        &scenario(),
+        Variant::Original,
+        3,
+    ));
     assert_eq!(with_static.delivered, without.delivered);
     assert_eq!(with_static.sent, without.sent);
 }
