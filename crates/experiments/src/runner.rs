@@ -4,13 +4,13 @@
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
-use maodv::{MaodvConfig, MaodvNode};
-use mesh_sim::protocol::Protocol;
-use mesh_sim::simulator::{Oracle, Simulator, WatchdogBudget};
-use mesh_sim::snapshot::{Snap, SnapshotState};
+use maodv::MaodvNode;
+use mesh_sim::simulator::{Simulator, WatchdogBudget};
+use mesh_sim::snapshot::Snap;
 use mesh_sim::time::{SimDuration, SimTime};
 use mesh_sim::trace::TraceSink;
-use odmrp::{MulticastApp, OdmrpNode, Variant};
+use odmrp::discovery::Forwarding;
+use odmrp::{MulticastNode, OdmrpNode, Variant};
 
 use crate::measure::RunMeasurement;
 use crate::scenario::GroupSpec;
@@ -61,8 +61,9 @@ pub struct Observe {
 /// How a run is supervised.
 #[derive(Debug, Clone, Default)]
 pub struct Supervise {
-    /// Check the world invariant oracles — plus ODMRP's protocol oracles
-    /// on ODMRP runs — at this interval; a violation panics.
+    /// Check the world invariant oracles and the protocol's oracles (the
+    /// discovery checks, plus forwarding-group soundness on ODMRP runs) at
+    /// this interval; a violation panics.
     pub oracles: Option<SimDuration>,
     /// Arm the sim-time [`WATCHDOG`], which turns a livelocked run into a
     /// panic carrying [`mesh_sim::simulator::WATCHDOG_PANIC_PREFIX`].
@@ -187,48 +188,27 @@ pub fn run(spec: &RunSpec) -> RunMeasurement {
     let w = spec.scenario;
     let cfg = w.mesh.odmrp_config(spec.variant);
     match w.protocol {
-        ProtocolKind::Odmrp => drive(
-            spec,
-            || {
-                w.assemble(spec.seed, w.medium(spec.seed), |r| {
-                    OdmrpNode::new(cfg.clone(), r)
-                })
-            },
-            Some(odmrp::invariants::oracle),
-        ),
-        ProtocolKind::Maodv => {
-            let cfg = MaodvConfig {
-                variant: cfg.variant,
-                probe_rate: cfg.probe_rate,
-                delta: cfg.delta,
-                alpha: cfg.alpha,
-                estimator: cfg.estimator,
-                degraded: cfg.degraded,
-                ..MaodvConfig::default()
-            };
-            drive(
-                spec,
-                || {
-                    w.assemble(spec.seed, w.medium(spec.seed), |r| {
-                        MaodvNode::new(cfg.clone(), r)
-                    })
-                },
-                None,
-            )
-        }
+        ProtocolKind::Odmrp => drive(spec, || {
+            w.assemble(spec.seed, w.medium(spec.seed), |r| {
+                OdmrpNode::new(cfg.clone(), r)
+            })
+        }),
+        ProtocolKind::Maodv => drive(spec, || {
+            w.assemble(spec.seed, w.medium(spec.seed), |r| {
+                MaodvNode::new(cfg.clone(), r)
+            })
+        }),
     }
 }
 
-/// The body of [`run`] for one node type: attach what `spec` asks for,
+/// The body of [`run`] for one protocol: attach what `spec` asks for,
 /// resume from a checkpoint if one is waiting, run, measure.
-fn drive<P>(
+fn drive<F: Forwarding>(
     spec: &RunSpec,
-    build: impl Fn() -> (Simulator<P>, Vec<GroupSpec>),
-    oracle: Option<fn() -> Oracle<P>>,
+    build: impl Fn() -> (Simulator<MulticastNode<F>>, Vec<GroupSpec>),
 ) -> RunMeasurement
 where
-    P: Protocol + MulticastApp + SnapshotState,
-    P::Msg: Snap,
+    F::Msg: Snap,
 {
     let w = spec.scenario;
     let setup = || {
@@ -238,9 +218,7 @@ where
         }
         if let Some(every) = spec.supervise.oracles {
             sim.set_invariant_interval(every);
-            if let Some(oracle) = oracle {
-                sim.add_oracle(oracle());
-            }
+            sim.add_oracle(odmrp::invariants::oracle());
         }
         if spec.supervise.watchdog {
             sim.set_watchdog(WATCHDOG);

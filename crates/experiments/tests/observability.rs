@@ -5,11 +5,12 @@
 //! data arrival appears as exactly one `rx_start` with a terminal outcome.
 
 use experiments::scenario::MeshScenario;
-use experiments::scenario_compiler::{FaultSpec, FaultWindow, WorkloadScenario};
+use experiments::scenario_compiler::{compile, FaultSpec, FaultWindow, WorkloadScenario};
 use experiments::{run, RunSpec};
+use mcast_metrics::MetricKind;
 use mesh_sim::ids::NodeId;
 use mesh_sim::time::{SimDuration, SimTime};
-use mesh_sim::trace::{DropReason, JsonlTrace, RingTrace, TraceEvent, TraceEventKind};
+use mesh_sim::trace::{Decision, DropReason, JsonlTrace, RingTrace, TraceEvent, TraceEventKind};
 use odmrp::Variant;
 
 /// The determinism-suite scenario: small but exercises probing, join
@@ -59,62 +60,93 @@ fn temp_jsonl(tag: &str) -> std::path::PathBuf {
     ))
 }
 
+/// `tree-quick` with its data window cut to 15 s: the tree protocol's
+/// grafts and its `forward_query` decisions in the trace.
+fn tree() -> WorkloadScenario {
+    let mut w = compile(include_str!("../../../scenarios/tree-quick.toml"))
+        .expect("tree-quick compiles")
+        .scenario;
+    w.mesh.data_start = SimTime::from_secs(5);
+    w.mesh.data_stop = SimTime::from_secs(15);
+    w.validated()
+}
+
 #[test]
 fn tracing_off_ring_and_file_are_bit_identical() {
     let scenario = faulted(plan());
     let seed = 7;
 
-    let baseline = run(&RunSpec::new(&tiny(), Variant::Original, seed));
-    let off = run(&RunSpec::new(&scenario, Variant::Original, seed));
-    let ring_spec = RunSpec::new(&scenario, Variant::Original, seed)
-        .metrics(SimDuration::from_secs(2))
-        .trace(Box::new(RingTrace::new(1 << 20)));
-    let ring = run(&ring_spec);
-    let ring_sink = ring_spec.take_trace();
-    let path = temp_jsonl("observer");
-    let file_spec = RunSpec::new(&scenario, Variant::Original, seed)
-        .trace(Box::new(JsonlTrace::create(&path).expect("create temp")));
-    let file = run(&file_spec);
-    let file_sink = file_spec.take_trace();
-
     // The fault plan really changed the run (otherwise the comparison is
     // weaker than it looks).
+    let baseline = run(&RunSpec::new(&tiny(), Variant::Original, seed));
+    let off = run(&RunSpec::new(&scenario, Variant::Original, seed));
     assert_ne!(baseline.schedule_hash, off.schedule_hash);
     assert!(off.counters.fault_events > 0);
 
-    for (label, m) in [("ring", &ring), ("file", &file)] {
-        assert_eq!(
-            off.schedule_hash, m.schedule_hash,
-            "{label} sink perturbed the event schedule"
-        );
-        assert_eq!(off.counters, m.counters, "{label} sink changed counters");
-        assert_eq!(off.sent, m.sent);
-        assert_eq!(off.delivered, m.delivered);
-        assert_eq!(off.mean_delay_s.to_bits(), m.mean_delay_s.to_bits());
-        assert_eq!(
-            off.probe_overhead_pct.to_bits(),
-            m.probe_overhead_pct.to_bits()
-        );
-    }
+    let tree = tree();
+    let cells = [
+        ("faulted", &scenario, Variant::Original),
+        ("tree", &tree, Variant::Metric(MetricKind::Spp)),
+    ];
+    for (cell, scenario, variant) in cells {
+        let off = run(&RunSpec::new(scenario, variant, seed));
+        let ring_spec = RunSpec::new(scenario, variant, seed)
+            .metrics(SimDuration::from_secs(2))
+            .trace(Box::new(RingTrace::new(1 << 20)));
+        let ring = run(&ring_spec);
+        let ring_sink = ring_spec.take_trace();
+        let path = temp_jsonl(&format!("observer-{cell}"));
+        let file_spec = RunSpec::new(scenario, variant, seed)
+            .trace(Box::new(JsonlTrace::create(&path).expect("create temp")));
+        let file = run(&file_spec);
+        let file_sink = file_spec.take_trace();
 
-    // The sinks actually observed the run.
-    let ring_sink = ring_sink.expect("ring sink returned");
-    let ring_ref: &RingTrace = ring_sink.as_any().downcast_ref().expect("RingTrace");
-    assert!(!ring_ref.is_empty(), "ring sink saw no events");
-    let ts = ring.timeseries.as_ref().expect("timeseries recorded");
-    assert!(!ts.buckets.is_empty());
-    assert!(ts.buckets.iter().all(|b| b.throughput_bps().is_finite()));
+        for (label, m) in [("ring", &ring), ("file", &file)] {
+            assert_eq!(
+                off.schedule_hash, m.schedule_hash,
+                "{cell}: {label} sink perturbed the event schedule"
+            );
+            assert_eq!(
+                off.counters, m.counters,
+                "{cell}: {label} sink changed counters"
+            );
+            assert_eq!(off.sent, m.sent);
+            assert_eq!(off.delivered, m.delivered);
+            assert_eq!(off.mean_delay_s.to_bits(), m.mean_delay_s.to_bits());
+            assert_eq!(
+                off.probe_overhead_pct.to_bits(),
+                m.probe_overhead_pct.to_bits()
+            );
+        }
 
-    let mut file_sink = file_sink.expect("file sink returned");
-    let jsonl: &mut JsonlTrace = file_sink.as_any_mut().downcast_mut().expect("JsonlTrace");
-    let lines = jsonl.finish().expect("flush trace file");
-    assert!(lines > 0, "file sink wrote nothing");
-    let text = std::fs::read_to_string(&path).expect("read trace back");
-    assert_eq!(text.lines().count() as u64, lines);
-    for line in text.lines() {
-        TraceEvent::parse_jsonl(line).expect("every line parses");
+        // The sinks actually observed the run.
+        let ring_sink = ring_sink.expect("ring sink returned");
+        let ring_ref: &RingTrace = ring_sink.as_any().downcast_ref().expect("RingTrace");
+        assert!(!ring_ref.is_empty(), "{cell}: ring sink saw no events");
+        assert!(
+            ring_ref.events().any(|e| matches!(
+                e.kind,
+                TraceEventKind::ProtocolDecision {
+                    decision: Decision::ForwardQuery { .. }
+                }
+            )),
+            "{cell}: no forward_query decision traced"
+        );
+        let ts = ring.timeseries.as_ref().expect("timeseries recorded");
+        assert!(!ts.buckets.is_empty());
+        assert!(ts.buckets.iter().all(|b| b.throughput_bps().is_finite()));
+
+        let mut file_sink = file_sink.expect("file sink returned");
+        let jsonl: &mut JsonlTrace = file_sink.as_any_mut().downcast_mut().expect("JsonlTrace");
+        let lines = jsonl.finish().expect("flush trace file");
+        assert!(lines > 0, "{cell}: file sink wrote nothing");
+        let text = std::fs::read_to_string(&path).expect("read trace back");
+        assert_eq!(text.lines().count() as u64, lines);
+        for line in text.lines() {
+            TraceEvent::parse_jsonl(line).expect("every line parses");
+        }
+        let _ = std::fs::remove_file(&path);
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 /// Trace completeness: `rx_start` count equals `planned_rx_data`, and each

@@ -6,11 +6,16 @@
 //! run. Property-tested at random snapshot times — including under an
 //! active fault plan (mid-blackout, mid-backoff, quarantined links) and
 //! under mobility (live RNG streams, moving spatial index) — and pinned for
-//! every paper-five variant.
+//! every paper-five variant and for the tree protocol.
+
+use std::sync::{Arc, Mutex};
 
 use experiments::measure::RunMeasurement;
+use experiments::runner::{Checkpoint, CheckpointSlot};
 use experiments::scenario::MeshScenario;
-use experiments::scenario_compiler::{FaultSpec, MobilitySpec, WorkloadScenario};
+use experiments::scenario_compiler::{compile, FaultSpec, MobilitySpec, WorkloadScenario};
+use experiments::{run, RunSpec};
+use maodv::MaodvNode;
 use mcast_metrics::MetricKind;
 use mesh_sim::prelude::*;
 use mesh_sim::simulator::Simulator;
@@ -197,4 +202,52 @@ fn checkpoint_rejects_foreign_cells() {
         err,
         mesh_sim::snapshot::SnapError::FingerprintMismatch { .. }
     ));
+}
+
+/// The tree protocol resumes exactly too: `tree-quick` (data window cut to
+/// 45 s) runs through [`run`] twice with one [`CheckpointSlot`]. The first
+/// run fills the slot; the second resumes from its last checkpoint.
+#[test]
+fn tree_protocol_resumes_exactly_through_run() {
+    let mut w = compile(include_str!("../../../scenarios/tree-quick.toml"))
+        .expect("tree-quick compiles")
+        .scenario;
+    w.mesh.data_stop = SimTime::from_secs(45);
+    let w = w.validated();
+    let seed = 2;
+    for variant in [Variant::Original, Variant::Metric(MetricKind::Spp)] {
+        let slot = CheckpointSlot::new();
+        let checkpointed = |persisted: Arc<Mutex<Vec<SimTime>>>| {
+            let mut spec = RunSpec::new(&w, variant, seed);
+            spec.supervise.checkpoint = Some(
+                Checkpoint::new(slot.clone())
+                    .persist(move |at, _| persisted.lock().unwrap().push(at)),
+            );
+            run(&spec)
+        };
+        let first = checkpointed(Arc::default());
+        let (resume_at, bytes) = slot.get().expect("the first run checkpointed");
+
+        // The checkpoint restores into a fresh MAODV simulator.
+        let cfg = w.mesh.odmrp_config(variant);
+        let (mut fresh, _) = w.assemble(seed, w.medium(seed), |r| MaodvNode::new(cfg.clone(), r));
+        fresh
+            .restore(&bytes, w.fingerprint(variant, seed))
+            .expect("a MAODV checkpoint restores into a same-cell simulator");
+
+        let persisted = Arc::new(Mutex::new(Vec::new()));
+        let resumed = checkpointed(Arc::clone(&persisted));
+        // Resumed, not rebuilt: no checkpoint before the resume point.
+        assert!(
+            persisted.lock().unwrap().iter().all(|&t| t > resume_at),
+            "{variant}: the second run started over instead of resuming"
+        );
+        assert_eq!(
+            first.schedule_hash, resumed.schedule_hash,
+            "{variant}: schedule hash diverged after resume at {resume_at}"
+        );
+        assert_eq!(first.counters, resumed.counters, "{variant}: counters");
+        assert_eq!(first.delivered, resumed.delivered);
+        assert_eq!(first.sent, resumed.sent);
+    }
 }

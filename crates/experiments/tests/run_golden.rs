@@ -111,3 +111,16 @@ fn committed_decks_replay_the_golden_run_table() {
     }
     assert_eq!(want, got, "the golden run table changed length");
 }
+
+/// The discovery oracles hold on the tree protocol: a supervised
+/// `tree-quick` MAODV run completes with the oracles and watchdog on, and
+/// supervision leaves its schedule untouched.
+#[test]
+fn supervised_tree_run_passes_the_discovery_oracles() {
+    let tree = deck(include_str!("../../../scenarios/tree-quick.toml"));
+    let spp = Variant::Metric(MetricKind::Spp);
+    let plain = run(&RunSpec::new(&tree, spp, 1));
+    let supervised = run(&RunSpec::new(&tree, spp, 1).supervised());
+    assert_eq!(plain.schedule_hash, supervised.schedule_hash);
+    assert_eq!(plain.delivered, supervised.delivered);
+}

@@ -4,9 +4,11 @@
 //! effective in multicast protocols that are tree-based such as MAODV" even
 //! when ODMRP's per-group forwarding-mesh redundancy washes the gains out.
 //! This crate provides that comparison point: an MAODV-style protocol whose
-//! route discovery is *identical* to metric-enhanced ODMRP (cost-accumulating
-//! request floods, α-window duplicate forwarding, δ-delayed best-route
-//! selection) but whose forwarding state is a **per-source tree**:
+//! route discovery is *identical* to metric-enhanced ODMRP by construction —
+//! a [`MaodvNode`] is ODMRP's [`odmrp::discovery`] core (cost-accumulating
+//! query floods, α-window duplicate forwarding, δ-delayed best-route
+//! selection, probes, degraded mode, snapshot) with a different forwarding
+//! half, [`Trees`], that keeps a **per-source tree**:
 //!
 //! * members activate their chosen branch with **unicast grafts**
 //!   (MACT-style), sent hop-by-hop toward the source over the reliable
@@ -15,19 +17,20 @@
 //!   children on *that* tree — there is no per-group mesh, so a bad route
 //!   choice is not masked by other sources' forwarders.
 //!
-//! The `tree_multicast` experiment binary uses this crate to reproduce the
-//! §4.3 claim: with multiple sources per group, ODMRP's relative gains
-//! shrink while the tree protocol's persist.
+//! The node takes an [`odmrp::OdmrpConfig`]; its `fg_timeout` is the
+//! tree-branch lifetime. The `repro --figure tree-multicast` experiment uses
+//! this crate to reproduce the §4.3 claim: with multiple sources per group,
+//! ODMRP's relative gains shrink while the tree protocol's persist.
 //!
 //! ## Example
 //!
 //! ```
-//! use maodv::{MaodvConfig, MaodvNode};
-//! use odmrp::NodeRole;
+//! use maodv::MaodvNode;
+//! use odmrp::{NodeRole, OdmrpConfig};
 //! use mcast_metrics::MetricKind;
 //! use mesh_sim::prelude::*;
 //!
-//! let cfg = MaodvConfig::with_metric(MetricKind::Spp);
+//! let cfg = OdmrpConfig::with_metric(MetricKind::Spp);
 //! let node = MaodvNode::new(cfg, NodeRole::member(GroupId(0)));
 //! assert_eq!(node.stats().total_delivered(), 0);
 //! ```
@@ -35,10 +38,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod config;
 pub mod messages;
 mod node;
 
-pub use config::MaodvConfig;
 pub use messages::MaodvMsg;
-pub use node::MaodvNode;
+pub use node::{MaodvNode, Trees};

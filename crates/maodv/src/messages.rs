@@ -1,54 +1,13 @@
 //! Tree-multicast wire messages.
+//!
+//! Route discovery floods ODMRP's [`JoinQuery`]; only the graft is the tree
+//! protocol's own.
 
 use mcast_metrics::probe::ProbeMsg;
 use mesh_sim::ids::{GroupId, NodeId};
 use mesh_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-use odmrp::messages::DataPacket;
-
-/// A route request flooded by a multicast source, accumulating the path
-/// cost exactly like ODMRP's `JOIN QUERY`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteRequest {
-    /// The multicast group being refreshed.
-    pub group: GroupId,
-    /// Source (tree root).
-    pub source: NodeId,
-    /// Refresh round.
-    pub seq: u32,
-    /// The node that rebroadcast this copy.
-    pub prev_hop: NodeId,
-    /// Hops traveled so far.
-    pub hop_count: u8,
-    /// Accumulated path cost from the source.
-    pub cost: f64,
-}
-
-impl RouteRequest {
-    /// On-air payload size in bytes.
-    pub const BYTES: u32 = 52;
-}
-
-impl Snap for RouteRequest {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.group.snap(w);
-        self.source.snap(w);
-        w.put_u32(self.seq);
-        self.prev_hop.snap(w);
-        w.put_u8(self.hop_count);
-        w.put_f64(self.cost);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RouteRequest {
-            group: Snap::unsnap(r)?,
-            source: Snap::unsnap(r)?,
-            seq: r.u32()?,
-            prev_hop: Snap::unsnap(r)?,
-            hop_count: r.u8()?,
-            cost: r.f64()?,
-        })
-    }
-}
+use odmrp::discovery::{DiscoveryMsg, Heard};
+use odmrp::messages::{DataPacket, JoinQuery};
 
 /// A graft (MAODV's `MACT`-style activation), **unicast** hop by hop from a
 /// member toward the source. Each hop adds the sender as a tree child and
@@ -91,8 +50,8 @@ impl Snap for Graft {
 /// Everything a tree-multicast node puts on the air.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MaodvMsg {
-    /// Tree-refresh flood.
-    RouteRequest(RouteRequest),
+    /// Tree-refresh flood (the shared discovery query).
+    JoinQuery(JoinQuery),
     /// Branch activation (unicast).
     Graft(Graft),
     /// Multicast payload (broadcast, forwarded by tree nodes).
@@ -101,12 +60,35 @@ pub enum MaodvMsg {
     Probe(ProbeMsg),
 }
 
+impl DiscoveryMsg for MaodvMsg {
+    fn probe(p: ProbeMsg) -> Self {
+        MaodvMsg::Probe(p)
+    }
+
+    fn query(q: JoinQuery) -> Self {
+        MaodvMsg::JoinQuery(q)
+    }
+
+    fn data(d: DataPacket) -> Self {
+        MaodvMsg::Data(d)
+    }
+
+    fn heard(&self) -> Heard<'_> {
+        match self {
+            MaodvMsg::Probe(p) => Heard::Probe(p),
+            MaodvMsg::JoinQuery(q) => Heard::Query(q),
+            MaodvMsg::Data(d) => Heard::Data(d),
+            MaodvMsg::Graft(_) => Heard::Own,
+        }
+    }
+}
+
 impl Snap for MaodvMsg {
     fn snap(&self, w: &mut SnapWriter) {
         match self {
-            MaodvMsg::RouteRequest(rq) => {
+            MaodvMsg::JoinQuery(q) => {
                 w.put_u8(0);
-                rq.snap(w);
+                q.snap(w);
             }
             MaodvMsg::Graft(g) => {
                 w.put_u8(1);
@@ -125,7 +107,7 @@ impl Snap for MaodvMsg {
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(match r.u8()? {
-            0 => MaodvMsg::RouteRequest(Snap::unsnap(r)?),
+            0 => MaodvMsg::JoinQuery(Snap::unsnap(r)?),
             1 => MaodvMsg::Graft(Snap::unsnap(r)?),
             2 => MaodvMsg::Data(Snap::unsnap(r)?),
             3 => MaodvMsg::Probe(Snap::unsnap(r)?),
@@ -140,7 +122,6 @@ mod tests {
 
     #[test]
     fn sizes_positive() {
-        const { assert!(RouteRequest::BYTES > 0) };
         const { assert!(Graft::BYTES > 0) };
     }
 

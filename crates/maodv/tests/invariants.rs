@@ -1,10 +1,10 @@
 //! Randomized whole-protocol invariants for the tree protocol: arbitrary
 //! topologies, losses and variants must never violate safety properties.
 
-use maodv::{MaodvConfig, MaodvNode};
+use maodv::MaodvNode;
 use mcast_metrics::MetricKind;
 use mesh_sim::prelude::*;
-use odmrp::{MulticastApp, NodeRole, Variant};
+use odmrp::{MulticastApp, NodeRole, OdmrpConfig, Variant};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -64,9 +64,9 @@ proptest! {
         for &(i, j, loss) in &setup.links {
             medium.add_link(NodeId::new(i as u32), NodeId::new(j as u32), loss);
         }
-        let cfg = MaodvConfig {
+        let cfg = OdmrpConfig {
             variant: variant(setup.variant_idx),
-            ..MaodvConfig::default()
+            ..OdmrpConfig::default()
         };
         let mut roles = vec![NodeRole::forwarder(); setup.n];
         roles[setup.source] =

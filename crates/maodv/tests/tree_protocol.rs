@@ -1,20 +1,26 @@
 //! End-to-end tests of the tree-multicast protocol.
 
-use maodv::{MaodvConfig, MaodvNode};
+use maodv::MaodvNode;
 use mcast_metrics::MetricKind;
 use mesh_sim::prelude::*;
-use odmrp::{MulticastApp, NodeRole, Variant};
+use odmrp::{MulticastApp, NodeRole, OdmrpConfig, Variant};
 
 const GROUP: GroupId = GroupId(0);
 
-fn chain_sim(variant: Variant, n: usize, seconds: u64, seed: u64) -> Simulator<MaodvNode> {
+fn chain_sim(
+    variant: Variant,
+    n: usize,
+    loss: f64,
+    seconds: u64,
+    seed: u64,
+) -> Simulator<MaodvNode> {
     let mut medium = LinkTableMedium::new();
     for i in 0..n - 1 {
-        medium.add_link(NodeId::new(i as u32), NodeId::new(i as u32 + 1), 0.0);
+        medium.add_link(NodeId::new(i as u32), NodeId::new(i as u32 + 1), loss);
     }
-    let cfg = MaodvConfig {
+    let cfg = OdmrpConfig {
         variant,
-        ..MaodvConfig::default()
+        ..OdmrpConfig::default()
     };
     let mut roles = vec![NodeRole::forwarder(); n];
     roles[0] = NodeRole::source(GROUP, SimTime::from_secs(20), SimTime::from_secs(seconds));
@@ -37,7 +43,7 @@ fn chain_sim(variant: Variant, n: usize, seconds: u64, seed: u64) -> Simulator<M
 #[test]
 fn tree_multicast_delivers_over_chain() {
     for variant in [Variant::Original, Variant::Metric(MetricKind::Spp)] {
-        let mut sim = chain_sim(variant, 4, 60, 1);
+        let mut sim = chain_sim(variant, 4, 0.0, 60, 1);
         sim.run_until(SimTime::from_secs(62));
         let sent = sim.protocols()[0].node_stats().total_sent();
         let got = sim.protocols()[3].node_stats().total_delivered();
@@ -46,8 +52,18 @@ fn tree_multicast_delivers_over_chain() {
             "{variant}: {got}/{sent} delivered"
         );
         // Intermediate nodes joined the tree via grafts.
-        assert!(sim.protocols()[1].tree_count(SimTime::from_secs(55)) > 0);
-        assert!(sim.protocols()[2].tree_count(SimTime::from_secs(55)) > 0);
+        assert!(
+            sim.protocols()[1]
+                .forwarding()
+                .tree_count(SimTime::from_secs(55))
+                > 0
+        );
+        assert!(
+            sim.protocols()[2]
+                .forwarding()
+                .tree_count(SimTime::from_secs(55))
+                > 0
+        );
         // Grafts are unicast: control exchanges used the RTS-less ACK path
         // (36B < RTS threshold), so control frames (ACKs) flowed.
         assert!(sim.counters().tx_ctrl_frames > 0, "{variant}: no ACKs seen");
@@ -63,8 +79,8 @@ fn tree_has_no_mesh_redundancy() {
     // must hold on *every* seed; which relay wins any given round is
     // seed-sensitive (probe losses on the 0.1 links can tie the two paths),
     // so the winner's identity is only asserted in aggregate across the
-    // seed set instead of pinning one lucky seed. The tree timeout is
-    // shortened to one refresh period: with the 9 s default, stale branches
+    // seed set instead of pinning one lucky seed. The branch lifetime
+    // (`fg_timeout`) is shortened to one refresh period: with the 9 s default, stale branches
     // from upstream flips survive two extra rounds (deliberate soft-state
     // slack), which would mask the per-round single-branch structure this
     // test is about.
@@ -77,9 +93,9 @@ fn tree_has_no_mesh_redundancy() {
         medium.add_link(n(1), n(3), 0.0);
         medium.add_link(n(2), n(3), 0.1);
         medium.add_link(n(1), n(2), 1.0); // sense-only
-        let cfg = MaodvConfig {
-            tree_timeout: mesh_sim::time::SimDuration::from_secs(3),
-            ..MaodvConfig::with_metric(MetricKind::Etx)
+        let cfg = OdmrpConfig {
+            fg_timeout: mesh_sim::time::SimDuration::from_secs(3),
+            ..OdmrpConfig::with_metric(MetricKind::Etx)
         };
         let roles = vec![
             NodeRole::source(GROUP, SimTime::from_secs(20), SimTime::from_secs(80)),
@@ -131,7 +147,7 @@ fn tree_has_no_mesh_redundancy() {
         // a tree forwards each packet through exactly one relay (ratio ≈ 1)
         // even if re-grafts move the active relay around mid-window, while
         // ODMRP's mesh forwards through both (ratio ≈ 2). Brief overlap —
-        // old children persisting one tree_timeout across a re-graft —
+        // old children persisting one branch lifetime across a re-graft —
         // keeps the bound at 1.4 rather than 1.0.
         let redundancy = total as f64 / delivered as f64;
         assert!(
@@ -168,10 +184,10 @@ fn metric_tree_routes_around_lossy_link() {
         medium.add_link(n(0), n(2), 0.65);
         medium.add_link(n(0), n(1), 0.02);
         medium.add_link(n(1), n(2), 0.02);
-        let cfg = MaodvConfig {
+        let cfg = OdmrpConfig {
             variant,
-            tree_timeout: mesh_sim::time::SimDuration::from_secs(3),
-            ..MaodvConfig::default()
+            fg_timeout: mesh_sim::time::SimDuration::from_secs(3),
+            ..OdmrpConfig::default()
         };
         let roles = vec![
             NodeRole::source(GROUP, SimTime::from_secs(40), SimTime::from_secs(160)),
@@ -216,7 +232,7 @@ fn metric_tree_routes_around_lossy_link() {
 #[test]
 fn deterministic_runs() {
     let run = || {
-        let mut sim = chain_sim(Variant::Metric(MetricKind::Pp), 5, 40, 9);
+        let mut sim = chain_sim(Variant::Metric(MetricKind::Pp), 5, 0.0, 40, 9);
         sim.run_until(SimTime::from_secs(42));
         (
             sim.protocols()[4].node_stats().total_delivered(),
@@ -224,4 +240,22 @@ fn deterministic_runs() {
         )
     };
     assert_eq!(run(), run());
+}
+
+/// The tree protocol probes exactly as ODMRP does: under the
+/// bidirectional-ETX ablation the reverse reports ride the probes, so the
+/// probe bytes exceed plain ETX's on the same lossy chain.
+#[test]
+fn unicast_etx_probes_carry_reverse_reports() {
+    let probe_bytes = |kind: MetricKind| {
+        let mut sim = chain_sim(Variant::Metric(kind), 4, 0.1, 40, 1);
+        sim.run_until(SimTime::from_secs(42));
+        sim.counters().tx_data[odmrp::messages::class::PROBE as usize].bytes
+    };
+    let etx = probe_bytes(MetricKind::Etx);
+    let unicast_etx = probe_bytes(MetricKind::UnicastEtx);
+    assert!(
+        unicast_etx > etx,
+        "reverse reports missing: UnicastETX {unicast_etx} B vs ETX {etx} B"
+    );
 }

@@ -1,20 +1,25 @@
-//! Protocol-level invariant oracles for ODMRP.
+//! Protocol-level invariant oracles.
 //!
 //! [`check`] inspects every node's soft state at a checkpoint and reports
-//! violations of the properties §3.1 relies on:
+//! violations of the properties §3.1 relies on. The discovery checks
+//! ([`check_discovery`]) hold for every protocol built on the shared
+//! [`crate::discovery`] core, ODMRP and the tree protocol alike:
 //!
 //! * **neighbor-table grounding** — a node's `NEIGHBOR_TABLE` may only hold
 //!   entries for real, distinct nodes that actually transmitted probes;
-//! * **forwarding-group soundness** — a node forwards data for a group only
-//!   while an unexpired `JOIN REPLY` selected it (soft state within
-//!   `fg_timeout` of the last selection);
 //! * **loop freedom** — following the per-round upstream pointers recorded
-//!   from `JOIN QUERY` processing never revisits a node, for any
-//!   `(source, seq)` round;
+//!   from query processing never revisits a node, for any `(source, seq)`
+//!   round;
 //! * **no quarantined routes** — with degraded mode enabled, no query round
 //!   ever costed its chosen upstream from a quarantined link estimate's
 //!   measured values (the staleness layer must have substituted the
 //!   default observation).
+//!
+//! Each protocol then adds its own forwarding checks through
+//! [`Forwarding::audit`]; ODMRP's is **forwarding-group soundness**
+//! ([`check_forwarding_groups`]) — a node forwards data for a group only
+//! while an unexpired `JOIN REPLY` selected it (soft state within
+//! `fg_timeout` of the last selection).
 //!
 //! [`oracle`] packages the checks for
 //! [`mesh_sim::simulator::Simulator::add_oracle`].
@@ -24,26 +29,34 @@ use std::collections::{BTreeMap, HashSet};
 use mesh_sim::ids::NodeId;
 use mesh_sim::time::SimTime;
 
+use crate::discovery::{Forwarding, MulticastNode};
 use crate::node::OdmrpNode;
 
-/// Run every ODMRP oracle over `nodes` at time `now`; one message per
-/// violation, empty when all invariants hold.
-pub fn check(now: SimTime, nodes: &[OdmrpNode]) -> Vec<String> {
-    let mut out = Vec::new();
-    check_neighbor_tables(nodes, &mut out);
-    check_forwarding_groups(now, nodes, &mut out);
-    check_loop_freedom(nodes, &mut out);
-    check_no_quarantined_routes(nodes, &mut out);
+/// Run every oracle over `nodes` at time `now` — the discovery checks, then
+/// the protocol's own; one message per violation, empty when all invariants
+/// hold.
+pub fn check<F: Forwarding>(now: SimTime, nodes: &[MulticastNode<F>]) -> Vec<String> {
+    let mut out = check_discovery(nodes);
+    F::audit(now, nodes, &mut out);
     out
 }
 
 /// The checks of [`check`] boxed for
 /// [`mesh_sim::simulator::Simulator::add_oracle`].
-pub fn oracle() -> mesh_sim::simulator::Oracle<OdmrpNode> {
+pub fn oracle<F: Forwarding>() -> mesh_sim::simulator::Oracle<MulticastNode<F>> {
     Box::new(|world, nodes| check(world.now(), nodes))
 }
 
-fn check_neighbor_tables(nodes: &[OdmrpNode], out: &mut Vec<String>) {
+/// The discovery checks, valid for any node built on the shared core.
+pub fn check_discovery<F: Forwarding>(nodes: &[MulticastNode<F>]) -> Vec<String> {
+    let mut out = Vec::new();
+    check_neighbor_tables(nodes, &mut out);
+    check_loop_freedom(nodes, &mut out);
+    check_no_quarantined_routes(nodes, &mut out);
+    out
+}
+
+fn check_neighbor_tables<F: Forwarding>(nodes: &[MulticastNode<F>], out: &mut Vec<String>) {
     for (i, node) in nodes.iter().enumerate() {
         for n in node.neighbor_table().known_neighbors() {
             if n.index() >= nodes.len() {
@@ -65,7 +78,8 @@ fn check_neighbor_tables(nodes: &[OdmrpNode], out: &mut Vec<String>) {
     }
 }
 
-fn check_forwarding_groups(now: SimTime, nodes: &[OdmrpNode], out: &mut Vec<String>) {
+/// ODMRP's forwarding-group soundness check.
+pub fn check_forwarding_groups(now: SimTime, nodes: &[OdmrpNode], out: &mut Vec<String>) {
     for (i, node) in nodes.iter().enumerate() {
         let fg_timeout = node.config().fg_timeout;
         for g in node.forwarding_groups() {
@@ -91,7 +105,7 @@ fn check_forwarding_groups(now: SimTime, nodes: &[OdmrpNode], out: &mut Vec<Stri
     }
 }
 
-fn check_no_quarantined_routes(nodes: &[OdmrpNode], out: &mut Vec<String>) {
+fn check_no_quarantined_routes<F: Forwarding>(nodes: &[MulticastNode<F>], out: &mut Vec<String>) {
     for (i, node) in nodes.iter().enumerate() {
         if !node.config().degraded.enabled {
             continue;
@@ -107,7 +121,7 @@ fn check_no_quarantined_routes(nodes: &[OdmrpNode], out: &mut Vec<String>) {
     }
 }
 
-fn check_loop_freedom(nodes: &[OdmrpNode], out: &mut Vec<String>) {
+fn check_loop_freedom<F: Forwarding>(nodes: &[MulticastNode<F>], out: &mut Vec<String>) {
     // Upstream pointer of each node, per (source, seq) round. BTreeMaps at
     // both levels so violation messages come out in round/node order —
     // oracle output is part of what differential replay compares.

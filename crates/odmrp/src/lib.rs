@@ -16,6 +16,10 @@
 //! * data packets are **link-layer broadcast** and rebroadcast by forwarding-
 //!   group members, with a duplicate cache.
 //!
+//! Route discovery lives in [`discovery`], shared with the tree protocol of
+//! the `maodv` crate; an [`OdmrpNode`] is that core plus ODMRP's
+//! [`ForwardingGroup`].
+//!
 //! The original protocol (`Variant::Original`) answers the *first* query
 //! instead and never forwards duplicates — making route selection equivalent
 //! to minimum-delay/minimum-hop, which is exactly the baseline the paper
@@ -45,12 +49,14 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
+pub mod discovery;
 pub mod invariants;
 pub mod messages;
 mod node;
 pub mod stats;
 
 pub use config::{CbrSource, DegradedModeConfig, MembershipWindow, NodeRole, OdmrpConfig, Variant};
+pub use discovery::MulticastNode;
 pub use messages::OdmrpMsg;
-pub use node::OdmrpNode;
+pub use node::{ForwardingGroup, OdmrpNode};
 pub use stats::{Delivered, MulticastApp, NodeStats};

@@ -9,6 +9,8 @@ use mesh_sim::ids::{GroupId, NodeId};
 use mesh_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use mesh_sim::time::SimTime;
 
+use crate::discovery::{DiscoveryMsg, Heard};
+
 /// A `JOIN QUERY`, flooded periodically by each source.
 ///
 /// In the metric-enhanced protocol the query accumulates the path cost from
@@ -200,6 +202,29 @@ impl Snap for OdmrpMsg {
             3 => OdmrpMsg::Probe(Snap::unsnap(r)?),
             t => return Err(SnapError::BadTag(t as u32)),
         })
+    }
+}
+
+impl DiscoveryMsg for OdmrpMsg {
+    fn probe(p: ProbeMsg) -> Self {
+        OdmrpMsg::Probe(p)
+    }
+
+    fn query(q: JoinQuery) -> Self {
+        OdmrpMsg::JoinQuery(q)
+    }
+
+    fn data(d: DataPacket) -> Self {
+        OdmrpMsg::Data(d)
+    }
+
+    fn heard(&self) -> Heard<'_> {
+        match self {
+            OdmrpMsg::Probe(p) => Heard::Probe(p),
+            OdmrpMsg::JoinQuery(q) => Heard::Query(q),
+            OdmrpMsg::Data(d) => Heard::Data(d),
+            OdmrpMsg::JoinReply(_) => Heard::Own,
+        }
     }
 }
 
