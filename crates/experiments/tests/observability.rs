@@ -149,6 +149,31 @@ fn tracing_off_ring_and_file_are_bit_identical() {
     }
 }
 
+/// The bytes of a whole traced run are pinned: the faulted cell's JSONL
+/// file keeps its line count, length and FNV-1a digest, so any change to
+/// the encoder's output (key order, spacing, digits) or to what the world
+/// traces fails here.
+#[test]
+fn faulted_trace_file_bytes_are_pinned() {
+    let scenario = faulted(plan());
+    let path = temp_jsonl("pinned");
+    let spec = RunSpec::new(&scenario, Variant::Original, 7)
+        .trace(Box::new(JsonlTrace::create(&path).expect("create temp")));
+    run(&spec);
+    let mut sink = spec.take_trace().expect("sink returned");
+    let jsonl: &mut JsonlTrace = sink.as_any_mut().downcast_mut().expect("JsonlTrace");
+    let lines = jsonl.finish().expect("flush trace file");
+    let bytes = std::fs::read(&path).expect("read trace back");
+    let _ = std::fs::remove_file(&path);
+    let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    });
+    assert_eq!(lines, 42_950);
+    assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 42_950);
+    assert_eq!(bytes.len(), 4_318_001);
+    assert_eq!(fnv1a, 0xd85d_73da_65eb_e0fc, "trace bytes changed");
+}
+
 /// Trace completeness: `rx_start` count equals `planned_rx_data`, and each
 /// `(node, frame)` reception resolves to exactly one terminal event —
 /// `delivered` or `rx_drop` — mirroring the counter-conservation oracle.

@@ -81,12 +81,20 @@ impl PartialOrd for ScheduledEvent {
 /// bit-identical. This is the runtime cross-check behind the static
 /// determinism rules (mesh-lint R1–R5, DESIGN.md §10): counters can collide
 /// by luck, the schedule hash cannot realistically do so.
+///
+/// Each `u64` field counts as its 8 little-endian bytes. A zero byte leaves
+/// the XOR step unchanged, so `v`'s high zero bytes fold as one multiply by
+/// a power of the prime; only the significant bytes are folded one by one.
 pub(crate) fn fold_schedule_hash(h: &mut u64, ev: &ScheduledEvent) {
     fn fold(h: &mut u64, v: u64) {
-        for byte in v.to_le_bytes() {
-            *h ^= byte as u64;
-            *h = h.wrapping_mul(0x0000_0100_0000_01B3); // FNV-1a prime
+        let mut x = *h;
+        let mut rest = v;
+        while rest != 0 {
+            x ^= rest & 0xff;
+            x = x.wrapping_mul(FNV_PRIME);
+            rest >>= 8;
         }
+        *h = x.wrapping_mul(FNV_POW[(v.leading_zeros() / 8) as usize]);
     }
     fold(h, ev.time.as_nanos());
     fold(h, ev.seq);
@@ -142,6 +150,22 @@ pub(crate) fn fold_schedule_hash(h: &mut u64, ev: &ScheduledEvent) {
 
 /// FNV-1a offset basis: the schedule hash of a run with zero events.
 pub(crate) const SCHEDULE_HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 64-bit FNV-1a prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// `FNV_POW[k]` = `FNV_PRIME`^k (wrapping): folding k zero bytes.
+const FNV_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut acc = 1u64;
+    let mut k = 0;
+    while k < pow.len() {
+        pow[k] = acc;
+        acc = acc.wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
 
 // Wire tags match the schedule-hash kind tags (1–8) so the two encodings
 // can never silently drift apart.
@@ -385,6 +409,59 @@ mod tests {
         assert_eq!(a, b, "identical schedules must hash identically");
         assert_ne!(a, swapped, "different event payloads must change the hash");
         assert_ne!(a, SCHEDULE_HASH_SEED, "events must perturb the seed value");
+    }
+
+    /// The byte-serial FNV-1a fold of all 8 bytes: the reference the
+    /// significant-byte fold must match bit for bit.
+    fn reference_fold(h: &mut u64, v: u64) {
+        for byte in v.to_le_bytes() {
+            *h ^= byte as u64;
+            *h = h.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Fold a fault event whose time, seq and plan index are all `v` onto
+    /// `h` with both folds; returns (fast, reference).
+    fn both_folds(h: u64, v: u64) -> (u64, u64) {
+        let ev = ScheduledEvent {
+            time: SimTime::from_nanos(v),
+            seq: v,
+            kind: EventKind::Fault { idx: v as usize },
+        };
+        let mut fast = h;
+        fold_schedule_hash(&mut fast, &ev);
+        let mut reference = h;
+        for field in [v, v, 8, v] {
+            reference_fold(&mut reference, field);
+        }
+        (fast, reference)
+    }
+
+    #[test]
+    fn hash_fold_matches_byte_serial_fold_at_every_width() {
+        let mut values = vec![0, 1, u64::MAX];
+        for k in 1..8 {
+            let p = 1u64 << (8 * k); // 256^k
+            values.extend([p - 1, p, p + 1]);
+        }
+        for v in values {
+            let (fast, reference) = both_folds(SCHEDULE_HASH_SEED, v);
+            assert_eq!(fast, reference, "fold differs at {v:#x}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn hash_fold_matches_byte_serial_fold(
+            h in proptest::any::<u64>(),
+            v in proptest::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let (fast, reference) = both_folds(h, v >> shift);
+            proptest::prop_assert_eq!(fast, reference);
+        }
     }
 
     #[test]

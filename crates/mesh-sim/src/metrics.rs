@@ -147,13 +147,19 @@ impl MetricsRecorder {
         }
     }
 
+    /// Whether `now` has reached the open bucket's end, so that
+    /// [`MetricsRecorder::advance`] would close at least one bucket.
+    pub fn bucket_due(&self, now: SimTime) -> bool {
+        now >= self.open_start + self.width
+    }
+
     /// Close every bucket whose boundary `now` has reached, snapshotting
     /// deltas against `counters` (and the medium's `index` stats, if any).
     /// Called once per world step, *before* the event at `now` is
     /// dispatched, so each bucket contains exactly the events with
     /// `open_start <= time < end`.
     pub fn advance(&mut self, now: SimTime, counters: &Counters, index: Option<IndexStats>) {
-        while now >= self.open_start + self.width {
+        while self.bucket_due(now) {
             let end = self.open_start + self.width;
             self.close_bucket(end, counters, index);
         }

@@ -331,27 +331,26 @@ impl TraceEvent {
     }
 
     /// Append the flat single-line JSON encoding of this event to `out`
-    /// (no trailing newline). All values are unsigned integers or labels
-    /// from a fixed vocabulary, so no escaping is ever required.
-    pub fn write_jsonl(&self, out: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(
-            out,
-            "{{\"t\":{},\"ev\":\"{}\"",
-            self.at.as_nanos(),
-            self.ev_name()
-        );
+    /// (no trailing newline). Keys are static byte strings in a fixed order
+    /// (`t, ev, node, seq, class, frame`, then the kind's own fields) and
+    /// every value is an unsigned integer or a label from a fixed
+    /// vocabulary, so no escaping is ever required and the bytes are ASCII.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(LINE_RESERVE);
+        out.extend_from_slice(b"{\"t\":");
+        put_uint(out, self.at.as_nanos());
+        put_label(out, b",\"ev\":", self.ev_name());
         if let Some(n) = self.node {
-            let _ = write!(out, ",\"node\":{}", n.as_u32());
+            put_num(out, b",\"node\":", n.as_u32().into());
         }
         if let Some(s) = self.seq {
-            let _ = write!(out, ",\"seq\":{s}");
+            put_num(out, b",\"seq\":", s);
         }
         if let Some(c) = self.class {
-            let _ = write!(out, ",\"class\":{c}");
+            put_num(out, b",\"class\":", c.into());
         }
         if let Some(f) = self.frame {
-            let _ = write!(out, ",\"frame\":{}", f.as_u64());
+            put_num(out, b",\"frame\":", f.as_u64());
         }
         match self.kind {
             TraceEventKind::TxStart {
@@ -359,44 +358,33 @@ impl TraceEvent {
                 dst,
                 bytes,
             } => {
-                let _ = write!(out, ",\"kind\":\"{}\"", frame_kind.label());
+                put_label(out, b",\"kind\":", frame_kind.label());
                 if let Some(d) = dst {
-                    let _ = write!(out, ",\"dst\":{}", d.as_u32());
+                    put_num(out, b",\"dst\":", d.as_u32().into());
                 }
-                let _ = write!(out, ",\"bytes\":{bytes}");
+                put_num(out, b",\"bytes\":", bytes.into());
             }
-            TraceEventKind::RxStart { src } => {
-                let _ = write!(out, ",\"src\":{}", src.as_u32());
-            }
-            TraceEventKind::RxDrop { reason } => {
-                let _ = write!(out, ",\"reason\":\"{}\"", reason.label());
-            }
+            TraceEventKind::RxStart { src } => put_num(out, b",\"src\":", src.as_u32().into()),
+            TraceEventKind::RxDrop { reason } => put_label(out, b",\"reason\":", reason.label()),
             TraceEventKind::Delivered { src, frame_kind } => {
-                let _ = write!(
-                    out,
-                    ",\"src\":{},\"kind\":\"{}\"",
-                    src.as_u32(),
-                    frame_kind.label()
-                );
+                put_num(out, b",\"src\":", src.as_u32().into());
+                put_label(out, b",\"kind\":", frame_kind.label());
             }
             TraceEventKind::QueueDrop => {}
-            TraceEventKind::Retry { attempt } => {
-                let _ = write!(out, ",\"attempt\":{attempt}");
-            }
+            TraceEventKind::Retry { attempt } => put_num(out, b",\"attempt\":", attempt.into()),
             TraceEventKind::FaultApplied { fault, peer } => {
-                let _ = write!(out, ",\"fault\":\"{fault}\"");
+                put_label(out, b",\"fault\":", fault);
                 if let Some(p) = peer {
-                    let _ = write!(out, ",\"peer\":{}", p.as_u32());
+                    put_num(out, b",\"peer\":", p.as_u32().into());
                 }
             }
             TraceEventKind::ProtocolDecision { decision } => {
-                let _ = write!(out, ",\"decision\":\"{}\"", decision.label());
+                put_label(out, b",\"decision\":", decision.label());
                 match decision {
-                    Decision::FgJoin { group } => {
-                        let _ = write!(out, ",\"group\":{group}");
-                    }
+                    Decision::FgJoin { group } => put_num(out, b",\"group\":", group.into()),
                     Decision::TreeJoin { group, child } => {
-                        let _ = write!(out, ",\"group\":{group},\"child\":{}", child.as_u32());
+                        put_num(out, b",\"group\":", group.into());
+                        put_num(out, b",\"child\":", child.as_u32().into());
                     }
                     Decision::ForwardData {
                         group,
@@ -408,46 +396,50 @@ impl TraceEvent {
                         source,
                         pkt_seq,
                     } => {
-                        let _ = write!(
-                            out,
-                            ",\"group\":{group},\"src\":{},\"pseq\":{pkt_seq}",
-                            source.as_u32()
-                        );
+                        put_num(out, b",\"group\":", group.into());
+                        put_num(out, b",\"src\":", source.as_u32().into());
+                        put_num(out, b",\"pseq\":", pkt_seq.into());
                     }
                     Decision::ForwardQuery { source, pkt_seq }
                     | Decision::SendReply { source, pkt_seq } => {
-                        let _ = write!(out, ",\"src\":{},\"pseq\":{pkt_seq}", source.as_u32());
+                        put_num(out, b",\"src\":", source.as_u32().into());
+                        put_num(out, b",\"pseq\":", pkt_seq.into());
                     }
                     Decision::MetricQuarantine { peer } => {
-                        let _ = write!(out, ",\"peer\":{}", peer.as_u32());
+                        put_num(out, b",\"peer\":", peer.as_u32().into());
                     }
                     Decision::FallbackActivated => {}
                     Decision::RefreshBackoff { factor } => {
-                        let _ = write!(out, ",\"factor\":{factor}");
+                        put_num(out, b",\"factor\":", factor.into());
                     }
                 }
             }
         }
-        out.push('}');
+        out.push(b'}');
     }
 
     /// The JSONL encoding as an owned line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
-        let mut s = String::with_capacity(96);
-        self.write_jsonl(&mut s);
-        s
+        let mut line = Vec::with_capacity(128);
+        self.encode(&mut line);
+        // The encoding is ASCII, so every byte is one char.
+        line.into_iter().map(char::from).collect()
     }
 
-    /// Parse one line produced by [`TraceEvent::write_jsonl`].
+    /// Parse one line produced by [`TraceEvent::encode`].
     ///
     /// Accepts exactly the flat subset this module emits: one JSON object of
-    /// unsigned-integer and unescaped-string fields.
+    /// unsigned-integer and unescaped-string fields, byte for byte the
+    /// [`TraceEvent::encode`] output of the event it describes (surrounding
+    /// whitespace aside). Duplicate keys, leading zeros, unknown keys,
+    /// wrong-typed values, reordered fields and inner spacing are errors.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first syntactic or
-    /// semantic problem found.
+    /// semantic problem found, naming the offending key where there is one.
     pub fn parse_jsonl(line: &str) -> Result<TraceEvent, String> {
+        let line = line.trim();
         let fields = Fields::parse(line)?;
         let at = SimTime::from_nanos(fields.num("t").ok_or("missing \"t\"")?);
         let node = fields.node_field("node")?;
@@ -546,15 +538,89 @@ impl TraceEvent {
             }
             other => return Err(format!("unknown event {other:?}")),
         };
-        Ok(TraceEvent {
+        let event = TraceEvent {
             at,
             node,
             seq,
             class,
             frame,
             kind,
-        })
+        };
+        // Whatever the typed reads above skipped (an unknown key, a value of
+        // the wrong type) makes the line differ from its own re-encoding.
+        let canonical = event.to_jsonl();
+        if canonical != line {
+            return Err(fields.mismatch(&canonical));
+        }
+        Ok(event)
     }
+}
+
+/// `"00"` to `"99"`: the two ASCII digits of every value below 100, so
+/// [`put_uint`] renders two digits per table read.
+const DIGIT_PAIRS: [[u8; 2]; 100] = {
+    let mut pairs = [[0u8; 2]; 100];
+    let mut i = 0;
+    while i < 100 {
+        pairs[i] = [b'0' + (i / 10) as u8, b'0' + (i % 10) as u8];
+        i += 1;
+    }
+    pairs
+};
+
+/// Room [`TraceEvent::encode`] reserves up front: more than the longest
+/// line (every integer at its maximum), so no append inside reallocates.
+const LINE_RESERVE: usize = 256;
+
+/// Append the decimal digits of `n` to `out`: the bytes of `n.to_string()`.
+///
+/// This and the two key helpers below are inlined into every field of
+/// [`TraceEvent::encode`]: as out-of-line calls they cost a measurable share
+/// of the encoder's time.
+#[inline(always)]
+fn put_uint(out: &mut Vec<u8>, n: u64) {
+    // Filled right to left, four digits per division while more than four
+    // remain; u64::MAX has 20 digits.
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    let mut put = |digits: &[u8]| {
+        start -= digits.len();
+        if let Some(slot) = buf.get_mut(start..start + digits.len()) {
+            slot.copy_from_slice(digits);
+        }
+    };
+    let mut rest = n;
+    while rest >= 10_000 {
+        let quad = (rest % 10_000) as usize;
+        rest /= 10_000;
+        let [a, b] = DIGIT_PAIRS[quad / 100];
+        let [c, d] = DIGIT_PAIRS[quad % 100];
+        put(&[a, b, c, d]);
+    }
+    let mut rest = rest as usize;
+    if rest >= 100 {
+        put(&DIGIT_PAIRS[rest % 100]);
+        rest /= 100;
+    }
+    let pair = &DIGIT_PAIRS[rest];
+    put(if rest >= 10 { pair } else { &pair[1..] });
+    out.extend_from_slice(buf.get(start..).unwrap_or_default());
+}
+
+/// Append a static `,"key":` fragment and the decimal `value`.
+#[inline(always)]
+fn put_num(out: &mut Vec<u8>, key: &[u8], value: u64) {
+    out.extend_from_slice(key);
+    put_uint(out, value);
+}
+
+/// Append a static `,"key":` fragment and the quoted `label`.
+#[inline(always)]
+fn put_label(out: &mut Vec<u8>, key: &[u8], label: &str) {
+    out.extend_from_slice(key);
+    out.push(b'"');
+    out.extend_from_slice(label.as_bytes());
+    out.push(b'"');
 }
 
 fn int<T: TryFrom<u64>>(v: u64, field: &str) -> Result<T, String> {
@@ -569,7 +635,7 @@ struct Fields<'a> {
     pairs: Vec<(&'a str, Value<'a>)>,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Value<'a> {
     Num(u64),
     Str(&'a str),
@@ -578,7 +644,6 @@ enum Value<'a> {
 impl<'a> Fields<'a> {
     fn parse(line: &'a str) -> Result<Fields<'a>, String> {
         let body = line
-            .trim()
             .strip_prefix('{')
             .and_then(|s| s.strip_suffix('}'))
             .ok_or("not a JSON object")?;
@@ -588,6 +653,9 @@ impl<'a> Fields<'a> {
             let key_body = rest.strip_prefix('"').ok_or("expected a quoted key")?;
             let kq = key_body.find('"').ok_or("unterminated key")?;
             let key = &key_body[..kq];
+            if pairs.iter().any(|&(k, _)| k == key) {
+                return Err(format!("duplicate key \"{key}\""));
+            }
             // mesh-lint: allow(R6, "kq comes from find on this very slice, so kq + 1 <= len and lands after a one-byte ASCII quote")
             rest = key_body[kq + 1..]
                 .trim_start()
@@ -608,12 +676,16 @@ impl<'a> Fields<'a> {
                 let end = rest
                     .find(|c: char| !c.is_ascii_digit())
                     .unwrap_or(rest.len());
-                if end == 0 {
-                    return Err(format!("expected a value near {rest:?}"));
+                let digits = &rest[..end];
+                if digits.is_empty() {
+                    return Err(format!("key \"{key}\": expected a value near {rest:?}"));
                 }
-                let n: u64 = rest[..end]
+                if digits.len() > 1 && digits.starts_with('0') {
+                    return Err(format!("key \"{key}\": leading zero in {digits}"));
+                }
+                let n: u64 = digits
                     .parse()
-                    .map_err(|_| format!("bad integer {:?}", &rest[..end]))?;
+                    .map_err(|_| format!("key \"{key}\": bad integer {digits:?}"))?;
                 value = Value::Num(n);
                 rest = &rest[end..];
             }
@@ -643,6 +715,28 @@ impl<'a> Fields<'a> {
             Value::Str(s) if k == key => Some(s),
             _ => None,
         })
+    }
+
+    /// Why a line that parsed to an event is not that event's `canonical`
+    /// encoding: the first key out of place, or the spacing.
+    fn mismatch(&self, canonical: &str) -> String {
+        let expected = Fields::parse(canonical)
+            .map(|f| f.pairs)
+            .unwrap_or_default();
+        let first_bad = self
+            .pairs
+            .iter()
+            .enumerate()
+            .find(|&(i, pair)| expected.get(i) != Some(pair));
+        match first_bad {
+            Some((_, &(key, _))) if expected.iter().any(|&(k, _)| k == key) => {
+                format!("key \"{key}\" is out of order; expected {canonical}")
+            }
+            Some((_, &(key, _))) => {
+                format!("key \"{key}\" is unknown or has the wrong type; expected {canonical}")
+            }
+            None => format!("unexpected whitespace; expected {canonical}"),
+        }
     }
 
     fn node_field(&self, key: &str) -> Result<Option<NodeId>, String> {
@@ -731,6 +825,9 @@ impl TraceSink for RingTrace {
 
 /// Streams events to a file as JSON Lines, one object per event.
 ///
+/// Each event is encoded with [`TraceEvent::encode`] into a reused line
+/// buffer and handed, newline included, to a 64 KiB buffered writer; the
+/// writer flushes when full, on [`JsonlTrace::finish`] and on drop.
 /// I/O errors during the run are stashed, not raised (a sink must never
 /// perturb the simulation); [`JsonlTrace::finish`] flushes and reports the
 /// first deferred error.
@@ -739,7 +836,7 @@ pub struct JsonlTrace {
     out: std::io::BufWriter<std::fs::File>,
     path: std::path::PathBuf,
     lines: u64,
-    line_buf: String,
+    line: Vec<u8>,
     deferred_err: Option<std::io::Error>,
 }
 
@@ -753,10 +850,10 @@ impl JsonlTrace {
         let path = path.into();
         let file = std::fs::File::create(&path)?;
         Ok(JsonlTrace {
-            out: std::io::BufWriter::new(file),
+            out: std::io::BufWriter::with_capacity(64 * 1024, file),
             path,
             lines: 0,
-            line_buf: String::with_capacity(128),
+            line: Vec::new(),
             deferred_err: None,
         })
     }
@@ -793,10 +890,10 @@ impl TraceSink for JsonlTrace {
         if self.deferred_err.is_some() {
             return;
         }
-        self.line_buf.clear();
-        event.write_jsonl(&mut self.line_buf);
-        self.line_buf.push('\n');
-        match self.out.write_all(self.line_buf.as_bytes()) {
+        self.line.clear();
+        event.encode(&mut self.line);
+        self.line.push(b'\n');
+        match self.out.write_all(&self.line) {
             Ok(()) => self.lines += 1,
             Err(e) => self.deferred_err = Some(e),
         }
@@ -847,7 +944,9 @@ mod tests {
         let _ = RingTrace::new(0);
     }
 
-    fn all_event_shapes() -> Vec<TraceEvent> {
+    /// One event of every shape, each with its expected line, byte for
+    /// byte.
+    fn all_event_shapes() -> Vec<(TraceEvent, &'static str)> {
         let base = TraceEvent {
             at: SimTime::from_nanos(1_234_567),
             node: Some(NodeId::new(7)),
@@ -857,105 +956,222 @@ mod tests {
             kind: TraceEventKind::QueueDrop,
         };
         let k = |kind| TraceEvent { kind, ..base };
+        let decision = |decision| k(TraceEventKind::ProtocolDecision { decision });
         vec![
-            k(TraceEventKind::TxStart {
-                frame_kind: FrameKind::Rts,
-                dst: Some(NodeId::new(2)),
-                bytes: 52,
-            }),
-            k(TraceEventKind::TxStart {
-                frame_kind: FrameKind::Data,
-                dst: None,
-                bytes: 512,
-            }),
-            k(TraceEventKind::RxStart {
-                src: NodeId::new(4),
-            }),
-            k(TraceEventKind::RxDrop {
-                reason: DropReason::Captured,
-            }),
-            k(TraceEventKind::Delivered {
-                src: NodeId::new(4),
-                frame_kind: FrameKind::Data,
-            }),
-            TraceEvent {
-                seq: None,
-                class: Some(0),
-                frame: None,
-                ..base
-            },
-            k(TraceEventKind::Retry { attempt: 2 }),
-            TraceEvent {
-                node: None,
-                seq: None,
-                class: Some(1),
-                frame: None,
-                kind: TraceEventKind::FaultApplied {
-                    fault: fault_label::CLASS_LOSS_BURST,
-                    peer: None,
+            (
+                k(TraceEventKind::TxStart {
+                    frame_kind: FrameKind::Rts,
+                    dst: Some(NodeId::new(2)),
+                    bytes: 52,
+                }),
+                r#"{"t":1234567,"ev":"tx_start","node":7,"seq":3,"class":1,"frame":99,"kind":"rts","dst":2,"bytes":52}"#,
+            ),
+            (
+                k(TraceEventKind::TxStart {
+                    frame_kind: FrameKind::Data,
+                    dst: None,
+                    bytes: 512,
+                }),
+                r#"{"t":1234567,"ev":"tx_start","node":7,"seq":3,"class":1,"frame":99,"kind":"data","bytes":512}"#,
+            ),
+            (
+                k(TraceEventKind::RxStart {
+                    src: NodeId::new(4),
+                }),
+                r#"{"t":1234567,"ev":"rx_start","node":7,"seq":3,"class":1,"frame":99,"src":4}"#,
+            ),
+            (
+                k(TraceEventKind::RxDrop {
+                    reason: DropReason::Captured,
+                }),
+                r#"{"t":1234567,"ev":"rx_drop","node":7,"seq":3,"class":1,"frame":99,"reason":"captured"}"#,
+            ),
+            (
+                k(TraceEventKind::Delivered {
+                    src: NodeId::new(4),
+                    frame_kind: FrameKind::Data,
+                }),
+                r#"{"t":1234567,"ev":"delivered","node":7,"seq":3,"class":1,"frame":99,"src":4,"kind":"data"}"#,
+            ),
+            (
+                TraceEvent {
+                    seq: None,
+                    class: Some(0),
+                    frame: None,
+                    ..base
                 },
-                ..base
-            },
-            k(TraceEventKind::FaultApplied {
-                fault: fault_label::LINK_FAULT,
-                peer: Some(NodeId::new(5)),
-            }),
-            k(TraceEventKind::ProtocolDecision {
-                decision: Decision::FgJoin { group: 3 },
-            }),
-            k(TraceEventKind::ProtocolDecision {
-                decision: Decision::TreeJoin {
+                r#"{"t":1234567,"ev":"queue_drop","node":7,"class":0}"#,
+            ),
+            (
+                k(TraceEventKind::Retry { attempt: 2 }),
+                r#"{"t":1234567,"ev":"retry","node":7,"seq":3,"class":1,"frame":99,"attempt":2}"#,
+            ),
+            (
+                TraceEvent {
+                    node: None,
+                    seq: None,
+                    class: Some(1),
+                    frame: None,
+                    kind: TraceEventKind::FaultApplied {
+                        fault: fault_label::CLASS_LOSS_BURST,
+                        peer: None,
+                    },
+                    ..base
+                },
+                r#"{"t":1234567,"ev":"fault","class":1,"fault":"class_loss_burst"}"#,
+            ),
+            (
+                k(TraceEventKind::FaultApplied {
+                    fault: fault_label::LINK_FAULT,
+                    peer: Some(NodeId::new(5)),
+                }),
+                r#"{"t":1234567,"ev":"fault","node":7,"seq":3,"class":1,"frame":99,"fault":"link_fault","peer":5}"#,
+            ),
+            (
+                decision(Decision::FgJoin { group: 3 }),
+                r#"{"t":1234567,"ev":"decision","node":7,"seq":3,"class":1,"frame":99,"decision":"fg_join","group":3}"#,
+            ),
+            (
+                decision(Decision::TreeJoin {
                     group: 3,
                     child: NodeId::new(8),
-                },
-            }),
-            k(TraceEventKind::ProtocolDecision {
-                decision: Decision::ForwardData {
+                }),
+                r#"{"t":1234567,"ev":"decision","node":7,"seq":3,"class":1,"frame":99,"decision":"tree_join","group":3,"child":8}"#,
+            ),
+            (
+                decision(Decision::ForwardData {
                     group: 3,
                     source: NodeId::new(1),
                     pkt_seq: 1317,
-                },
-            }),
-            k(TraceEventKind::ProtocolDecision {
-                decision: Decision::SuppressDuplicate {
+                }),
+                r#"{"t":1234567,"ev":"decision","node":7,"seq":3,"class":1,"frame":99,"decision":"forward_data","group":3,"src":1,"pseq":1317}"#,
+            ),
+            (
+                decision(Decision::SuppressDuplicate {
                     group: 3,
                     source: NodeId::new(1),
                     pkt_seq: 1317,
-                },
-            }),
-            k(TraceEventKind::ProtocolDecision {
-                decision: Decision::ForwardQuery {
+                }),
+                r#"{"t":1234567,"ev":"decision","node":7,"seq":3,"class":1,"frame":99,"decision":"suppress_duplicate","group":3,"src":1,"pseq":1317}"#,
+            ),
+            (
+                decision(Decision::ForwardQuery {
                     source: NodeId::new(1),
                     pkt_seq: 12,
-                },
-            }),
-            k(TraceEventKind::ProtocolDecision {
-                decision: Decision::SendReply {
+                }),
+                r#"{"t":1234567,"ev":"decision","node":7,"seq":3,"class":1,"frame":99,"decision":"forward_query","src":1,"pseq":12}"#,
+            ),
+            (
+                decision(Decision::SendReply {
                     source: NodeId::new(1),
                     pkt_seq: 12,
-                },
-            }),
-            k(TraceEventKind::ProtocolDecision {
-                decision: Decision::MetricQuarantine {
+                }),
+                r#"{"t":1234567,"ev":"decision","node":7,"seq":3,"class":1,"frame":99,"decision":"send_reply","src":1,"pseq":12}"#,
+            ),
+            (
+                decision(Decision::MetricQuarantine {
                     peer: NodeId::new(4),
-                },
-            }),
-            k(TraceEventKind::ProtocolDecision {
-                decision: Decision::FallbackActivated,
-            }),
-            k(TraceEventKind::ProtocolDecision {
-                decision: Decision::RefreshBackoff { factor: 8 },
-            }),
+                }),
+                r#"{"t":1234567,"ev":"decision","node":7,"seq":3,"class":1,"frame":99,"decision":"metric_quarantine","peer":4}"#,
+            ),
+            (
+                decision(Decision::FallbackActivated),
+                r#"{"t":1234567,"ev":"decision","node":7,"seq":3,"class":1,"frame":99,"decision":"fallback_activated"}"#,
+            ),
+            (
+                decision(Decision::RefreshBackoff { factor: 8 }),
+                r#"{"t":1234567,"ev":"decision","node":7,"seq":3,"class":1,"frame":99,"decision":"refresh_backoff","factor":8}"#,
+            ),
         ]
     }
 
     #[test]
+    fn encoder_writes_the_pinned_line_of_every_event_shape() {
+        for (ev, expected) in all_event_shapes() {
+            assert_eq!(ev.to_jsonl(), expected, "encoding of {ev:?}");
+            let mut appended = b"prefix ".to_vec();
+            ev.encode(&mut appended);
+            assert_eq!(appended.strip_prefix(b"prefix "), Some(expected.as_bytes()));
+        }
+    }
+
+    #[test]
     fn jsonl_roundtrips_every_event_shape() {
-        for ev in all_event_shapes() {
-            let line = ev.to_jsonl();
-            let back = TraceEvent::parse_jsonl(&line)
+        for (ev, line) in all_event_shapes() {
+            let back = TraceEvent::parse_jsonl(line)
                 .unwrap_or_else(|e| panic!("parse failed for {line}: {e}"));
             assert_eq!(back, ev, "roundtrip mismatch for {line}");
+        }
+    }
+
+    #[test]
+    fn longest_lines_fit_the_reservation() {
+        let big = NodeId::new(u32::MAX);
+        let max = |kind| TraceEvent {
+            at: SimTime::from_nanos(u64::MAX),
+            node: Some(big),
+            seq: Some(u64::MAX),
+            class: Some(u8::MAX),
+            frame: Some(FrameId(u64::MAX)),
+            kind,
+        };
+        for ev in [
+            max(TraceEventKind::TxStart {
+                frame_kind: FrameKind::Data,
+                dst: Some(big),
+                bytes: u32::MAX,
+            }),
+            max(TraceEventKind::RxDrop {
+                reason: DropReason::BelowThreshold,
+            }),
+            max(TraceEventKind::FaultApplied {
+                fault: fault_label::CLASS_LOSS_CLEAR,
+                peer: Some(big),
+            }),
+            max(TraceEventKind::ProtocolDecision {
+                decision: Decision::SuppressDuplicate {
+                    group: u32::MAX,
+                    source: big,
+                    pkt_seq: u32::MAX,
+                },
+            }),
+        ] {
+            let line = ev.to_jsonl();
+            assert!(line.len() < LINE_RESERVE, "{} bytes: {line}", line.len());
+        }
+    }
+
+    fn uint_string(n: u64) -> String {
+        let mut out = Vec::new();
+        put_uint(&mut out, n);
+        String::from_utf8(out).expect("digits are ASCII")
+    }
+
+    #[test]
+    fn integer_writer_matches_to_string_at_every_width() {
+        let mut edges = vec![0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        let mut pow = 1u64;
+        while let Some(next) = pow.checked_mul(10) {
+            pow = next;
+            edges.extend([pow - 1, pow, pow + 1]);
+        }
+        for n in edges {
+            assert_eq!(uint_string(n), n.to_string());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// Random values at every magnitude: a uniform u64 shifted right by
+        /// a random amount, so short and long digit strings are both drawn.
+        #[test]
+        fn integer_writer_matches_to_string(
+            v in proptest::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let n = v >> shift;
+            proptest::prop_assert_eq!(uint_string(n), n.to_string());
         }
     }
 
@@ -972,12 +1188,30 @@ mod tests {
             "{\"t\":1,\"ev\":\"queue_drop\",}",
             "{\"t\":1,\"ev\":\"rx_start\"}",
             "{\"t\":1,\"ev\":\"rx_start\",\"src\":99999999999}",
+            "{\"ev\":\"queue_drop\",\"t\":1}",
+            "{\"t\":1, \"ev\":\"queue_drop\"}",
         ] {
             assert!(
                 TraceEvent::parse_jsonl(bad).is_err(),
                 "parser accepted malformed line {bad:?}"
             );
         }
+        // Lines the encoder never writes: a duplicate key, a leading zero,
+        // an unknown key, a wrong-typed value. Each error names the key.
+        for (bad, key) in [
+            ("{\"t\":1,\"t\":2,\"ev\":\"queue_drop\"}", "\"t\""),
+            ("{\"t\":007,\"ev\":\"queue_drop\"}", "\"t\""),
+            ("{\"t\":1,\"ev\":\"queue_drop\",\"bogus\":3}", "\"bogus\""),
+            ("{\"t\":1,\"ev\":\"queue_drop\",\"node\":\"5\"}", "\"node\""),
+        ] {
+            match TraceEvent::parse_jsonl(bad) {
+                Ok(ev) => panic!("parser accepted {bad:?} as {ev:?}"),
+                Err(e) => assert!(e.contains(key), "error for {bad:?} names no {key}: {e}"),
+            }
+        }
+        // Surrounding whitespace (a trailing `\r`, say) is still fine.
+        let line = "  {\"t\":1,\"ev\":\"queue_drop\"}\r";
+        assert!(TraceEvent::parse_jsonl(line).is_ok());
     }
 
     #[test]
@@ -985,18 +1219,18 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("mesh-sim-trace-test-{}.jsonl", std::process::id()));
         let mut sink = JsonlTrace::create(&path).expect("create trace file");
-        let evs = all_event_shapes();
-        for ev in &evs {
+        let shapes = all_event_shapes();
+        for (ev, _) in &shapes {
             sink.record(*ev);
         }
         let lines = sink.finish().expect("finish");
-        assert_eq!(lines, evs.len() as u64);
+        assert_eq!(lines, shapes.len() as u64);
         let text = std::fs::read_to_string(&path).expect("read back");
-        let parsed: Vec<TraceEvent> = text
-            .lines()
-            .map(|l| TraceEvent::parse_jsonl(l).expect("valid line"))
-            .collect();
-        assert_eq!(parsed, evs);
+        let expected: String = shapes.iter().map(|(_, line)| format!("{line}\n")).collect();
+        assert_eq!(text, expected);
+        for ((ev, _), line) in shapes.iter().zip(text.lines()) {
+            assert_eq!(TraceEvent::parse_jsonl(line).as_ref(), Ok(ev));
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -430,8 +430,9 @@ impl<M: Clone + std::fmt::Debug> World<M> {
         }
         // Close metrics buckets the clock has passed *before* dispatching, so
         // every bucket holds exactly the events inside its time span. Reads
-        // counters, mutates nothing else: zero-perturbation.
-        if let Some(m) = self.metrics.as_mut() {
+        // counters, mutates nothing else: zero-perturbation. The medium's
+        // index stats are read only when a bucket actually closes.
+        if let Some(m) = self.metrics.as_mut().filter(|m| m.bucket_due(self.now)) {
             m.advance(self.now, &self.counters, self.medium.index_stats());
         }
         self.counters.events += 1;
