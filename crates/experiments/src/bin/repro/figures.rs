@@ -1,13 +1,17 @@
 //! Every reproduced figure: its decks and its report.
 
 use experiments::cli::CliArgs;
-use experiments::runner::{comparison_variants, paper_variants, run_matrix, summarize};
-use experiments::scenario_compiler::{compile, ProtocolKind, WorkloadScenario};
+use experiments::recovery::{analyze, RecoverySpec};
+use experiments::runner::{
+    comparison_variants, matrix_jobs, paper_variants, run_jobs_supervised_resumable, run_matrix,
+    summarize,
+};
+use experiments::scenario_compiler::{compile, FaultSpec, ProtocolKind, WorkloadScenario};
 use experiments::stats::{jain_fairness, percentile, render_table, Summary};
 use experiments::trees::{heavy_edges, tree_usage, EdgeUse};
 use experiments::{paper, report, run, RunMeasurement, RunSpec, VariantSummary};
 use mcast_metrics::{choose_path, figure1_candidates, figure3_candidates, Etx, Metric, Metx};
-use mcast_metrics::{MetricKind, Spp};
+use mcast_metrics::{MetricKind, MetricRegistry, Spp};
 use mesh_sim::ids::NodeId;
 use mesh_sim::medium::LinkTableMedium;
 use mesh_sim::time::SimDuration;
@@ -18,6 +22,8 @@ use testbed::{label_of, LinkClass};
 struct Run {
     scenario: WorkloadScenario,
     seeds: Vec<u64>,
+    /// Whether `--quick` picked the deck.
+    quick: bool,
 }
 
 enum Kind {
@@ -70,7 +76,11 @@ impl Figure {
                     scenario.mesh.data_start,
                     scenario.mesh.data_stop
                 );
-                report(&Run { scenario, seeds })
+                report(&Run {
+                    scenario,
+                    seeds,
+                    quick: args.quick,
+                })
             }
         }
     }
@@ -122,7 +132,7 @@ const fn simulated(
 /// Every figure, in the order `--all` runs them. `runs` is the seed count
 /// without `--topologies` (the paper repeats each testbed experiment 5
 /// times).
-pub const FIGURES: [Figure; 15] = [
+pub const FIGURES: [Figure; 18] = [
     analytic("fig1", fig1),
     analytic("fig3", fig3),
     simulated("fig2", MESH, 10, fig2),
@@ -138,6 +148,9 @@ pub const FIGURES: [Figure; 15] = [
     simulated("ablation-bidir-etx", MESH, 5, ablation_bidir_etx),
     simulated("optimal-probe-rate", MESH, 5, optimal_probe_rate),
     simulated("receiver-fairness", MESH, 5, receiver_fairness),
+    simulated("fault-sweep", MESH, 5, fault_intensity),
+    simulated("recovery-sweep", MESH, 5, time_to_recover),
+    simulated("metric-matrix", MESH, 2, registry_matrix),
 ];
 
 /// Run `variants × seeds` on `w`, in parallel across jobs.
@@ -798,4 +811,193 @@ fn receiver_fairness(r: &Run) -> bool {
          for tail receivers."
     );
     true
+}
+
+/// Fault intensities of `fault-sweep`, after its fault-free column.
+const FAULT_INTENSITIES: [f64; 3] = [0.3, 0.6, 1.0];
+
+/// Extension: delivery of each paper variant as the fault intensity rises
+/// from none to heavy. For every seed one deterministic fault plan per
+/// intensity (crashes, link blackouts/degradations, possibly a partition —
+/// sources protected) is applied to every variant, with the invariant
+/// oracles on throughout. Graceful degradation means each column is no
+/// better than the one to its left.
+fn fault_intensity(r: &Run) -> bool {
+    let variants = paper_variants();
+    let mut columns = vec![("none".to_string(), matrix(&r.scenario, &variants, &r.seeds))];
+    for &intensity in &FAULT_INTENSITIES {
+        let mut faulted = r.scenario.clone();
+        faulted.faults = FaultSpec::Random { intensity };
+        let runs = run_matrix(&variants, &r.seeds, |v, s| {
+            let mut spec = RunSpec::new(&faulted, v, s);
+            spec.supervise.oracles = Some(SimDuration::from_secs(10));
+            let m = run(&spec);
+            eprintln!(
+                "  {} seed={} intensity={} faults={} pdr={:.3}",
+                m.variant,
+                s,
+                intensity,
+                faulted.random_fault_plan(s, intensity).len(),
+                m.pdr()
+            );
+            m
+        });
+        columns.push((format!("{intensity}"), runs));
+    }
+
+    println!("== mean PDR by fault intensity ==");
+    print!("{:<12}", "variant");
+    for (label, _) in &columns {
+        print!(" {label:>8}");
+    }
+    println!();
+    // Each column is variant-major: variant `vi`'s runs are one chunk.
+    let n = r.seeds.len();
+    for (vi, v) in variants.iter().enumerate() {
+        print!("{:<12}", v.to_string());
+        for (_, runs) in &columns {
+            let mean = runs[vi * n..][..n].iter().map(|m| m.pdr()).sum::<f64>() / n as f64;
+            print!(" {mean:>8.3}");
+        }
+        println!();
+    }
+    println!();
+    println!("invariant oracles ran every 10 s of simulated time: no violations.");
+    true
+}
+
+/// Fault intensity of the plan `recovery-sweep` replays.
+const RECOVERY_INTENSITY: f64 = 0.6;
+
+/// Extension: time-to-recover per paper variant after a replayed fault
+/// plan, with degraded mode (staleness quarantine, refresh backoff, min-hop
+/// fallback) off and on. Each run records a metrics timeseries with buckets
+/// one refresh interval wide, so the time-to-recover reads in refresh
+/// rounds: the rounds after the last fault event until per-bucket PDR is
+/// back within 5% of the pre-fault PDR. Runs are supervised and retried
+/// once; a failed job is reported on stderr and the rest are salvaged.
+fn time_to_recover(r: &Run) -> bool {
+    let jobs = matrix_jobs(&paper_variants(), &r.seeds);
+    println!(
+        "{:<12} {:>9} | {:>8} {:>8} {:>7} | {:>8} {:>8} {:>7}",
+        "variant", "seed", "pre", "fault", "TTR", "pre", "fault", "TTR"
+    );
+    println!(
+        "{:<12} {:>9} | {:^25} | {:^25}",
+        "", "", "degraded off", "degraded on"
+    );
+    let mut rows: Vec<String> = Vec::new();
+    for degraded in [false, true] {
+        let mut w = r.scenario.clone();
+        w.faults = FaultSpec::Random {
+            intensity: RECOVERY_INTENSITY,
+        };
+        w.mesh.degraded = degraded;
+        let report = run_jobs_supervised_resumable(
+            &jobs,
+            1,
+            |_, v, s, _| {
+                let refresh = w.mesh.odmrp_config(v).refresh_interval;
+                let m = run(&RunSpec::new(&w, v, s).supervised().metrics(refresh));
+                eprintln!(
+                    "  {} seed={} degraded={} pdr={:.3}",
+                    m.variant,
+                    s,
+                    degraded,
+                    m.pdr()
+                );
+                m
+            },
+            |_, _| {},
+        );
+        for f in report.failures() {
+            eprintln!("  FAILED: {f}");
+        }
+        for m in report.successes() {
+            rows.push(recovery_row(&w, m, degraded));
+        }
+    }
+    // Interleave off/on rows per (variant, seed) for side-by-side reading.
+    rows.sort();
+    for row in &rows {
+        println!("{row}");
+    }
+    true
+}
+
+/// One `recovery-sweep` row: pre-fault and during-fault PDR and the
+/// time-to-recover of one run.
+fn recovery_row(w: &WorkloadScenario, m: &RunMeasurement, degraded: bool) -> String {
+    let plan = w.random_fault_plan(m.seed, RECOVERY_INTENSITY);
+    let spec = RecoverySpec::for_scenario(&w.mesh, &plan);
+    let ts = m.timeseries.as_ref().expect("recovery runs record metrics");
+    let a = analyze(ts, &spec);
+    let ttr = match a.rounds_to_recover {
+        Some(r) => format!("{r}r"),
+        None => "never".to_string(),
+    };
+    format!(
+        "{:<12} seed={:<3} degraded={:<5} pre={:.3} fault={:.3} ttr={}",
+        m.variant.to_string(),
+        m.seed,
+        degraded,
+        a.pre_fault_pdr,
+        a.during_fault_pdr,
+        ttr
+    )
+}
+
+/// Registry smoke matrix: the baseline plus *every* registered metric —
+/// including the ones that opt out of the comparison tables (HOP,
+/// ETX-bidir). Fails if a metric is missing from the output or produced a
+/// non-finite measurement, so a metric that registers but crashes, hangs
+/// or yields NaN shows up long before anyone runs the full figure matrix.
+fn registry_matrix(r: &Run) -> bool {
+    let mut variants = vec![Variant::Original];
+    variants.extend(MetricKind::ALL.map(Variant::Metric));
+    let summaries = summaries(&r.scenario, &variants, &r.seeds);
+
+    println!(
+        "== Registry metric matrix (quick={} seeds={}) ==",
+        r.quick,
+        r.seeds.len()
+    );
+    let throughput = report::throughput_table(&summaries, &[]);
+    println!("{throughput}");
+    println!("{}", report::overhead_table(&summaries));
+
+    let mut fails = Vec::new();
+    for kind in MetricKind::ALL {
+        let Some(s) = summaries
+            .iter()
+            .find(|s| s.variant == Variant::Metric(kind))
+        else {
+            fails.push(format!("{kind} produced no summary row"));
+            continue;
+        };
+        for (what, v) in [
+            ("pdr", s.pdr.mean),
+            ("normalized throughput", s.normalized_throughput.mean),
+            ("normalized delay", s.normalized_delay.mean),
+            ("probe overhead", s.probe_overhead_pct.mean),
+        ] {
+            if !v.is_finite() {
+                fails.push(format!("{kind}: non-finite {what} ({v})"));
+            }
+        }
+    }
+    // Every comparison-set metric must have made it into the rendered table.
+    for kind in MetricRegistry::global().comparison_kinds() {
+        let label = Variant::Metric(kind).label();
+        if !throughput.contains(&label) {
+            fails.push(format!("{label} missing from the throughput table"));
+        }
+    }
+    verdict(
+        &fails,
+        &format!(
+            "metric matrix: all {} registered metrics ran and reported finite numbers",
+            MetricKind::ALL.len()
+        ),
+    )
 }

@@ -802,7 +802,6 @@ fn run(args: &Args) -> Result<(), String> {
     // sweep from inside the progress callback: record the first error, stop
     // writing, and surface it once the in-flight jobs have drained.
     let mut jsonl_err: Option<std::io::Error> = None;
-    let ckpts_run = ckpts.clone();
     let report = run_jobs_supervised_resumable(
         &pairs,
         compiled.sweep.retries,
@@ -811,15 +810,14 @@ fn run(args: &Args) -> Result<(), String> {
             // First attempt after a process-level crash: adopt the cell's
             // on-disk checkpoint so the rerun starts mid-run, not at t = 0.
             if slot.time().is_none() {
-                if let Some((t, bytes)) = read_ckpt(&ckpts_run, i) {
+                if let Some((t, bytes)) = read_ckpt(&ckpts, i) {
                     slot.store(t, bytes);
                 }
             }
-            let dir = ckpts_run.clone();
             jobs[i]
                 .scenario
-                .run_supervised_checkpointed(v, s, slot, move |at, bytes| {
-                    write_ckpt(&dir, i, at, bytes);
+                .run_supervised_checkpointed(v, s, slot, |at, bytes| {
+                    write_ckpt(&ckpts, i, at, bytes);
                 })
         },
         |pi, result| {

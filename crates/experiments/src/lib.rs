@@ -3,10 +3,13 @@
 //! Scenario decks, measurement, parallel runners and report rendering for
 //! every table and figure of *"High-Throughput Multicast Routing Metrics in
 //! Wireless Mesh Networks"* (ICDCS 2006). The mapping from experiment to
-//! binary lives in `DESIGN.md`; results are recorded in `EXPERIMENTS.md`.
+//! `repro` figure id lives in `DESIGN.md`; results are recorded in
+//! `EXPERIMENTS.md`.
 //!
 //! The crate is a library so tests and benches can run scaled-down versions
-//! of each experiment. [`run`] is the one way a simulation runs; the
+//! of each experiment. [`run`] is the one way a simulation runs (and the one
+//! place checkpoints are taken); [`run_jobs_supervised_resumable`] is the
+//! one supervised job pool, and [`run_matrix`] its cartesian wrapper. The
 //! `repro` binary turns each figure's deck into a variant × seed matrix of
 //! such runs and prints our numbers next to the paper's.
 //!
@@ -46,8 +49,8 @@ pub mod trees;
 pub use measure::RunMeasurement;
 pub use recovery::{RecoveryAnalysis, RecoverySpec};
 pub use runner::{
-    paper_variants, run, run_jobs_supervised, run_matrix, run_matrix_supervised, summarize,
-    MatrixReport, RunFailure, RunSpec, VariantSummary,
+    paper_variants, run, run_jobs_supervised_resumable, run_matrix, summarize, MatrixReport,
+    RunFailure, RunSpec, VariantSummary,
 };
 pub use scenario::{GroupSpec, MeshScenario, ScenarioLayout};
 pub use scenario_compiler::WorkloadScenario;

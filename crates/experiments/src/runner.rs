@@ -2,7 +2,6 @@
 //! parallel across topologies.
 
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex};
 
 use maodv::MaodvNode;
 use mesh_sim::simulator::{Simulator, WatchdogBudget};
@@ -60,7 +59,7 @@ pub struct Observe {
 
 /// How a run is supervised.
 #[derive(Debug, Clone, Default)]
-pub struct Supervise {
+pub struct Supervise<'a> {
     /// Check the world invariant oracles and the protocol's oracles (the
     /// discovery checks, plus forwarding-group soundness on ODMRP runs) at
     /// this interval; a violation panics.
@@ -69,48 +68,26 @@ pub struct Supervise {
     /// panic carrying [`mesh_sim::simulator::WATCHDOG_PANIC_PREFIX`].
     pub watchdog: bool,
     /// Resume from, and checkpoint into, a [`CheckpointSlot`].
-    pub checkpoint: Option<Checkpoint>,
+    pub checkpoint: Option<Checkpoint<'a>>,
 }
-
-/// A hook that receives each checkpoint as it lands.
-pub type PersistHook = Arc<dyn Fn(SimTime, &[u8]) + Send + Sync>;
 
 /// Checkpoint/restore through a [`CheckpointSlot`]: a run finding a
-/// checkpoint in the slot resumes from it, and every run checkpoints into
-/// the slot every quarter of its simulated horizon.
-#[derive(Clone)]
-pub struct Checkpoint {
+/// checkpoint in the slot resumes from it, and every run stops at each
+/// quarter mark of its horizon (¼, ½, ¾) still ahead of its clock,
+/// snapshots into the slot and hands the checkpoint to `persist`.
+#[derive(Clone, Copy)]
+pub struct Checkpoint<'a> {
     /// Where checkpoints land and resumes come from.
-    pub slot: CheckpointSlot,
-    /// Called with each checkpoint after it lands in `slot`.
-    pub persist: Option<PersistHook>,
+    pub slot: &'a CheckpointSlot,
+    /// Called with each checkpoint's sim time and bytes as it lands.
+    pub persist: &'a dyn Fn(SimTime, &[u8]),
 }
 
-impl Checkpoint {
-    /// Checkpoint into `slot`, with no persist hook.
-    pub fn new(slot: CheckpointSlot) -> Self {
-        Checkpoint {
-            slot,
-            persist: None,
-        }
-    }
-
-    /// Also hand every checkpoint to `hook`.
-    pub fn persist(mut self, hook: impl FnMut(SimTime, &[u8]) + Send + 'static) -> Self {
-        let hook = Mutex::new(hook);
-        self.persist = Some(Arc::new(move |at: SimTime, bytes: &[u8]| {
-            (hook.lock().expect("persist hook poisoned"))(at, bytes)
-        }));
-        self
-    }
-}
-
-impl std::fmt::Debug for Checkpoint {
+impl std::fmt::Debug for Checkpoint<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Checkpoint")
             .field("slot", &self.slot)
-            .field("persist", &self.persist.is_some())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -134,7 +111,7 @@ pub struct RunSpec<'a> {
     /// Observers to attach.
     pub observe: Observe,
     /// Oracles, watchdog and checkpointing.
-    pub supervise: Supervise,
+    pub supervise: Supervise<'a>,
 }
 
 impl<'a> RunSpec<'a> {
@@ -202,7 +179,8 @@ pub fn run(spec: &RunSpec) -> RunMeasurement {
 }
 
 /// The body of [`run`] for one protocol: attach what `spec` asks for,
-/// resume from a checkpoint if one is waiting, run, measure.
+/// resume from a checkpoint if one is waiting, run (stopping at the
+/// quarter marks to checkpoint), measure.
 fn drive<F: Forwarding>(
     spec: &RunSpec,
     build: impl Fn() -> (Simulator<MulticastNode<F>>, Vec<GroupSpec>),
@@ -226,54 +204,57 @@ where
         (sim, groups)
     };
     let (mut sim, groups) = setup();
-    if let Some(ckpt) = &spec.supervise.checkpoint {
-        let fp = w.fingerprint(spec.variant, spec.seed);
-        if let Some((_, bytes)) = ckpt.slot.get() {
+    let ckpt = spec
+        .supervise
+        .checkpoint
+        .map(|c| (c, w.fingerprint(spec.variant, spec.seed)));
+    if let Some((c, fp)) = ckpt {
+        if let Some((_, bytes)) = c.slot.get() {
             if sim.restore(&bytes, fp).is_err() {
                 // Stale or foreign checkpoint: discard it and rebuild (the
                 // restore may have half-overwritten the simulator).
-                ckpt.slot.clear();
+                c.slot.clear();
                 sim = setup().0;
             }
         }
-        let slot = ckpt.slot.clone();
-        let persist = ckpt.persist.clone();
-        let every = SimDuration::from_nanos((w.run_until().as_nanos() / 4).max(1));
-        sim.checkpoint_every(every, fp, move |at, bytes| {
-            if let Some(hook) = &persist {
-                hook(at, &bytes);
-            }
-            slot.store(at, bytes);
-        });
     }
     if let Some(sink) = spec.take_trace() {
         sim.world_mut().set_trace(sink);
     }
-    sim.run_until(w.run_until());
+    let end = w.run_until();
+    if let Some((c, fp)) = ckpt {
+        // Stopping at a mark and snapshotting are both read-only: the run
+        // is bit-identical to one without checkpoints.
+        for k in 1..4 {
+            let mark = SimTime::from_nanos(end.as_nanos() / 4 * k);
+            if mark <= sim.now() {
+                continue;
+            }
+            sim.run_until(mark);
+            let bytes = sim.snapshot(fp);
+            (c.persist)(mark, &bytes);
+            c.slot.store(mark, bytes);
+        }
+    }
+    sim.run_until(end);
     let mut m = RunMeasurement::from_sim(&sim, &groups, spec.seed);
     m.timeseries = sim.world_mut().take_metrics();
     *spec.observe.trace.borrow_mut() = sim.world_mut().take_trace();
     m
 }
 
-/// A thread-safe mailbox holding the **last good checkpoint** of one job.
+/// A mailbox holding the **last good checkpoint** of one job: the newest
+/// `(time, bytes)`, or `None` before the first one lands.
 ///
-/// The supervised runner hands one slot to every job attempt; the job wires
-/// it into [`mesh_sim::simulator::Simulator::checkpoint_every`] so periodic
-/// snapshots land here. Because the slot lives *outside* the `catch_unwind`
-/// boundary, a panicking attempt's most recent checkpoint survives the
-/// unwind, and the retry can resume from it instead of from `t = 0`.
-///
-/// Clones share the same storage (`Arc` inside), so an owned clone can move
-/// into the `'static` checkpoint sink while the runner keeps its handle.
-#[derive(Debug, Clone, Default)]
+/// The supervised pool hands one slot to every job attempt; a run given it
+/// through [`Checkpoint`] snapshots into it at each quarter mark. Because
+/// the slot lives *outside* the `catch_unwind` boundary, a panicking
+/// attempt's most recent checkpoint survives the unwind, and the retry can
+/// resume from it instead of from `t = 0`.
+#[derive(Debug, Default)]
 pub struct CheckpointSlot {
-    inner: SlotInner,
+    inner: RefCell<Option<(SimTime, Vec<u8>)>>,
 }
-
-/// Shared storage behind a [`CheckpointSlot`]: the newest `(time, bytes)`
-/// checkpoint, or `None` before the first one lands.
-type SlotInner = std::sync::Arc<std::sync::Mutex<Option<(SimTime, Vec<u8>)>>>;
 
 impl CheckpointSlot {
     /// An empty slot (no checkpoint yet).
@@ -283,30 +264,26 @@ impl CheckpointSlot {
 
     /// Replace the stored checkpoint with a newer one.
     pub fn store(&self, at: SimTime, bytes: Vec<u8>) {
-        *self.inner.lock().expect("checkpoint slot poisoned") = Some((at, bytes));
+        *self.inner.borrow_mut() = Some((at, bytes));
     }
 
     /// Sim time of the stored checkpoint, if any.
     pub fn time(&self) -> Option<SimTime> {
-        self.inner
-            .lock()
-            .expect("checkpoint slot poisoned")
-            .as_ref()
-            .map(|(t, _)| *t)
+        self.inner.borrow().as_ref().map(|(t, _)| *t)
     }
 
     /// Clone the stored checkpoint bytes, if any.
     pub fn get(&self) -> Option<(SimTime, Vec<u8>)> {
-        self.inner.lock().expect("checkpoint slot poisoned").clone()
+        self.inner.borrow().clone()
     }
 
     /// Drop the stored checkpoint (e.g. after it failed to deserialize).
     pub fn clear(&self) {
-        *self.inner.lock().expect("checkpoint slot poisoned") = None;
+        *self.inner.borrow_mut() = None;
     }
 }
 
-/// Why one `(variant, seed)` job of a supervised matrix failed.
+/// Why one `(variant, seed)` job of the supervised pool failed.
 #[derive(Debug, Clone)]
 pub struct RunFailure {
     /// The variant the failing job ran.
@@ -363,12 +340,13 @@ impl std::fmt::Display for RunFailure {
     }
 }
 
-/// Outcome of [`run_matrix_supervised`]: one slot per `(variant, seed)` job
-/// in deterministic input order, each either a measurement or a structured
-/// failure — a partial matrix survives individual bad runs.
+/// Outcome of [`run_jobs_supervised_resumable`]: one slot per
+/// `(variant, seed)` job in deterministic input order, each either a
+/// measurement or a structured failure — a partial matrix survives
+/// individual bad runs.
 #[derive(Debug)]
 pub struct MatrixReport {
-    /// Per-job outcomes, input-ordered (variants outer, seeds inner).
+    /// Per-job outcomes, in job order.
     pub runs: Vec<Result<RunMeasurement, RunFailure>>,
 }
 
@@ -424,7 +402,9 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run every `(variant, seed)` pair, parallelized across available cores,
+/// The supervised job pool: run an explicit list of `(variant, seed)` jobs
+/// — which may each mean a *different scenario* (the sweep harness keys its
+/// per-job configs by index) — in parallel across available cores,
 /// isolating each job with `catch_unwind` so one panicking run cannot
 /// discard the sweep.
 ///
@@ -433,60 +413,25 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// for jobs whose failure depends on sweep composition, and to record
 /// `attempts` evidence that the failure is deterministic). Failures are
 /// returned as structured [`RunFailure`]s in the job's slot; the rest of
-/// the matrix is salvaged. Watchdog livelocks (see
+/// the jobs are salvaged. Watchdog livelocks (see
 /// [`mesh_sim::simulator::WatchdogBudget`]) are classified via their stable
 /// panic prefix.
 ///
-/// `run` must be pure: results are collected and re-ordered by input index,
-/// so the output order matches the input order deterministically.
-pub fn run_matrix_supervised<F>(
-    variants: &[Variant],
-    seeds: &[u64],
-    retries: u32,
-    run: F,
-) -> MatrixReport
-where
-    F: Fn(Variant, u64) -> RunMeasurement + Sync,
-{
-    let jobs: Vec<(Variant, u64)> = variants
-        .iter()
-        .flat_map(|&v| seeds.iter().map(move |&s| (v, s)))
-        .collect();
-    run_jobs_supervised(&jobs, retries, |_, v, s| run(v, s), |_, _| {})
-}
-
-/// The supervised scatter/gather core: run an explicit list of
-/// `(variant, seed)` jobs — which, unlike [`run_matrix_supervised`]'s
-/// cartesian matrix, may each mean a *different scenario* (the sweep
-/// harness keys its per-job configs by index) — with the same panic
-/// isolation, same-seed retries and watchdog-livelock classification.
+/// Retries are **checkpoint-aware**: every job gets a [`CheckpointSlot`]
+/// that outlives the panic boundary. A job that hands the slot to [`run`]
+/// (through [`Checkpoint`]) leaves its last good checkpoint behind when it
+/// panics, and the retry (same closure, same slot) restores from it
+/// instead of replaying from `t = 0` — see
+/// `WorkloadScenario::run_supervised_checkpointed`. Each attempt's starting
+/// point (`None` = scratch, `Some(t)` = resumed from the checkpoint at `t`)
+/// is recorded in [`RunFailure::resume_points`].
 ///
 /// `run` receives the job index alongside the variant and seed so callers
 /// can look up per-job context. `on_result` is invoked on the calling
 /// thread **in completion order** as each job finishes — the streaming hook
 /// the sweep binary uses to append JSONL while hundreds of runs are still
-/// in flight. The returned report is input-ordered regardless.
-pub fn run_jobs_supervised<F, O>(
-    jobs: &[(Variant, u64)],
-    retries: u32,
-    run: F,
-    on_result: O,
-) -> MatrixReport
-where
-    F: Fn(usize, Variant, u64) -> RunMeasurement + Sync,
-    O: FnMut(usize, &Result<RunMeasurement, RunFailure>),
-{
-    run_jobs_supervised_resumable(jobs, retries, |i, v, s, _slot| run(i, v, s), on_result)
-}
-
-/// [`run_jobs_supervised`] with **checkpoint-aware retries**: every job gets
-/// a [`CheckpointSlot`] that outlives the panic boundary. A job that wires
-/// the slot into `Simulator::checkpoint_every` leaves its last good
-/// checkpoint behind when it panics, and the retry (same closure, same
-/// slot) can restore from it instead of replaying from `t = 0` — see
-/// `WorkloadScenario::run_supervised_checkpointed`. Each attempt's starting
-/// point (`None` = scratch, `Some(t)` = resumed from the checkpoint at `t`)
-/// is recorded in [`RunFailure::resume_points`].
+/// in flight. `run` must be pure: the returned report is input-ordered
+/// regardless of completion order.
 pub fn run_jobs_supervised_resumable<F, O>(
     jobs: &[(Variant, u64)],
     retries: u32,
@@ -507,7 +452,7 @@ where
     // writes each slot exactly once — no shared mutable vector, no lock on
     // the hot path, and a missing or duplicated slot is a bug we catch
     // loudly instead of a silently-discarded `Option`.
-    // mesh-lint: allow(R5, "run_matrix is the one sanctioned scatter/gather point")
+    // mesh-lint: allow(R5, "the supervised job pool is the one sanctioned scatter/gather point")
     let (tx, rx) = std::sync::mpsc::channel::<(usize, Slot)>();
     let mut results: Vec<Option<Slot>> = jobs.iter().map(|_| None).collect();
     // mesh-lint: allow(R5, "workers run independent variant-seed jobs; results are index-keyed")
@@ -593,12 +538,23 @@ where
 /// Panics if any job panicked — but only after the **whole** matrix has
 /// run, with an aggregated summary of every failing `(variant, seed)`
 /// (previously a single panicking run discarded the entire sweep). Callers
-/// that want the salvaged partial matrix use [`run_matrix_supervised`].
+/// that want the salvaged partial matrix run the job list on
+/// [`run_jobs_supervised_resumable`].
 pub fn run_matrix<F>(variants: &[Variant], seeds: &[u64], run: F) -> Vec<RunMeasurement>
 where
     F: Fn(Variant, u64) -> RunMeasurement + Sync,
 {
-    run_matrix_supervised(variants, seeds, 0, run).into_measurements()
+    let jobs = matrix_jobs(variants, seeds);
+    run_jobs_supervised_resumable(&jobs, 0, |_, v, s, _| run(v, s), |_, _| {}).into_measurements()
+}
+
+/// The job list of a `variants × seeds` matrix, variants outer: what
+/// [`run_matrix`] hands to the supervised pool.
+pub fn matrix_jobs(variants: &[Variant], seeds: &[u64]) -> Vec<(Variant, u64)> {
+    variants
+        .iter()
+        .flat_map(|&v| seeds.iter().map(move |&s| (v, s)))
+        .collect()
 }
 
 /// Aggregate of one variant across topologies, normalized to the baseline.
@@ -756,22 +712,27 @@ mod tests {
     }
 
     /// Regression: one panicking run used to propagate out of the worker
-    /// scope and discard the entire sweep. Now the supervised matrix
-    /// salvages every other slot and reports the failure structurally.
+    /// scope and discard the entire sweep. Now the supervised pool salvages
+    /// every other slot and reports the failure structurally.
     #[test]
     fn supervised_matrix_salvages_around_a_panicking_run() {
         let variants = [
             Variant::Original,
             Variant::Metric(mcast_metrics::MetricKind::Etx),
         ];
-        let seeds = [10u64, 20, 30];
-        let report = run_matrix_supervised(&variants, &seeds, 0, |v, s| {
-            assert!(
-                !(v == Variant::Original && s == 20),
-                "injected failure for seed 20"
-            );
-            meas(v, s, s, 0.01)
-        });
+        let jobs = matrix_jobs(&variants, &[10, 20, 30]);
+        let report = run_jobs_supervised_resumable(
+            &jobs,
+            0,
+            |_, v, s, _| {
+                assert!(
+                    !(v == Variant::Original && s == 20),
+                    "injected failure for seed 20"
+                );
+                meas(v, s, s, 0.01)
+            },
+            |_, _| {},
+        );
         assert!(!report.is_complete());
         assert_eq!(report.successes().len(), 5);
         let failures = report.failures();
@@ -790,11 +751,16 @@ mod tests {
     #[test]
     fn supervised_matrix_retries_preserve_the_seed() {
         let calls = std::sync::atomic::AtomicU32::new(0);
-        let report = run_matrix_supervised(&[Variant::Original], &[7u64], 2, |_, s| {
-            assert_eq!(s, 7, "retries must re-run the same seed");
-            calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            panic!("always fails");
-        });
+        let report = run_jobs_supervised_resumable(
+            &[(Variant::Original, 7u64)],
+            2,
+            |_, _, s, _| {
+                assert_eq!(s, 7, "retries must re-run the same seed");
+                calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                panic!("always fails");
+            },
+            |_, _| {},
+        );
         assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 3);
         let failures = report.failures();
         assert_eq!(failures.len(), 1);
@@ -803,12 +769,17 @@ mod tests {
 
     #[test]
     fn supervised_matrix_classifies_watchdog_livelocks() {
-        let report = run_matrix_supervised(&[Variant::Original], &[1u64], 0, |_, _| {
-            panic!(
-                "{}42 events dispatched without progress",
-                mesh_sim::simulator::WATCHDOG_PANIC_PREFIX
-            );
-        });
+        let report = run_jobs_supervised_resumable(
+            &[(Variant::Original, 1u64)],
+            0,
+            |_, _, _, _| {
+                panic!(
+                    "{}42 events dispatched without progress",
+                    mesh_sim::simulator::WATCHDOG_PANIC_PREFIX
+                );
+            },
+            |_, _| {},
+        );
         assert!(report.failures()[0].livelock);
     }
 
@@ -822,10 +793,10 @@ mod tests {
             (Variant::Metric(mcast_metrics::MetricKind::Spp), 33),
         ];
         let mut streamed = Vec::new();
-        let report = run_jobs_supervised(
+        let report = run_jobs_supervised_resumable(
             &jobs,
             0,
-            |i, v, s| {
+            |i, v, s, _| {
                 assert_eq!(jobs[i], (v, s), "index must identify the job");
                 meas(v, s, s, 0.01)
             },
@@ -887,14 +858,14 @@ mod tests {
         );
     }
 
-    /// The non-resumable wrapper never resumes, so its failures read as
+    /// A job that never checkpoints never resumes, so its failures read as
     /// plain scratch retries (and the legacy `[livelock]` tag survives).
     #[test]
     fn plain_supervised_failures_are_all_scratch() {
-        let report = run_jobs_supervised(
+        let report = run_jobs_supervised_resumable(
             &[(Variant::Original, 1u64)],
             1,
-            |_, _, _| {
+            |_, _, _, _| {
                 panic!(
                     "{}stuck from the start",
                     mesh_sim::simulator::WATCHDOG_PANIC_PREFIX

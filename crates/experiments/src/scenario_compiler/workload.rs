@@ -893,7 +893,7 @@ impl WorkloadScenario {
     /// **checkpoint/restore** through `slot`: if `slot` holds a checkpoint
     /// (left behind by a previous panicking attempt), the run resumes from
     /// it instead of replaying from `t = 0`; either way it checkpoints into
-    /// `slot` every quarter of the simulated horizon and hands each
+    /// `slot` at each quarter mark of the simulated horizon and hands each
     /// checkpoint to `persist` — the sweep binary mirrors them to disk so a
     /// SIGKILLed sweep can resume mid-cell in a fresh process. A thin
     /// wrapper over [`run`].
@@ -902,10 +902,13 @@ impl WorkloadScenario {
         variant: Variant,
         seed: u64,
         slot: &CheckpointSlot,
-        persist: impl FnMut(SimTime, &[u8]) + Send + 'static,
+        persist: impl Fn(SimTime, &[u8]),
     ) -> RunMeasurement {
         let mut spec = RunSpec::new(self, variant, seed).supervised();
-        spec.supervise.checkpoint = Some(Checkpoint::new(slot.clone()).persist(persist));
+        spec.supervise.checkpoint = Some(Checkpoint {
+            slot,
+            persist: &persist,
+        });
         run(&spec)
     }
 }

@@ -6,9 +6,10 @@
 //! run. Property-tested at random snapshot times — including under an
 //! active fault plan (mid-blackout, mid-backoff, quarantined links) and
 //! under mobility (live RNG streams, moving spatial index) — and pinned for
-//! every paper-five variant and for the tree protocol.
+//! every paper-five variant, the tree protocol and the testbed. The
+//! runner's own checkpoints (quarter marks, through `run`) are pinned too.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
 
 use experiments::measure::RunMeasurement;
 use experiments::runner::{Checkpoint, CheckpointSlot};
@@ -181,6 +182,19 @@ fn faulted_scenario_resumes_exactly() {
     }
 }
 
+/// Pinned: the testbed resumes exactly. Its medium walks every link's loss
+/// at a fixed cadence, so the checkpoint must carry the walk (link table
+/// and next step) as well as the protocol state.
+#[test]
+fn testbed_resumes_exactly() {
+    let w = compile(include_str!("../../../scenarios/testbed-quick.toml"))
+        .expect("testbed-quick compiles")
+        .scenario;
+    for variant in [Variant::Original, Variant::Metric(MetricKind::Spp)] {
+        assert_resume_identity(&w, variant, 1, SimTime::from_secs(60));
+    }
+}
+
 /// A checkpoint refuses to restore into a different cell (wrong variant ⇒
 /// wrong fingerprint), and the error is typed, not a panic.
 #[test]
@@ -217,15 +231,16 @@ fn tree_protocol_resumes_exactly_through_run() {
     let seed = 2;
     for variant in [Variant::Original, Variant::Metric(MetricKind::Spp)] {
         let slot = CheckpointSlot::new();
-        let checkpointed = |persisted: Arc<Mutex<Vec<SimTime>>>| {
+        let checkpointed = |persisted: &RefCell<Vec<SimTime>>| {
+            let persist = |at, _: &[u8]| persisted.borrow_mut().push(at);
             let mut spec = RunSpec::new(&w, variant, seed);
-            spec.supervise.checkpoint = Some(
-                Checkpoint::new(slot.clone())
-                    .persist(move |at, _| persisted.lock().unwrap().push(at)),
-            );
+            spec.supervise.checkpoint = Some(Checkpoint {
+                slot: &slot,
+                persist: &persist,
+            });
             run(&spec)
         };
-        let first = checkpointed(Arc::default());
+        let first = checkpointed(&RefCell::default());
         let (resume_at, bytes) = slot.get().expect("the first run checkpointed");
 
         // The checkpoint restores into a fresh MAODV simulator.
@@ -235,11 +250,11 @@ fn tree_protocol_resumes_exactly_through_run() {
             .restore(&bytes, w.fingerprint(variant, seed))
             .expect("a MAODV checkpoint restores into a same-cell simulator");
 
-        let persisted = Arc::new(Mutex::new(Vec::new()));
-        let resumed = checkpointed(Arc::clone(&persisted));
+        let persisted = RefCell::default();
+        let resumed = checkpointed(&persisted);
         // Resumed, not rebuilt: no checkpoint before the resume point.
         assert!(
-            persisted.lock().unwrap().iter().all(|&t| t > resume_at),
+            persisted.borrow().iter().all(|&t| t > resume_at),
             "{variant}: the second run started over instead of resuming"
         );
         assert_eq!(
@@ -249,5 +264,62 @@ fn tree_protocol_resumes_exactly_through_run() {
         assert_eq!(first.counters, resumed.counters, "{variant}: counters");
         assert_eq!(first.delivered, resumed.delivered);
         assert_eq!(first.sent, resumed.sent);
+    }
+}
+
+/// Checkpointing through [`run`] stops at exactly the quarter marks of the
+/// horizon and leaves the run untouched: on an ODMRP and a MAODV deck the
+/// persist hook sees `end/4`, `end/2` and `3·end/4`, and the measurement,
+/// timeseries included, equals the run without checkpoints.
+#[test]
+fn run_checkpoints_at_the_quarter_marks_without_perturbing_the_run() {
+    for (src, variant) in [
+        (
+            include_str!("../../../scenarios/fig2-quick.toml"),
+            Variant::Original,
+        ),
+        (
+            include_str!("../../../scenarios/tree-quick.toml"),
+            Variant::Metric(MetricKind::Spp),
+        ),
+    ] {
+        let mut w = compile(src).expect("committed deck compiles").scenario;
+        w.mesh.data_stop = SimTime::from_secs(45);
+        let w = w.validated();
+        let seed = 1;
+        let bucket = SimDuration::from_secs(3);
+        let plain = run(&RunSpec::new(&w, variant, seed).metrics(bucket));
+
+        let slot = CheckpointSlot::new();
+        let persisted = RefCell::new(Vec::new());
+        let persist = |at, _: &[u8]| persisted.borrow_mut().push(at);
+        let mut spec = RunSpec::new(&w, variant, seed).metrics(bucket);
+        spec.supervise.checkpoint = Some(Checkpoint {
+            slot: &slot,
+            persist: &persist,
+        });
+        let checkpointed = run(&spec);
+
+        let end = w.run_until().as_nanos();
+        let marks: Vec<SimTime> = (1..4).map(|k| SimTime::from_nanos(end / 4 * k)).collect();
+        assert_eq!(*persisted.borrow(), marks, "{}: checkpoint times", w.name);
+        assert_eq!(slot.time(), Some(marks[2]), "{}: last checkpoint", w.name);
+        assert_eq!(
+            plain.schedule_hash, checkpointed.schedule_hash,
+            "{}: schedule hash",
+            w.name
+        );
+        assert_eq!(
+            plain.counters, checkpointed.counters,
+            "{}: counters",
+            w.name
+        );
+        assert_eq!(plain.delivered, checkpointed.delivered);
+        assert_eq!(plain.sent, checkpointed.sent);
+        assert_eq!(
+            plain.timeseries, checkpointed.timeseries,
+            "{}: timeseries",
+            w.name
+        );
     }
 }

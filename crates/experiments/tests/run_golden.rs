@@ -14,7 +14,7 @@
 
 use std::path::PathBuf;
 
-use experiments::runner::{paper_variants, run_jobs_supervised};
+use experiments::runner::{paper_variants, run_jobs_supervised_resumable};
 use experiments::scenario_compiler::{compile, metro_side, variant_name, WorkloadScenario};
 use experiments::{run, RunSpec};
 use mcast_metrics::MetricKind;
@@ -82,10 +82,10 @@ fn cells() -> Vec<(&'static str, WorkloadScenario, Variant, u64)> {
 fn committed_decks_replay_the_golden_run_table() {
     let cells = cells();
     let jobs: Vec<(Variant, u64)> = cells.iter().map(|c| (c.2, c.3)).collect();
-    let report = run_jobs_supervised(
+    let report = run_jobs_supervised_resumable(
         &jobs,
         0,
-        |i, v, s| run(&RunSpec::new(&cells[i].1, v, s)),
+        |i, v, s, _| run(&RunSpec::new(&cells[i].1, v, s)),
         |_, _| {},
     );
     let mut table = vec!["# deck variant seed schedule_hash delivered sent".to_string()];

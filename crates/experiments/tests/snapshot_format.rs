@@ -1,6 +1,6 @@
 //! Golden snapshot-format fixture (DESIGN.md §14).
 //!
-//! `fixtures/checkpoint-v1.bin` is a committed checkpoint taken from a
+//! `fixtures/checkpoint-v2.bin` is a committed checkpoint taken from a
 //! pinned scenario (faults + mobility + metrics recorder active, so the
 //! widest slice of the wire format is exercised). It must keep
 //! deserializing forever under the current [`SNAPSHOT_FORMAT_VERSION`]:

@@ -196,14 +196,13 @@ pub trait Medium {
     }
 
     /// Write the medium's mutable state into a checkpoint (DESIGN.md §14).
-    /// Stateless media keep the no-op default.
-    fn snapshot_state(&self, _w: &mut SnapWriter) {}
+    /// There is no default: a medium with state must not be able to forget
+    /// it, and a stateless one says so by writing nothing.
+    fn snapshot_state(&self, w: &mut SnapWriter);
 
     /// Restore the medium's mutable state from a checkpoint. The medium is
     /// assumed to be freshly constructed from the same scenario config.
-    fn restore_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Ok(())
-    }
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
 /// A potential receiver of one transmitter, with its geometry-derived

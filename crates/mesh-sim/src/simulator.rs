@@ -10,17 +10,13 @@ use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter, SnapshotState};
 use crate::time::{SimDuration, SimTime};
 use crate::world::{Ctx, Upcall, World, WorldConfig};
 
-/// Periodic checkpoint consumer for [`Simulator::checkpoint_every`]: receives
-/// the simulated time a checkpoint was taken at plus its serialized bytes.
-pub type CheckpointSink = Box<dyn FnMut(SimTime, Vec<u8>) + Send>;
-
 /// A protocol-level invariant oracle: inspects the world and the protocol
 /// instances at a checkpoint and returns a message per violation.
 pub type Oracle<P> = Box<dyn FnMut(&World<<P as Protocol>::Msg>, &[P]) -> Vec<String> + Send>;
 
 /// Stable prefix of the panic message raised by the sim-time watchdog, so
-/// supervisors (`run_matrix_supervised`) can classify a livelock apart from
-/// any other panic.
+/// supervisors (`run_jobs_supervised_resumable`) can classify a livelock
+/// apart from any other panic.
 pub const WATCHDOG_PANIC_PREFIX: &str = "sim-time watchdog: ";
 
 /// Livelock budget for [`Simulator::set_watchdog`].
@@ -37,10 +33,6 @@ pub struct WatchdogBudget {
     /// The simulated-time quantum the budget applies to.
     pub min_progress: SimDuration,
 }
-
-/// The monomorphized checkpoint serializer [`Simulator::checkpoint_every`]
-/// installs: `(sim, fingerprint) -> snapshot bytes`.
-type CkptMake<P> = fn(&Simulator<P>, u64) -> Vec<u8>;
 
 /// A complete simulation: world + one protocol instance per node.
 ///
@@ -78,18 +70,6 @@ pub struct Simulator<P: Protocol> {
     wd_anchor: SimTime,
     /// Events dispatched since `wd_anchor`.
     wd_events: u64,
-    /// Periodic-checkpoint cadence; `None` disables checkpointing.
-    ckpt_every: Option<SimDuration>,
-    /// When the next periodic checkpoint is due.
-    next_ckpt: Option<SimTime>,
-    /// Config fingerprint stamped into each emitted checkpoint header.
-    ckpt_fingerprint: u64,
-    /// Monomorphized serializer installed by [`Simulator::checkpoint_every`].
-    /// Stored as a plain `fn` so `run_until` can emit checkpoints without
-    /// `Snap`/`SnapshotState` bounds leaking onto every `Simulator` user.
-    ckpt_make: Option<CkptMake<P>>,
-    /// Where emitted checkpoints go.
-    ckpt_sink: Option<CheckpointSink>,
 }
 
 impl<P: Protocol> std::fmt::Debug for Simulator<P> {
@@ -130,11 +110,6 @@ impl<P: Protocol> Simulator<P> {
             watchdog: None,
             wd_anchor: SimTime::ZERO,
             wd_events: 0,
-            ckpt_every: None,
-            next_ckpt: None,
-            ckpt_fingerprint: 0,
-            ckpt_make: None,
-            ckpt_sink: None,
         }
     }
 
@@ -347,27 +322,6 @@ impl<P: Protocol> Simulator<P> {
                     self.next_check = Some(next);
                 }
             }
-            // Periodic checkpoints are taken after the upcall drain, so the
-            // serialized state is always at an event boundary. Snapshotting
-            // is read-only: emitting (or not emitting) checkpoints never
-            // perturbs the event schedule or the RNG stream.
-            if let (Some(every), Some(make)) = (self.ckpt_every, self.ckpt_make) {
-                let due = *self
-                    .next_ckpt
-                    .get_or_insert_with(|| self.world.now() + every);
-                if self.world.now() >= due {
-                    let bytes = make(self, self.ckpt_fingerprint);
-                    let at = self.world.now();
-                    if let Some(sink) = self.ckpt_sink.as_mut() {
-                        sink(at, bytes);
-                    }
-                    let mut next = due;
-                    while next <= self.world.now() {
-                        next += every;
-                    }
-                    self.next_ckpt = Some(next);
-                }
-            }
             if !more {
                 break;
             }
@@ -433,32 +387,6 @@ where
         for p in &mut self.protocols {
             p.restore_state(&mut r)?;
         }
-        r.finish()?;
-        // The checkpoint cadence is runner-side configuration, not simulation
-        // state: re-anchor it at the restored clock.
-        self.next_ckpt = None;
-        Ok(())
-    }
-
-    /// Emit a checkpoint roughly every `every` of simulated time into
-    /// `sink`. Checkpoints are taken at event boundaries (after the upcall
-    /// drain), stamped with `fingerprint`, and never perturb the schedule —
-    /// a run with checkpointing enabled is bit-identical to one without.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn checkpoint_every(
-        &mut self,
-        every: SimDuration,
-        fingerprint: u64,
-        sink: impl FnMut(SimTime, Vec<u8>) + Send + 'static,
-    ) {
-        assert!(every.as_nanos() > 0, "checkpoint interval must be positive");
-        self.ckpt_every = Some(every);
-        self.next_ckpt = None;
-        self.ckpt_fingerprint = fingerprint;
-        self.ckpt_make = Some(|sim, fp| sim.snapshot(fp));
-        self.ckpt_sink = Some(Box::new(sink));
+        r.finish()
     }
 }

@@ -12,6 +12,7 @@ use mesh_sim::ids::NodeId;
 use mesh_sim::medium::{LinkTableMedium, Medium, RxPlan};
 use mesh_sim::propagation::PhyParams;
 use mesh_sim::rng::SimRng;
+use mesh_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use mesh_sim::time::{SimDuration, SimTime};
 
 use crate::floorplan::{self, LinkClass};
@@ -122,6 +123,28 @@ impl Medium for TestbedMedium {
 
     fn clear_link_fault(&mut self, from: NodeId, to: NodeId) {
         self.table.clear_link_fault(from, to);
+    }
+
+    fn snapshot_state(&self, w: &mut SnapWriter) {
+        // Every walker's loss is its directed link's loss in the table, so
+        // the table (losses and link faults) carries the walk; `next_update`
+        // is when it steps next.
+        self.table.snapshot_state(w);
+        self.next_update.snap(w);
+    }
+
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.table.restore_state(r)?;
+        self.next_update = Snap::unsnap(r)?;
+        for w in &mut self.walkers {
+            w.loss = self
+                .table
+                .loss(w.from, w.to)
+                .ok_or(SnapError::StateMismatch(
+                    "testbed link missing from the table",
+                ))?;
+        }
+        Ok(())
     }
 }
 

@@ -49,6 +49,13 @@ impl Medium for ScriptedMedium {
     fn phy(&self) -> &PhyParams {
         self.inner.phy()
     }
+
+    // These runs are never checkpointed.
+    fn snapshot_state(&self, _w: &mut SnapWriter) {}
+
+    fn restore_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        Ok(())
+    }
 }
 
 const GROUP: GroupId = GroupId(0);
