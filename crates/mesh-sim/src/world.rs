@@ -947,24 +947,7 @@ impl<M: Clone + std::fmt::Debug> World<M> {
                 },
             });
         }
-        for plan in &self.fan_buf {
-            self.queue.push(
-                self.now + plan.delay,
-                EventKind::RxStart {
-                    node: plan.node,
-                    frame: id,
-                    power_w: plan.power_w,
-                },
-            );
-            self.queue.push(
-                self.now + plan.delay + air,
-                EventKind::RxEnd {
-                    node: plan.node,
-                    frame: id,
-                    power_w: plan.power_w,
-                },
-            );
-        }
+        self.queue.push_fanout(self.now, id, air, &self.fan_buf);
         self.queue.push(end, EventKind::TxEnd { node, frame: id });
     }
     // mesh-lint: end-hot
@@ -1441,21 +1424,24 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
     /// queue, RNG and all per-node state are replaced. `fault_plan` is
     /// assigned directly — *not* via [`World::set_fault_plan`] — because the
     /// restored queue already holds the pending `Fault` events.
+    ///
+    /// Per-node state must have one entry per node, and every queued event
+    /// must be due no earlier than the restored clock, name a node of this
+    /// world and, for `RxStart`/`RxEnd`/`TxEnd`, a live frame. Anything else
+    /// would panic in the first `step` that reaches it, so it is a
+    /// [`SnapError::StateMismatch`] naming the field.
     pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = self.positions.len();
         self.now = Snap::unsnap(r)?;
         self.queue = Snap::unsnap(r)?;
-        let positions: Vec<Pos> = Snap::unsnap(r)?;
-        if positions.len() != self.positions.len() {
-            return Err(SnapError::StateMismatch("node count"));
-        }
-        self.positions = positions;
-        self.radios = Snap::unsnap(r)?;
-        self.macs = Snap::unsnap(r)?;
+        self.positions = unsnap_per_node(r, n, "node count")?;
+        self.radios = unsnap_per_node(r, n, "radios")?;
+        self.macs = unsnap_per_node(r, n, "macs")?;
         self.frames = Snap::unsnap(r)?;
         self.medium.restore_state(r)?;
         self.rng = Snap::unsnap(r)?;
         self.counters = Snap::unsnap(r)?;
-        self.node_counters = Snap::unsnap(r)?;
+        self.node_counters = unsnap_per_node(r, n, "node_counters")?;
         self.cancelled_timers = Snap::unsnap(r)?;
         self.timer_seq = r.u64()?;
         self.handle_seq = r.u64()?;
@@ -1467,8 +1453,8 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
             None if !has_mobility => {}
             _ => return Err(SnapError::StateMismatch("mobility model presence")),
         }
-        self.down = Snap::unsnap(r)?;
-        self.tx_orphaned = Snap::unsnap(r)?;
+        self.down = unsnap_per_node(r, n, "down")?;
+        self.tx_orphaned = unsnap_per_node(r, n, "tx_orphaned")?;
         self.fault_plan = Snap::unsnap(r)?;
         self.partition_links = Snap::unsnap(r)?;
         for slot in self.class_drop.iter_mut() {
@@ -1479,7 +1465,41 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
         self.fan_buf.clear();
         self.prev_positions.clear();
         self.moves_buf.clear();
+        for ev in self.queue.pending() {
+            if ev.time < self.now {
+                return Err(SnapError::StateMismatch("queued event time"));
+            }
+            let (node, frame) = match ev.kind {
+                EventKind::MacTimer { node, .. }
+                | EventKind::CtrlTimer { node, .. }
+                | EventKind::ProtoTimer { node, .. } => (Some(node), None),
+                EventKind::TxEnd { node, frame }
+                | EventKind::RxStart { node, frame, .. }
+                | EventKind::RxEnd { node, frame, .. } => (Some(node), Some(frame)),
+                EventKind::MobilityTick | EventKind::Fault { .. } => (None, None),
+            };
+            if node.is_some_and(|v| v.index() >= n) {
+                return Err(SnapError::StateMismatch("queued event node"));
+            }
+            if frame.is_some_and(|f| self.frames.get(f).is_none()) {
+                return Err(SnapError::StateMismatch("queued event frame"));
+            }
+        }
         Ok(())
+    }
+}
+
+/// Decode a per-node vector, rejecting one that is not `nodes` long.
+fn unsnap_per_node<T: Snap>(
+    r: &mut SnapReader<'_>,
+    nodes: usize,
+    field: &'static str,
+) -> Result<Vec<T>, SnapError> {
+    let v: Vec<T> = Snap::unsnap(r)?;
+    if v.len() == nodes {
+        Ok(v)
+    } else {
+        Err(SnapError::StateMismatch(field))
     }
 }
 
@@ -1616,5 +1636,147 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
         if let Some(m) = self.world.metrics.as_mut() {
             m.record_delivery(delay);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event::ScheduledEvent;
+    use crate::medium::LinkTableMedium;
+
+    fn three_nodes() -> World<u32> {
+        let mut medium = LinkTableMedium::new();
+        medium
+            .add_link(NodeId::new(0), NodeId::new(1), 0.0)
+            .add_link(NodeId::new(1), NodeId::new(2), 0.0);
+        World::new(
+            vec![Pos::default(); 3],
+            Box::new(medium),
+            WorldConfig::default(),
+        )
+    }
+
+    /// A 3-node world with node 0's broadcast on the air: the queue holds
+    /// its `TxEnd` and node 1's `RxStart`/`RxEnd` burst.
+    fn mid_transmission() -> World<u32> {
+        let mut w = three_nodes();
+        w.send_data(NodeId::new(0), None, 7, 100, 0).unwrap();
+        let mut upcalls = Vec::new();
+        while w.frames_in_flight() == 0 {
+            assert!(w.step(SimTime::MAX, &mut upcalls), "the frame never left");
+        }
+        assert!(w.now() > SimTime::ZERO);
+        w
+    }
+
+    fn snapshot(w: &World<u32>) -> Vec<u8> {
+        let mut out = SnapWriter::new();
+        w.snapshot_state(&mut out);
+        out.into_bytes()
+    }
+
+    /// Restore `bytes` into a freshly built 3-node world.
+    fn restore(bytes: &[u8]) -> Result<(), SnapError> {
+        three_nodes().restore_state(&mut SnapReader::new(bytes))
+    }
+
+    fn mismatch(bytes: &[u8]) -> Option<&'static str> {
+        match restore(bytes) {
+            Err(SnapError::StateMismatch(field)) => Some(field),
+            other => panic!("expected a state mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_accepts_a_world_mid_transmission() {
+        let w = mid_transmission();
+        assert_eq!(w.queue.len(), 3);
+        assert_eq!(restore(&snapshot(&w)), Ok(()));
+    }
+
+    #[test]
+    fn restore_rejects_per_node_state_of_another_length() {
+        type Defect = fn(&mut World<u32>);
+        let defects: [(&str, Defect); 5] = [
+            ("radios", |w| w.radios.push(Radio::default())),
+            ("macs", |w| {
+                w.macs.pop();
+            }),
+            ("node_counters", |w| {
+                w.node_counters.push(NodeCounters::default())
+            }),
+            ("down", |w| w.down.push(false)),
+            ("tx_orphaned", |w| w.tx_orphaned.clear()),
+        ];
+        for (field, defect) in defects {
+            let mut w = mid_transmission();
+            defect(&mut w);
+            assert_eq!(mismatch(&snapshot(&w)), Some(field));
+        }
+    }
+
+    #[test]
+    fn restore_rejects_queued_events_a_step_would_panic_on() {
+        let mut w = mid_transmission();
+        w.queue.push(
+            w.now(),
+            EventKind::MacTimer {
+                node: NodeId::new(3),
+                gen: 0,
+            },
+        );
+        assert_eq!(mismatch(&snapshot(&w)), Some("queued event node"));
+
+        let mut w = mid_transmission();
+        let past = SimTime::from_nanos(w.now().as_nanos() - 1);
+        w.queue.push(past, EventKind::MobilityTick);
+        assert_eq!(mismatch(&snapshot(&w)), Some("queued event time"));
+
+        let mut w = mid_transmission();
+        let stale = FrameId(99);
+        assert!(w.frames.get(stale).is_none());
+        w.queue.push(
+            w.now(),
+            EventKind::TxEnd {
+                node: NodeId::new(1),
+                frame: stale,
+            },
+        );
+        assert_eq!(mismatch(&snapshot(&w)), Some("queued event frame"));
+    }
+
+    #[test]
+    fn restore_rejects_a_queue_out_of_order_or_reusing_a_seq() {
+        // Two timers of one encoded length, so their records can be
+        // swapped in place: now (8 bytes), count (8), records, counter (8).
+        let mut w = three_nodes();
+        let timer = |t| ScheduledEvent {
+            time: SimTime::from_nanos(t),
+            seq: 0,
+            kind: EventKind::MacTimer {
+                node: NodeId::new(2),
+                gen: 1,
+            },
+        };
+        for t in [10, 20] {
+            w.queue.push(timer(t).time, timer(t).kind);
+        }
+        let rec = {
+            let mut out = SnapWriter::new();
+            timer(10).snap(&mut out);
+            out.into_bytes().len()
+        };
+        let bytes = snapshot(&w);
+        assert_eq!(restore(&bytes), Ok(()));
+
+        let mut swapped = bytes.clone();
+        swapped[16..16 + 2 * rec].rotate_left(rec);
+        assert_eq!(mismatch(&swapped), Some("event queue (time, seq) order"));
+
+        let mut reused = bytes;
+        let counter = 16 + 2 * rec;
+        reused[counter..counter + 8].copy_from_slice(&1u64.to_le_bytes());
+        assert_eq!(mismatch(&reused), Some("event queue sequence counter"));
     }
 }
