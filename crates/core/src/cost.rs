@@ -35,7 +35,8 @@ impl LinkCost {
 
 impl Snap for LinkCost {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put_f64(self.0);
+        let LinkCost(v) = self;
+        v.snap(w);
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -79,7 +80,8 @@ impl PathCost {
 
 impl Snap for PathCost {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put_f64(self.0);
+        let PathCost(v) = self;
+        v.snap(w);
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {

@@ -5,7 +5,6 @@
 //! PP's 20 % loss penalty, and the bandwidth estimate for ETT. A snapshot of
 //! the quantities the metrics consume is exposed as [`LinkObservation`].
 
-use mesh_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use mesh_sim::time::{SimDuration, SimTime};
 
 use crate::staleness::{Freshness, StalenessConfig};
@@ -98,37 +97,19 @@ pub struct LinkEstimate {
     reverse_df: Option<f64>,
 }
 
-impl Snap for LinkEstimate {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.single.snap(w);
-        self.pair.snap(w);
-        self.single_interval.snap(w);
-        self.pair_interval.snap(w);
-        self.last_single.snap(w);
-        self.last_pair_event.snap(w);
-        self.pending_pair.snap(w);
-        self.pair_accounted.snap(w);
-        self.ewma_delay_s.snap(w);
-        self.ewma_bandwidth_bps.snap(w);
-        self.reverse_df.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(LinkEstimate {
-            single: Snap::unsnap(r)?,
-            pair: Snap::unsnap(r)?,
-            single_interval: Snap::unsnap(r)?,
-            pair_interval: Snap::unsnap(r)?,
-            last_single: Snap::unsnap(r)?,
-            last_pair_event: Snap::unsnap(r)?,
-            pending_pair: Snap::unsnap(r)?,
-            pair_accounted: Snap::unsnap(r)?,
-            ewma_delay_s: Snap::unsnap(r)?,
-            ewma_bandwidth_bps: Snap::unsnap(r)?,
-            reverse_df: Snap::unsnap(r)?,
-        })
-    }
-}
+mesh_sim::snap_struct!(LinkEstimate {
+    single,
+    pair,
+    single_interval,
+    pair_interval,
+    last_single,
+    last_pair_event,
+    pending_pair,
+    pair_accounted,
+    ewma_delay_s,
+    ewma_bandwidth_bps,
+    reverse_df,
+});
 
 impl LinkEstimate {
     /// Fresh estimate with the given window size.

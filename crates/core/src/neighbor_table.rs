@@ -47,8 +47,13 @@ impl NeighborTable {
     /// Write the table's mutable state (estimates and reported freshness)
     /// into a checkpoint; the estimator configuration is not serialized.
     pub fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.links.snap(w);
-        self.reported.snap(w);
+        let NeighborTable {
+            cfg: _, // scenario configuration
+            links,
+            reported,
+        } = self;
+        links.snap(w);
+        reported.snap(w);
     }
 
     /// Restore the mutable state written by

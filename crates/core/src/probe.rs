@@ -211,7 +211,11 @@ impl Prober {
     /// Write the prober's mutable state (the sequence counter) into a
     /// checkpoint; the plan is configuration and is not serialized.
     pub fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.seq);
+        let Prober {
+            plan: _, // configuration
+            seq,
+        } = self;
+        seq.snap(w);
     }
 
     /// Restore the mutable state written by [`Prober::snapshot_state`].

@@ -19,9 +19,10 @@ pub struct SeqWindow {
 
 impl Snap for SeqWindow {
     fn snap(&self, w: &mut SnapWriter) {
-        self.latest.snap(w);
-        w.put_u64(self.bits);
-        w.put_u32(self.k);
+        let SeqWindow { latest, bits, k } = self;
+        latest.snap(w);
+        bits.snap(w);
+        k.snap(w);
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {

@@ -39,7 +39,8 @@ pub struct MeshScenario {
     pub fading: bool,
     /// Use the spatially-indexed fan-out in [`PhysicalMedium`] (default: on).
     /// Results are bit-identical either way; this knob exists for equivalence
-    /// tests and for benchmarking the index against the naive full scan.
+    /// tests and for benchmarking the index against the naive full scan, so
+    /// it is set in code only (decks have no key for it).
     pub indexed_medium: bool,
     /// Enable degraded-mode resilience (staleness quarantine, refresh
     /// backoff, min-hop fallback) in the protocol configs. Default off, so

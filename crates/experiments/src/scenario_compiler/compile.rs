@@ -394,7 +394,6 @@ fn compile_protocol(doc: &Doc, mesh: &mut MeshScenario) -> Result<ProtocolKind, 
         "delta_ms",
         "alpha_ms",
         "fading",
-        "indexed_medium",
         "degraded",
     ])?;
     if let Some(e) = t.get("probe_rate") {
@@ -418,9 +417,6 @@ fn compile_protocol(doc: &Doc, mesh: &mut MeshScenario) -> Result<ProtocolKind, 
     }
     if let Some(e) = t.get("fading") {
         mesh.fading = e.bool()?;
-    }
-    if let Some(e) = t.get("indexed_medium") {
-        mesh.indexed_medium = e.bool()?;
     }
     if let Some(e) = t.get("degraded") {
         mesh.degraded = e.bool()?;

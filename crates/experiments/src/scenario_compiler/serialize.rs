@@ -4,9 +4,11 @@
 //! returns a scenario equal to `w` for every scenario in canonical form —
 //! which is every scenario the compiler itself produces (the round-trip
 //! property test drives this through randomized specs). Canonical form
-//! means derived fields are consistent (`validate()` passes) and disabled
+//! means derived fields are consistent (`validate()` passes), disabled
 //! features carry their zero values (e.g. a churn spec with
-//! `per_group = 0` and no explicit windows is `None`, not a zeroed spec).
+//! `per_group = 0` and no explicit windows is `None`, not a zeroed spec),
+//! and the medium is indexed (`mesh.indexed_medium`, which no deck key
+//! sets).
 
 use crate::scenario_compiler::compile::{variant_name, SweepSpec};
 use crate::scenario_compiler::workload::{
@@ -95,7 +97,6 @@ pub fn to_toml(w: &WorkloadScenario, sweep: Option<&SweepSpec>) -> String {
     let _ = writeln!(s, "delta_ms = {}", f(w.mesh.delta.as_secs_f64() * 1000.0));
     let _ = writeln!(s, "alpha_ms = {}", f(w.mesh.alpha.as_secs_f64() * 1000.0));
     let _ = writeln!(s, "fading = {}", w.mesh.fading);
-    let _ = writeln!(s, "indexed_medium = {}", w.mesh.indexed_medium);
     let _ = writeln!(s, "degraded = {}", w.mesh.degraded);
 
     match w.traffic {

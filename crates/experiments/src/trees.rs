@@ -1,9 +1,10 @@
 //! Multicast-tree extraction for Figure 5.
 //!
-//! Each node records, per directed link, how many *first-copy* data packets
-//! arrived over it. The heavily-used links of a run are the edges of the
-//! effective dissemination structure — the paper draws exactly those arrows
-//! for ODMRP vs ODMRP_PP on the testbed.
+//! Each node counts, per directed link, the refresh rounds in which it
+//! selected that link toward its upstream in a `JOIN REPLY`. The
+//! heavily-used links of a run are the edges of the effective dissemination
+//! structure — the paper draws exactly those arrows for ODMRP vs ODMRP_PP on
+//! the testbed.
 
 use std::collections::BTreeMap;
 
@@ -22,29 +23,13 @@ pub struct EdgeUse {
     pub packets: u64,
 }
 
-/// Collect per-edge first-copy *data* usage across all nodes of a finished
-/// run, sorted by decreasing traffic. Note that under link-layer broadcast a
-/// receiver often hears the source directly even when its *selected* route
-/// detours, so data edges mix tree structure with opportunistic reception;
-/// use [`tree_usage`] for the routing structure itself (Fig. 5).
-pub fn edge_usage(sim: &Simulator<OdmrpNode>) -> Vec<EdgeUse> {
-    collect(sim, |s| &s.data_edges)
-}
-
 /// Collect the *selected tree edges* — `(upstream, node)` pairs counted once
 /// per refresh round they were chosen in a `JOIN REPLY` — sorted by
 /// decreasing use. This is what Figure 5 draws.
 pub fn tree_usage(sim: &Simulator<OdmrpNode>) -> Vec<EdgeUse> {
-    collect(sim, |s| &s.tree_edges)
-}
-
-fn collect(
-    sim: &Simulator<OdmrpNode>,
-    field: impl Fn(&odmrp::NodeStats) -> &BTreeMap<(NodeId, NodeId), u64>,
-) -> Vec<EdgeUse> {
     let mut agg: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
     for n in sim.protocols() {
-        for (&(from, to), &c) in field(n.stats()) {
+        for (&(from, to), &c) in &n.stats().tree_edges {
             *agg.entry((from, to)).or_insert(0) += c;
         }
     }

@@ -1,18 +1,28 @@
-//! Golden snapshot-format fixture (DESIGN.md §14).
+//! Golden snapshot-format fixture and writer pins (DESIGN.md §14).
 //!
 //! `fixtures/checkpoint-v2.bin` is a committed checkpoint taken from a
 //! pinned scenario (faults + mobility + metrics recorder active, so the
 //! widest slice of the wire format is exercised). It must keep
-//! deserializing forever under the current [`SNAPSHOT_FORMAT_VERSION`]:
-//! any wire-format change breaks these tests, and the fix is to bump the
-//! version **and** regenerate the fixture in the same PR:
+//! deserializing forever under the current [`SNAPSHOT_FORMAT_VERSION`]; a
+//! wire-format change is made by bumping the version **and** regenerating
+//! the fixture in the same commit:
 //!
 //! ```text
 //! REGEN_SNAPSHOT_FIXTURE=1 cargo test -p experiments --test snapshot_format
 //! ```
+//!
+//! Restoring the fixture and snapshotting it again cannot see a layout
+//! change that the writer and the reader make together, such as two
+//! swapped fields of one struct. So the writer is pinned as well: a fresh
+//! snapshot of the pinned scenario must equal the fixture past its header,
+//! and two deck snapshots that the fixture does not reach (MAODV trees,
+//! the testbed's loss walk) keep literal length and FNV-1a pins. A
+//! deliberate change to the event schedule moves both: regenerate the
+//! fixture and update the pins in the same commit.
 
 use experiments::scenario::MeshScenario;
-use experiments::scenario_compiler::{FaultSpec, MobilitySpec, WorkloadScenario};
+use experiments::scenario_compiler::{compile, FaultSpec, MobilitySpec, WorkloadScenario};
+use maodv::MaodvNode;
 use mcast_metrics::MetricKind;
 use mesh_sim::prelude::*;
 use mesh_sim::snapshot::{SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC};
@@ -106,9 +116,10 @@ fn golden_fixture_header_matches_current_version() {
 }
 
 /// The committed fixture must keep restoring into a simulator built from
-/// the pinned scenario, and the resumed run must complete. Any change to
-/// the serialized layout of any [`Snap`]/[`SnapshotState`] impl breaks this
-/// test until the format version is bumped and the fixture regenerated.
+/// the pinned scenario, and the resumed run must complete. A layout change
+/// that the reader cannot parse (a field added or removed, a tag changed)
+/// breaks this test until the format version is bumped and the fixture
+/// regenerated.
 #[test]
 fn golden_fixture_still_restores_and_runs() {
     let bytes = load_fixture();
@@ -143,5 +154,75 @@ fn snapshot_of_restored_sim_is_byte_identical() {
         bytes,
         "restore → snapshot is not the identity; serializer and \
          deserializer disagree about some field"
+    );
+}
+
+/// The writer itself is pinned: a fresh snapshot of the pinned scenario
+/// equals the committed fixture past its 16-byte header. The round-trip
+/// tests above cannot see a reordered field, because restore and
+/// re-snapshot apply the same reorder; this one can.
+#[test]
+fn fresh_snapshot_equals_the_fixture_payload() {
+    let bytes = load_fixture();
+    let fresh = generate_fixture_bytes();
+    assert_eq!(fresh.len(), bytes.len(), "snapshot length drifted");
+    assert!(
+        fresh[16..] == bytes[16..],
+        "a fresh snapshot no longer matches the committed fixture: the \
+         writer's layout or the event schedule changed"
+    );
+}
+
+/// Byte length and FNV-1a digest of a snapshot's payload (past the header).
+fn payload_pin(bytes: &[u8]) -> (usize, u64) {
+    let digest = bytes[16..].iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    });
+    (bytes.len(), digest)
+}
+
+/// Snapshot one committed deck at 60 s on seed 1, its nodes made by `node`.
+fn deck_snapshot<P>(
+    src: &str,
+    variant: Variant,
+    node: impl Fn(odmrp::OdmrpConfig, odmrp::NodeRole) -> P,
+) -> Vec<u8>
+where
+    P: Protocol + SnapshotState,
+    P::Msg: Snap,
+{
+    let w = compile(src).expect("committed deck compiles").scenario;
+    let seed = 1;
+    let cfg = w.mesh.odmrp_config(variant);
+    let (mut sim, _) = w.assemble(seed, w.medium(seed), |r| node(cfg.clone(), r));
+    sim.run_until(SimTime::from_secs(60));
+    sim.snapshot(w.fingerprint(variant, seed))
+}
+
+/// The writer is pinned where the fixture does not reach: MAODV's grafts
+/// and trees on `tree-quick` (SPP), and the testbed's link-table medium
+/// with its loss walk on `testbed-quick` (ODMRP). A deliberate change to
+/// the event schedule moves these pins; update them in the same commit.
+#[test]
+fn tree_and_testbed_snapshots_are_pinned() {
+    let tree = deck_snapshot(
+        include_str!("../../../scenarios/tree-quick.toml"),
+        Variant::Metric(MetricKind::Spp),
+        MaodvNode::new,
+    );
+    let testbed = deck_snapshot(
+        include_str!("../../../scenarios/testbed-quick.toml"),
+        Variant::Original,
+        odmrp::OdmrpNode::new,
+    );
+    assert_eq!(
+        payload_pin(&tree),
+        (496_534, 0x75b9_07f7_7325_a161),
+        "tree-quick MAODV snapshot"
+    );
+    assert_eq!(
+        payload_pin(&testbed),
+        (60_152, 0xef19_ef04_fabe_b6fd),
+        "testbed-quick ODMRP snapshot"
     );
 }

@@ -29,23 +29,12 @@ impl Graft {
     pub const BYTES: u32 = 36;
 }
 
-impl Snap for Graft {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.group.snap(w);
-        self.source.snap(w);
-        w.put_u32(self.seq);
-        self.origin.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Graft {
-            group: Snap::unsnap(r)?,
-            source: Snap::unsnap(r)?,
-            seq: r.u32()?,
-            origin: Snap::unsnap(r)?,
-        })
-    }
-}
+mesh_sim::snap_struct!(Graft {
+    group,
+    source,
+    seq,
+    origin
+});
 
 /// Everything a tree-multicast node puts on the air.
 #[derive(Debug, Clone, PartialEq)]

@@ -40,17 +40,7 @@ impl TreeState {
     }
 }
 
-impl Snap for TreeState {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.children.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TreeState {
-            children: Snap::unsnap(r)?,
-        })
-    }
-}
+mesh_sim::snap_struct!(TreeState { children });
 
 /// The tree protocol's forwarding state: per-source trees built by grafts.
 #[derive(Debug, Default)]
@@ -219,9 +209,14 @@ impl Forwarding for Trees {
 
 impl SnapshotState for Trees {
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.trees.snap(w);
-        self.grafted.snap(w);
-        self.pending_grafts.snap(w);
+        let Trees {
+            trees,
+            grafted,
+            pending_grafts,
+        } = self;
+        trees.snap(w);
+        grafted.snap(w);
+        pending_grafts.snap(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {

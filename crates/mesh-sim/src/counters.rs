@@ -158,103 +158,40 @@ pub struct NodeCounters {
     pub airtime_ns: u64,
 }
 
-use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+crate::snap_struct!(ClassCounts { frames, bytes });
 
-impl Snap for ClassCounts {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.frames);
-        w.put_u64(self.bytes);
-    }
+crate::snap_struct!(Counters {
+    tx_data,
+    rx_data,
+    tx_ctrl_frames,
+    tx_ctrl_bytes,
+    collisions,
+    capture_losses,
+    below_rx_threshold,
+    rx_while_tx,
+    queue_drops,
+    unicast_failures,
+    retries,
+    duplicate_rx_suppressed,
+    events,
+    planned_rx_data,
+    rx_lost_data,
+    rx_corrupted_data,
+    rx_aborted_data,
+    unicast_overheard,
+    fault_rx_dropped,
+    fault_tx_purged,
+    fault_events,
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ClassCounts {
-            frames: r.u64()?,
-            bytes: r.u64()?,
-        })
-    }
-}
-
-impl Snap for Counters {
-    fn snap(&self, w: &mut SnapWriter) {
-        for c in &self.tx_data {
-            c.snap(w);
-        }
-        for c in &self.rx_data {
-            c.snap(w);
-        }
-        w.put_u64(self.tx_ctrl_frames);
-        w.put_u64(self.tx_ctrl_bytes);
-        w.put_u64(self.collisions);
-        w.put_u64(self.capture_losses);
-        w.put_u64(self.below_rx_threshold);
-        w.put_u64(self.rx_while_tx);
-        w.put_u64(self.queue_drops);
-        w.put_u64(self.unicast_failures);
-        w.put_u64(self.retries);
-        w.put_u64(self.duplicate_rx_suppressed);
-        w.put_u64(self.events);
-        w.put_u64(self.planned_rx_data);
-        w.put_u64(self.rx_lost_data);
-        w.put_u64(self.rx_corrupted_data);
-        w.put_u64(self.rx_aborted_data);
-        w.put_u64(self.unicast_overheard);
-        w.put_u64(self.fault_rx_dropped);
-        w.put_u64(self.fault_tx_purged);
-        w.put_u64(self.fault_events);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut c = Counters::default();
-        for slot in &mut c.tx_data {
-            *slot = ClassCounts::unsnap(r)?;
-        }
-        for slot in &mut c.rx_data {
-            *slot = ClassCounts::unsnap(r)?;
-        }
-        c.tx_ctrl_frames = r.u64()?;
-        c.tx_ctrl_bytes = r.u64()?;
-        c.collisions = r.u64()?;
-        c.capture_losses = r.u64()?;
-        c.below_rx_threshold = r.u64()?;
-        c.rx_while_tx = r.u64()?;
-        c.queue_drops = r.u64()?;
-        c.unicast_failures = r.u64()?;
-        c.retries = r.u64()?;
-        c.duplicate_rx_suppressed = r.u64()?;
-        c.events = r.u64()?;
-        c.planned_rx_data = r.u64()?;
-        c.rx_lost_data = r.u64()?;
-        c.rx_corrupted_data = r.u64()?;
-        c.rx_aborted_data = r.u64()?;
-        c.unicast_overheard = r.u64()?;
-        c.fault_rx_dropped = r.u64()?;
-        c.fault_tx_purged = r.u64()?;
-        c.fault_events = r.u64()?;
-        Ok(c)
-    }
-}
-
-impl Snap for NodeCounters {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.tx_data_frames);
-        w.put_u64(self.tx_data_bytes);
-        w.put_u64(self.rx_data_frames);
-        w.put_u64(self.tx_ctrl_frames);
-        w.put_u64(self.collisions);
-        w.put_u64(self.airtime_ns);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(NodeCounters {
-            tx_data_frames: r.u64()?,
-            tx_data_bytes: r.u64()?,
-            rx_data_frames: r.u64()?,
-            tx_ctrl_frames: r.u64()?,
-            collisions: r.u64()?,
-            airtime_ns: r.u64()?,
-        })
-    }
-}
+crate::snap_struct!(NodeCounters {
+    tx_data_frames,
+    tx_data_bytes,
+    rx_data_frames,
+    tx_ctrl_frames,
+    collisions,
+    airtime_ns,
+});
 
 #[cfg(test)]
 mod tests {

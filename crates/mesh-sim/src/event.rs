@@ -241,21 +241,7 @@ impl Snap for EventKind {
     }
 }
 
-impl Snap for ScheduledEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.time.snap(w);
-        w.put_u64(self.seq);
-        self.kind.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ScheduledEvent {
-            time: SimTime::unsnap(r)?,
-            seq: r.u64()?,
-            kind: EventKind::unsnap(r)?,
-        })
-    }
-}
+crate::snap_struct!(ScheduledEvent { time, seq, kind });
 
 impl Snap for EventQueue {
     fn snap(&self, w: &mut SnapWriter) {
@@ -263,13 +249,20 @@ impl Snap for EventQueue {
         // in-memory form only: serialize every pending event flat, in its
         // (unique) `(time, seq)` dequeue order, so equal queues always
         // produce equal bytes.
+        let EventQueue {
+            heap: _,   // written flat through `pending()`
+            bursts: _, // likewise
+            free: _,   // scratch: slot indices for reuse
+            keys: _,   // scratch: sort keys
+            seq,
+        } = self;
         let mut pending = self.pending();
         pending.sort_by_key(|e| (e.time, e.seq));
         w.put_usize(pending.len());
         for ev in &pending {
             ev.snap(w);
         }
-        w.put_u64(self.seq);
+        seq.snap(w);
     }
 
     /// Restores the flat list as single events; transmissions after the

@@ -349,17 +349,7 @@ impl Snap for FaultKind {
     }
 }
 
-impl Snap for FaultPlan {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.events.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultPlan {
-            events: Snap::unsnap(r)?,
-        })
-    }
-}
+crate::snap_struct!(FaultPlan { events });
 
 /// Parameters for [`FaultPlan::random`]. `intensity` in `[0, 1]` scales the
 /// number and severity of injected faults; `0.0` yields an empty plan.

@@ -203,46 +203,12 @@ impl<M: Snap> Snap for FrameBody<M> {
     }
 }
 
-impl<M: Snap> Snap for Frame<M> {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.src.snap(w);
-        self.body.snap(w);
-        w.put_u32(self.bytes);
-        self.duration.snap(w);
-        w.put_u32(self.refs);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Frame {
-            src: Snap::unsnap(r)?,
-            body: Snap::unsnap(r)?,
-            bytes: r.u32()?,
-            duration: Snap::unsnap(r)?,
-            refs: r.u32()?,
-        })
-    }
-}
+crate::snap_struct!(Frame<M> { src, body, bytes, duration, refs });
 
 // The slab is serialized structurally (slots, free list, generations) so
 // restored `FrameId`s — which encode `(slot, generation)` and are referenced
 // from the event queue — keep resolving to the same frames.
-impl<M: Snap> Snap for FrameSlab<M> {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.slots.snap(w);
-        self.free.snap(w);
-        self.gens.snap(w);
-        w.put_usize(self.live);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FrameSlab {
-            slots: Snap::unsnap(r)?,
-            free: Snap::unsnap(r)?,
-            gens: Snap::unsnap(r)?,
-            live: r.usize()?,
-        })
-    }
-}
+crate::snap_struct!(FrameSlab<M> { slots, free, gens, live });
 
 fn encode(slot: u32, gen: u32) -> u64 {
     ((gen as u64) << 32) | slot as u64

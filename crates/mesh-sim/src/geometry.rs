@@ -39,6 +39,8 @@ impl Pos {
     }
 }
 
+crate::snap_struct!(Pos { x, y });
+
 impl fmt::Display for Pos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({:.1}, {:.1})", self.x, self.y)

@@ -253,27 +253,7 @@ impl<M> Mac<M> {
     }
 }
 
-impl<M: Snap> Snap for OutFrame<M> {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.dst.snap(w);
-        self.msg.snap(w);
-        w.put_u32(self.bytes);
-        w.put_u8(self.class);
-        self.handle.snap(w);
-        w.put_u64(self.mac_seq);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(OutFrame {
-            dst: Snap::unsnap(r)?,
-            msg: Snap::unsnap(r)?,
-            bytes: r.u32()?,
-            class: r.u8()?,
-            handle: Snap::unsnap(r)?,
-            mac_seq: r.u64()?,
-        })
-    }
-}
+crate::snap_struct!(OutFrame<M> { dst, msg, bytes, class, handle, mac_seq });
 
 impl Snap for MacState {
     fn snap(&self, w: &mut SnapWriter) {
@@ -340,35 +320,18 @@ impl Snap for CtrlResponse {
     }
 }
 
-impl<M: Snap> Snap for Mac<M> {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.state.snap(w);
-        self.queue.snap(w);
-        w.put_u32(self.cw);
-        w.put_u32(self.backoff_slots);
-        w.put_u32(self.short_retries);
-        w.put_u32(self.long_retries);
-        w.put_u64(self.timer_gen);
-        w.put_u64(self.ctrl_gen);
-        self.pending_ctrl.snap(w);
-        self.rx_dedup.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Mac {
-            state: Snap::unsnap(r)?,
-            queue: Snap::unsnap(r)?,
-            cw: r.u32()?,
-            backoff_slots: r.u32()?,
-            short_retries: r.u32()?,
-            long_retries: r.u32()?,
-            timer_gen: r.u64()?,
-            ctrl_gen: r.u64()?,
-            pending_ctrl: Snap::unsnap(r)?,
-            rx_dedup: Snap::unsnap(r)?,
-        })
-    }
-}
+crate::snap_struct!(Mac<M> {
+    state,
+    queue,
+    cw,
+    backoff_slots,
+    short_retries,
+    long_retries,
+    timer_gen,
+    ctrl_gen,
+    pending_ctrl,
+    rx_dedup,
+});
 
 #[cfg(test)]
 mod tests {

@@ -30,13 +30,6 @@ pub struct PositionDelta {
     pub to: Pos,
 }
 
-impl PositionDelta {
-    /// Straight-line displacement of this move, meters.
-    pub fn displacement_m(&self) -> f64 {
-        self.from.distance_to(self.to)
-    }
-}
-
 /// Maintenance statistics of an incrementally-maintained spatial index
 /// (see [`PhysicalMedium`]). Purely observational: deliberately kept out of
 /// [`crate::counters::Counters`] so indexed and naive runs still compare
@@ -61,27 +54,14 @@ pub struct IndexStats {
     pub full_invalidations: u64,
 }
 
-impl Snap for IndexStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.rebuckets);
-        w.put_u64(self.epoch_bumps);
-        w.put_u64(self.cache_hits);
-        w.put_u64(self.cache_refreshes);
-        w.put_u64(self.cache_rebuilds);
-        w.put_u64(self.full_invalidations);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(IndexStats {
-            rebuckets: r.u64()?,
-            epoch_bumps: r.u64()?,
-            cache_hits: r.u64()?,
-            cache_refreshes: r.u64()?,
-            cache_rebuilds: r.u64()?,
-            full_invalidations: r.u64()?,
-        })
-    }
-}
+crate::snap_struct!(IndexStats {
+    rebuckets,
+    epoch_bumps,
+    cache_hits,
+    cache_refreshes,
+    cache_rebuilds,
+    full_invalidations,
+});
 
 /// A fault-injected override applied to one directed link (see
 /// [`crate::fault`]). Effects replace each other: setting a second effect on
@@ -221,21 +201,11 @@ struct Candidate {
     dist_m: f64,
 }
 
-impl Snap for Candidate {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.node.snap(w);
-        w.put_f64(self.mean_w);
-        w.put_f64(self.dist_m);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Candidate {
-            node: Snap::unsnap(r)?,
-            mean_w: r.f64()?,
-            dist_m: r.f64()?,
-        })
-    }
-}
+crate::snap_struct!(Candidate {
+    node,
+    mean_w,
+    dist_m
+});
 
 /// The distance-independent inputs of one [`FanOutCache::refilter`] pass,
 /// bundled so both call sites in `plan_with` hand over one value.
@@ -260,21 +230,7 @@ struct MembershipPatch {
     added: bool,
 }
 
-impl Snap for MembershipPatch {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.seq);
-        w.put_u32(self.node);
-        w.put_bool(self.added);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MembershipPatch {
-            seq: r.u64()?,
-            node: r.u32()?,
-            added: r.bool()?,
-        })
-    }
-}
+crate::snap_struct!(MembershipPatch { seq, node, added });
 
 /// Per-cell epoch pair, kept adjacent so the hot block scan in
 /// [`FanOutCache::plan_with`] touches one slot per cell instead of two
@@ -287,19 +243,7 @@ struct CellEpochs {
     motion: u64,
 }
 
-impl Snap for CellEpochs {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.membership);
-        w.put_u64(self.motion);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CellEpochs {
-            membership: r.u64()?,
-            motion: r.u64()?,
-        })
-    }
-}
+crate::snap_struct!(CellEpochs { membership, motion });
 
 /// Bounded log of recent [`MembershipPatch`]es for one grid cell, oldest
 /// first. Patching a cached superset is valid only while every patch newer
@@ -334,19 +278,10 @@ impl CellLog {
     }
 }
 
-impl Snap for CellLog {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.patches.snap(w);
-        w.put_u64(self.retained_from);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CellLog {
-            patches: Snap::unsnap(r)?,
-            retained_from: r.u64()?,
-        })
-    }
-}
+crate::snap_struct!(CellLog {
+    patches,
+    retained_from
+});
 
 /// One transmitter's cached fan-out state (see [`FanOutCache`]).
 #[derive(Debug, Clone)]
@@ -371,27 +306,14 @@ struct TxEntry {
     list: Vec<Candidate>,
 }
 
-impl Snap for TxEntry {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.home_cell);
-        w.put_u64(self.seen_membership);
-        w.put_u64(self.seen_motion);
-        w.put_u64(self.seen_seq);
-        self.superset.snap(w);
-        self.list.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TxEntry {
-            home_cell: r.u32()?,
-            seen_membership: r.u64()?,
-            seen_motion: r.u64()?,
-            seen_seq: r.u64()?,
-            superset: Snap::unsnap(r)?,
-            list: Snap::unsnap(r)?,
-        })
-    }
-}
+crate::snap_struct!(TxEntry {
+    home_cell,
+    seen_membership,
+    seen_motion,
+    seen_seq,
+    superset,
+    list,
+});
 
 /// Geometry caches for [`PhysicalMedium`], maintained incrementally across
 /// position changes.
@@ -719,19 +641,30 @@ impl FanOutCache {
     }
     // mesh-lint: end-hot
 
-    /// Write the cache's mutable state. The derived fields
-    /// (`candidate_range_m`, `rings`, `eval`) are functions of the medium's
-    /// PHY configuration and the grid's cell size, so they are recomputed on
-    /// restore instead of serialized; the scratch buffers are transient and
-    /// restore empty.
+    /// Write the cache's mutable state. The derived fields are recomputed
+    /// on restore and the scratch buffers restore empty.
     fn snap_state(&self, w: &mut SnapWriter) {
-        self.positions.snap(w);
-        self.grid.snap(w);
-        w.put_u64(self.epoch);
-        self.cell_epochs.snap(w);
-        self.cell_logs.snap(w);
-        w.put_u64(self.last_seq);
-        self.per_tx.snap(w);
+        let FanOutCache {
+            positions,
+            candidate_range_m: _, // derived from the PHY configuration
+            grid,
+            rings: _, // derived from `candidate_range_m` and the grid's cells
+            epoch,
+            cell_epochs,
+            cell_logs,
+            last_seq,
+            per_tx,
+            near_scratch: _,  // scratch
+            patch_scratch: _, // scratch
+            eval: _,          // derived from the PHY configuration
+        } = self;
+        positions.snap(w);
+        grid.snap(w);
+        epoch.snap(w);
+        cell_epochs.snap(w);
+        cell_logs.snap(w);
+        last_seq.snap(w);
+        per_tx.snap(w);
     }
 
     /// Rebuild a cache from a checkpoint written by
@@ -755,6 +688,7 @@ impl FanOutCache {
         if cell_epochs.len() != cols * rows
             || cell_logs.len() != cols * rows
             || per_tx.len() != positions.len()
+            || grid.len() != positions.len()
         {
             return Err(SnapError::StateMismatch("fan-out cache geometry"));
         }
@@ -1005,9 +939,17 @@ impl Medium for PhysicalMedium {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.stats.snap(w);
-        self.faults.snap(w);
-        match &self.cache {
+        let PhysicalMedium {
+            phy: _,     // scenario configuration
+            floor_w: _, // derived from `phy`
+            indexed: _, // scenario configuration
+            stats,
+            cache,
+            faults,
+        } = self;
+        stats.snap(w);
+        faults.snap(w);
+        match cache {
             Some(c) => {
                 w.put_bool(true);
                 c.snap_state(w);
@@ -1223,8 +1165,16 @@ impl Medium for LinkTableMedium {
         // `links` mutates at runtime (testbed loss walks via `set_loss`);
         // the adjacency lists are derived, so only staleness is implied —
         // restore marks them stale and the next fan_out rebuilds.
-        self.links.snap(w);
-        self.faults.snap(w);
+        let LinkTableMedium {
+            phy: _, // scenario configuration
+            links,
+            adjacency: _,       // derived from `links`
+            adjacency_stale: _, // restore marks the adjacency stale
+            delay: _,           // scenario configuration
+            faults,
+        } = self;
+        links.snap(w);
+        faults.snap(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -1564,5 +1514,30 @@ mod tests {
             &mut out,
         );
         assert!(out.iter().any(|p| p.node == NodeId::new(1)));
+    }
+
+    /// A cache whose grid indexes fewer nodes than it has positions was
+    /// restored before, and the next mobility tick moving the missing node
+    /// indexed past the grid's `node_cell`.
+    #[test]
+    fn restore_rejects_a_cache_whose_grid_indexes_other_nodes() {
+        let p = positions();
+        let mut m = PhysicalMedium::default();
+        let mut rng = SimRng::seed_from(3);
+        m.fan_out(NodeId::new(0), &p, SimTime::ZERO, &mut rng, &mut Vec::new());
+        let cache = m.cache.as_mut().expect("the fan-out built the cache");
+        // Node 1 lies inside the bounding box, so the frame stays the same.
+        let short = NeighborIndex::build(&[p[0], p[2], p[3]], cache.grid.cell_size_m());
+        assert_eq!(short.grid_dims(), cache.grid.grid_dims());
+        cache.grid = short;
+        let mut w = SnapWriter::new();
+        m.snapshot_state(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            PhysicalMedium::default()
+                .restore_state(&mut SnapReader::new(&bytes))
+                .unwrap_err(),
+            SnapError::StateMismatch("fan-out cache geometry")
+        );
     }
 }

@@ -237,100 +237,47 @@ fn frames(classes: &[crate::counters::ClassCounts]) -> u64 {
     classes.iter().map(|c| c.frames).sum()
 }
 
-use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+crate::snap_struct!(MetricsBucket {
+    start,
+    end,
+    tx_data_frames,
+    tx_data_bytes,
+    rx_data_frames,
+    rx_data_bytes,
+    tx_ctrl_frames,
+    collisions,
+    queue_drops,
+    retries,
+    rx_lost_data,
+    rx_corrupted_data,
+    fault_rx_dropped,
+    fault_events,
+    deliveries,
+    delay_sum_s,
+    index_rebuckets,
+    index_epoch_bumps,
+    index_cache_hits,
+    index_cache_refreshes,
+    index_cache_rebuilds,
+});
 
-impl Snap for MetricsBucket {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.start.snap(w);
-        self.end.snap(w);
-        w.put_u64(self.tx_data_frames);
-        w.put_u64(self.tx_data_bytes);
-        w.put_u64(self.rx_data_frames);
-        w.put_u64(self.rx_data_bytes);
-        w.put_u64(self.tx_ctrl_frames);
-        w.put_u64(self.collisions);
-        w.put_u64(self.queue_drops);
-        w.put_u64(self.retries);
-        w.put_u64(self.rx_lost_data);
-        w.put_u64(self.rx_corrupted_data);
-        w.put_u64(self.fault_rx_dropped);
-        w.put_u64(self.fault_events);
-        w.put_u64(self.deliveries);
-        w.put_f64(self.delay_sum_s);
-        w.put_u64(self.index_rebuckets);
-        w.put_u64(self.index_epoch_bumps);
-        w.put_u64(self.index_cache_hits);
-        w.put_u64(self.index_cache_refreshes);
-        w.put_u64(self.index_cache_rebuilds);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MetricsBucket {
-            start: Snap::unsnap(r)?,
-            end: Snap::unsnap(r)?,
-            tx_data_frames: r.u64()?,
-            tx_data_bytes: r.u64()?,
-            rx_data_frames: r.u64()?,
-            rx_data_bytes: r.u64()?,
-            tx_ctrl_frames: r.u64()?,
-            collisions: r.u64()?,
-            queue_drops: r.u64()?,
-            retries: r.u64()?,
-            rx_lost_data: r.u64()?,
-            rx_corrupted_data: r.u64()?,
-            fault_rx_dropped: r.u64()?,
-            fault_events: r.u64()?,
-            deliveries: r.u64()?,
-            delay_sum_s: r.f64()?,
-            index_rebuckets: r.u64()?,
-            index_epoch_bumps: r.u64()?,
-            index_cache_hits: r.u64()?,
-            index_cache_refreshes: r.u64()?,
-            index_cache_rebuilds: r.u64()?,
-        })
-    }
-}
-
-impl Snap for TimeSeries {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.bucket_width.snap(w);
-        self.buckets.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TimeSeries {
-            bucket_width: Snap::unsnap(r)?,
-            buckets: Snap::unsnap(r)?,
-        })
-    }
-}
+crate::snap_struct!(TimeSeries {
+    bucket_width,
+    buckets
+});
 
 // Mid-bucket state serializes exactly: `advance` runs before event dispatch
 // in `World::step`, so at a checkpoint the open bucket's bases and pending
 // deliveries are a complete description of the recorder.
-impl Snap for MetricsRecorder {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.width.snap(w);
-        self.open_start.snap(w);
-        self.base.snap(w);
-        self.base_index.snap(w);
-        w.put_u64(self.open_deliveries);
-        w.put_f64(self.open_delay_sum_s);
-        self.buckets.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MetricsRecorder {
-            width: Snap::unsnap(r)?,
-            open_start: Snap::unsnap(r)?,
-            base: Snap::unsnap(r)?,
-            base_index: Snap::unsnap(r)?,
-            open_deliveries: r.u64()?,
-            open_delay_sum_s: r.f64()?,
-            buckets: Snap::unsnap(r)?,
-        })
-    }
-}
+crate::snap_struct!(MetricsRecorder {
+    width,
+    open_start,
+    base,
+    base_index,
+    open_deliveries,
+    open_delay_sum_s,
+    buckets,
+});
 
 #[cfg(test)]
 mod tests {

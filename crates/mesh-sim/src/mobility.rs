@@ -173,9 +173,19 @@ impl Mobility for RandomWaypoint {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.states.snap(w);
-        self.last_update.snap(w);
-        w.put_bool(self.started);
+        let RandomWaypoint {
+            area: _,      // scenario configuration
+            min_speed: _, // scenario configuration
+            max_speed: _, // scenario configuration
+            pause: _,     // scenario configuration
+            tick: _,      // scenario configuration
+            states,
+            last_update,
+            started,
+        } = self;
+        states.snap(w);
+        last_update.snap(w);
+        started.snap(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {

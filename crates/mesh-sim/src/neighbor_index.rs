@@ -147,7 +147,7 @@ impl NeighborIndex {
         let bucket = &mut self.cells[old];
         let i = bucket
             .binary_search(&node)
-            // mesh-lint: allow(R6, "node_cell and the buckets move in lockstep: node_cell[n] == old implies n is in cells[old]")
+            // mesh-lint: allow(R6, "node_cell and the buckets move in lockstep, and restore rejects an index where they do not: node_cell[n] == old implies n is in cells[old]")
             .expect("node present in its bucket");
         bucket.remove(i);
         let bucket = &mut self.cells[new];
@@ -181,11 +181,6 @@ impl NeighborIndex {
     /// rings covers `rings × cell_size_m` meters around the center cell.
     pub fn cell_size_m(&self) -> f64 {
         self.cell_m
-    }
-
-    /// The cell index `position` falls in (clamped into the grid frame).
-    pub fn cell_index(&self, p: Pos) -> usize {
-        self.cell_of(p)
     }
 
     /// The cell `node` is currently bucketed in.
@@ -263,23 +258,66 @@ impl NeighborIndex {
 // are exactly what the uninterrupted run would hold.
 impl Snap for NeighborIndex {
     fn snap(&self, w: &mut SnapWriter) {
-        self.origin.snap(w);
-        w.put_f64(self.cell_m);
-        w.put_usize(self.cols);
-        w.put_usize(self.rows);
-        self.cells.snap(w);
-        self.node_cell.snap(w);
+        let NeighborIndex {
+            origin,
+            cell_m,
+            cols,
+            rows,
+            cells,
+            node_cell,
+        } = self;
+        origin.snap(w);
+        cell_m.snap(w);
+        cols.snap(w);
+        rows.snap(w);
+        cells.snap(w);
+        node_cell.snap(w);
     }
 
+    /// Decodes the index and checks the invariants `update_position` and
+    /// the queries index by: a positive finite cell size, `1..=256` cells
+    /// per axis filling `cells`, strictly ascending cells, and every node
+    /// in exactly the one cell `node_cell` names.
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(NeighborIndex {
+        let index = NeighborIndex {
             origin: Snap::unsnap(r)?,
-            cell_m: r.f64()?,
-            cols: r.usize()?,
-            rows: r.usize()?,
+            cell_m: Snap::unsnap(r)?,
+            cols: Snap::unsnap(r)?,
+            rows: Snap::unsnap(r)?,
             cells: Snap::unsnap(r)?,
             node_cell: Snap::unsnap(r)?,
-        })
+        };
+        let mismatch = SnapError::StateMismatch;
+        if !(index.cell_m > 0.0 && index.cell_m.is_finite()) {
+            return Err(mismatch("neighbor index cell size"));
+        }
+        let axis = 1..=MAX_CELLS_PER_AXIS;
+        if !axis.contains(&index.cols)
+            || !axis.contains(&index.rows)
+            || index.cells.len() != index.cols * index.rows
+        {
+            return Err(mismatch("neighbor index grid dimensions"));
+        }
+        let mut bucketed = 0;
+        for (c, bucket) in index.cells.iter().enumerate() {
+            if bucket.windows(2).any(|pair| pair[0] >= pair[1]) {
+                return Err(mismatch("neighbor index cell order"));
+            }
+            // A node listed here must name this cell; with every cell
+            // strictly ascending and as many listings as nodes, each node
+            // is then listed exactly once.
+            if bucket
+                .iter()
+                .any(|&n| index.node_cell.get(n as usize) != Some(&(c as u32)))
+            {
+                return Err(mismatch("neighbor index node cells"));
+            }
+            bucketed += bucket.len();
+        }
+        if bucketed != index.node_cell.len() {
+            return Err(mismatch("neighbor index node cells"));
+        }
+        Ok(index)
     }
 }
 
@@ -457,5 +495,115 @@ mod tests {
         assert_eq!(idx.node_cell(0), idx.node_cell(1));
         assert_eq!(idx.nodes_in_cell(new), &[0, 1]);
         assert!(idx.nodes_in_cell(old).is_empty());
+    }
+
+    /// Snapshot a 3-node index (nodes 0 and 1 share cell 0, node 2 is
+    /// alone in cell 5 of a 3×2 grid) after `corrupt` edits it, and decode
+    /// the bytes again.
+    fn restore_corrupted(
+        corrupt: impl FnOnce(&mut NeighborIndex),
+    ) -> Result<NeighborIndex, SnapError> {
+        let positions = [
+            Pos::new(50.0, 50.0),
+            Pos::new(60.0, 60.0),
+            Pos::new(250.0, 150.0),
+        ];
+        let mut idx = NeighborIndex::build(&positions, 100.0);
+        assert_eq!(idx.grid_dims(), (3, 2));
+        assert_eq!(idx.nodes_in_cell(0), &[0, 1]);
+        assert_eq!(idx.nodes_in_cell(5), &[2]);
+        corrupt(&mut idx);
+        let mut w = SnapWriter::new();
+        idx.snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let back = NeighborIndex::unsnap(&mut r)?;
+        r.finish()?;
+        Ok(back)
+    }
+
+    #[test]
+    fn restore_accepts_a_valid_index() {
+        let mut idx = restore_corrupted(|_| {}).expect("a valid index restores");
+        assert_eq!(idx.update_position(2, Pos::new(50.0, 150.0)), Some((5, 3)));
+    }
+
+    #[test]
+    fn restore_rejects_a_cell_size_that_is_not_positive_and_finite() {
+        for cell_m in [0.0, -100.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                restore_corrupted(|idx| idx.cell_m = cell_m).unwrap_err(),
+                SnapError::StateMismatch("neighbor index cell size"),
+                "cell_m = {cell_m}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_grid_dimensions_that_do_not_fill_the_cells() {
+        let corruptions: [fn(&mut NeighborIndex); 4] = [
+            // `cell_coords` computes `cols - 1`.
+            |idx| {
+                idx.cols = 0;
+                idx.cells.clear();
+            },
+            |idx| {
+                idx.rows = MAX_CELLS_PER_AXIS + 1;
+                idx.cells = vec![Vec::new(); 3 * (MAX_CELLS_PER_AXIS + 1)];
+                idx.cells[0] = vec![0, 1];
+                idx.cells[5] = vec![2];
+            },
+            // A 3×3 frame over the 6 cells: row 2 indexes past them.
+            |idx| idx.rows = 3,
+            |idx| idx.cells.push(Vec::new()),
+        ];
+        for corrupt in corruptions {
+            assert_eq!(
+                restore_corrupted(corrupt).unwrap_err(),
+                SnapError::StateMismatch("neighbor index grid dimensions")
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_cell_that_is_not_strictly_ascending() {
+        let corruptions: [fn(&mut NeighborIndex); 2] = [
+            |idx| idx.cells[0] = vec![1, 0],
+            |idx| {
+                idx.cells[0] = vec![0, 0, 1];
+                idx.node_cell.push(0);
+            },
+        ];
+        for corrupt in corruptions {
+            assert_eq!(
+                restore_corrupted(corrupt).unwrap_err(),
+                SnapError::StateMismatch("neighbor index cell order")
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_nodes_not_bucketed_exactly_once() {
+        let corruptions: [fn(&mut NeighborIndex); 5] = [
+            // `update_position(0, ..)` would index `cells[9999]`.
+            |idx| idx.node_cell[0] = 9999,
+            // Node 2 in no cell.
+            |idx| idx.cells[5].clear(),
+            // Node 2 in two cells.
+            |idx| idx.cells[4].push(2),
+            // A cell lists a node the index does not have.
+            |idx| idx.cells[4].push(7),
+            // A node in no cell, with as many listings as nodes.
+            |idx| {
+                idx.cells[5].clear();
+                idx.cells[4].push(0);
+            },
+        ];
+        for corrupt in corruptions {
+            assert_eq!(
+                restore_corrupted(corrupt).unwrap_err(),
+                SnapError::StateMismatch("neighbor index node cells")
+            );
+        }
     }
 }

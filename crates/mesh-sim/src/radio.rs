@@ -6,7 +6,6 @@
 //! makes the channel busy. The radio is half-duplex.
 
 use crate::ids::FrameId;
-use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
 
 /// A reception in progress.
@@ -156,41 +155,19 @@ impl Radio {
     }
 }
 
-impl Snap for OngoingRx {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.frame.snap(w);
-        w.put_f64(self.power_w);
-        self.end.snap(w);
-        w.put_bool(self.corrupted);
-    }
+crate::snap_struct!(OngoingRx {
+    frame,
+    power_w,
+    end,
+    corrupted
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(OngoingRx {
-            frame: Snap::unsnap(r)?,
-            power_w: r.f64()?,
-            end: Snap::unsnap(r)?,
-            corrupted: r.bool()?,
-        })
-    }
-}
-
-impl Snap for Radio {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.tx_until.snap(w);
-        self.rx.snap(w);
-        self.energy_until.snap(w);
-        self.nav_until.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Radio {
-            tx_until: Snap::unsnap(r)?,
-            rx: Snap::unsnap(r)?,
-            energy_until: Snap::unsnap(r)?,
-            nav_until: Snap::unsnap(r)?,
-        })
-    }
-}
+crate::snap_struct!(Radio {
+    tx_until,
+    rx,
+    energy_until,
+    nav_until
+});
 
 #[cfg(test)]
 mod tests {

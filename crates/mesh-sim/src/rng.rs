@@ -152,21 +152,7 @@ impl SimRng {
     }
 }
 
-impl crate::snapshot::Snap for SimRng {
-    fn snap(&self, w: &mut crate::snapshot::SnapWriter) {
-        for word in self.s {
-            w.put_u64(word);
-        }
-    }
-
-    fn unsnap(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64()?;
-        }
-        Ok(SimRng { s })
-    }
-}
+crate::snap_struct!(SimRng { s });
 
 #[cfg(test)]
 mod tests {

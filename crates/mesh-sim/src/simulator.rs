@@ -204,11 +204,6 @@ impl<P: Protocol> Simulator<P> {
         &self.protocols
     }
 
-    /// Mutable access to the protocol instances (for test instrumentation).
-    pub fn protocols_mut(&mut self) -> &mut [P] {
-        &mut self.protocols
-    }
-
     /// The world (read-only introspection: positions, counters, frames).
     pub fn world(&self) -> &World<P::Msg> {
         &self.world
@@ -352,13 +347,25 @@ where
     ///
     /// Read-only — taking a snapshot never perturbs the run.
     pub fn snapshot(&self, fingerprint: u64) -> Vec<u8> {
+        let Simulator {
+            world,
+            protocols,
+            started,
+            upcall_buf: _,     // scratch, empty between events
+            check_interval: _, // run configuration
+            next_check,
+            oracles: _,  // run configuration
+            watchdog: _, // run configuration
+            wd_anchor,
+            wd_events,
+        } = self;
         let mut w = SnapWriter::with_header(fingerprint);
-        w.put_bool(self.started);
-        self.wd_anchor.snap(&mut w);
-        w.put_u64(self.wd_events);
-        self.next_check.snap(&mut w);
-        self.world.snapshot_state(&mut w);
-        for p in &self.protocols {
+        started.snap(&mut w);
+        wd_anchor.snap(&mut w);
+        wd_events.snap(&mut w);
+        next_check.snap(&mut w);
+        world.snapshot_state(&mut w);
+        for p in protocols {
             p.snapshot_state(&mut w);
         }
         w.into_bytes()

@@ -290,13 +290,76 @@ pub trait Snap: Sized {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
 }
 
+/// Implement [`Snap`] for a struct from one list of its fields: `snap`
+/// writes them in list order and `unsnap` reads them back in the same
+/// order, each with its own `Snap` impl. The list **is** the wire layout.
+///
+/// `snap` destructures `self` without `..`, so a field missing from the
+/// list does not compile:
+///
+/// ```compile_fail,E0027
+/// struct Link { from: u32, to: u32, loss: f64 }
+/// mesh_sim::snap_struct!(Link { from, to });
+/// ```
+///
+/// With every field listed it compiles and round-trips. Generic structs
+/// name their type parameters, which get a `Snap` bound:
+///
+/// ```
+/// use mesh_sim::snapshot::{Snap, SnapReader, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Link { from: u32, to: u32, loss: f64 }
+/// mesh_sim::snap_struct!(Link { from, to, loss });
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Tagged<T> { tag: u8, value: T }
+/// mesh_sim::snap_struct!(Tagged<T> { tag, value });
+///
+/// let v = Tagged { tag: 7, value: Link { from: 1, to: 2, loss: 0.25 } };
+/// let mut w = SnapWriter::new();
+/// v.snap(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(bytes.len(), 1 + 4 + 4 + 8);
+/// let mut r = SnapReader::new(&bytes);
+/// assert_eq!(Tagged::<Link>::unsnap(&mut r).unwrap(), v);
+/// r.finish().unwrap();
+/// ```
+#[macro_export]
+macro_rules! snap_struct {
+    ($ty:ident $(< $($param:ident),+ >)? { $($field:ident),+ $(,)? }) => {
+        impl $(< $($param: $crate::snapshot::Snap),+ >)? $crate::snapshot::Snap
+            for $ty $(< $($param),+ >)?
+        {
+            fn snap(&self, w: &mut $crate::snapshot::SnapWriter) {
+                let $ty { $($field),+ } = self;
+                $($crate::snapshot::Snap::snap($field, w);)+
+            }
+
+            fn unsnap(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snapshot::SnapError> {
+                ::core::result::Result::Ok($ty {
+                    $($field: $crate::snapshot::Snap::unsnap(r)?),+
+                })
+            }
+        }
+    };
+}
+
 /// In-place snapshot/restore for stateful simulation components.
 ///
 /// Unlike [`Snap`], implementors are *rebuilt from configuration* first and
 /// then have their mutable state overwritten; `restore_state` must leave the
 /// component exactly as it was at snapshot time, assuming the surrounding
-/// simulation was constructed from the same scenario (enforced via the
-/// header fingerprint, not per-component checks).
+/// simulation was constructed from the same scenario. The header
+/// fingerprint proves the scenario; components still check what a later
+/// step would index by (per-node lengths, queued events, the spatial
+/// index) and reject a mismatch as [`SnapError::StateMismatch`].
+///
+/// `snapshot_state` opens with an exhaustive destructure of `self` (no
+/// `..`) that binds each field it does not write to `_` with the reason, so
+/// a field added later must be placed before it compiles.
 pub trait SnapshotState {
     /// Write all mutable state into `w`.
     fn snapshot_state(&self, w: &mut SnapWriter);
@@ -493,6 +556,23 @@ impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
     }
 }
 
+// Fixed-size arrays carry no length prefix: `N` is part of the type.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn snap(&self, w: &mut SnapWriter) {
+        for v in self {
+            v.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut out = Vec::with_capacity(N);
+        for _ in 0..N {
+            out.push(T::unsnap(r)?);
+        }
+        out.try_into()
+            .map_err(|_| SnapError::StateMismatch("array length"))
+    }
+}
+
 // Arc serializes by value: pointer sharing is a memory optimisation, not
 // observable simulation state, so restore may produce distinct allocations.
 impl<T: Snap> Snap for Arc<T> {
@@ -567,18 +647,6 @@ impl Snap for crate::ids::FrameId {
     }
 }
 
-impl Snap for crate::geometry::Pos {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_f64(self.x);
-        w.put_f64(self.y);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let x = r.f64()?;
-        let y = r.f64()?;
-        Ok(crate::geometry::Pos { x, y })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,6 +699,10 @@ mod tests {
         roundtrip((1u32, 2u64));
         roundtrip((1u8, 2u32, 3u64));
         roundtrip(Arc::new(42u64));
+        roundtrip([7u32, 8, 9]);
+        let mut w = SnapWriter::new();
+        [1u64, 2].snap(&mut w);
+        assert_eq!(w.len(), 16, "arrays carry no length prefix");
     }
 
     #[test]

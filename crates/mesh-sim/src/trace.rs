@@ -863,11 +863,6 @@ impl JsonlTrace {
         &self.path
     }
 
-    /// Lines successfully handed to the writer so far.
-    pub fn lines_written(&self) -> u64 {
-        self.lines
-    }
-
     /// Flush the file and surface any I/O error deferred during the run.
     /// Returns the number of lines written.
     ///

@@ -389,11 +389,6 @@ impl<M: Clone + std::fmt::Debug> World<M> {
         &self.node_counters
     }
 
-    /// MAC parameters in effect.
-    pub fn mac_params(&self) -> &MacParams {
-        &self.params
-    }
-
     /// Number of frames currently on the medium (test/leak hook).
     pub fn frames_in_flight(&self) -> usize {
         self.frames.live()
@@ -1376,44 +1371,70 @@ impl<M: Clone + std::fmt::Debug> World<M> {
 
 impl<M: Clone + std::fmt::Debug + Snap> World<M> {
     /// Serialize every piece of mutable world state into a checkpoint
-    /// (DESIGN.md §14). Configuration (`params`, the medium/mobility
-    /// constructors) is *not* written — a restore target is rebuilt from the
-    /// same scenario config and only its mutable state is overwritten. The
-    /// trace sink and the scratch buffers (`fan_buf`, `prev_positions`,
-    /// `moves_buf`) are transient: each is fully rewritten before its next
-    /// read, so they restore empty. Read-only: never perturbs the schedule.
+    /// (DESIGN.md §14). Configuration is *not* written — a restore target is
+    /// rebuilt from the same scenario config and only its mutable state is
+    /// overwritten. Each scratch buffer is fully rewritten before its next
+    /// read, so it restores empty. Read-only: never perturbs the schedule.
     pub(crate) fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.now.snap(w);
-        self.queue.snap(w);
-        self.positions.snap(w);
-        self.radios.snap(w);
-        self.macs.snap(w);
-        self.frames.snap(w);
-        self.medium.snapshot_state(w);
-        self.rng.snap(w);
-        self.counters.snap(w);
-        self.node_counters.snap(w);
-        self.cancelled_timers.snap(w);
-        w.put_u64(self.timer_seq);
-        w.put_u64(self.handle_seq);
-        w.put_u64(self.mac_seq);
-        self.metrics.snap(w);
-        match self.mobility.as_ref() {
+        let World {
+            now,
+            queue,
+            positions,
+            radios,
+            macs,
+            frames,
+            medium,
+            params: _, // scenario configuration
+            rng,
+            counters,
+            node_counters,
+            cancelled_timers,
+            timer_seq,
+            handle_seq,
+            mac_seq,
+            fan_buf: _, // scratch
+            trace: _,   // an observer, attached per run
+            metrics,
+            mobility,
+            prev_positions: _, // scratch
+            moves_buf: _,      // scratch
+            down,
+            tx_orphaned,
+            fault_plan,
+            partition_links,
+            class_drop,
+            time_regressions,
+            sched_hash,
+        } = self;
+        now.snap(w);
+        queue.snap(w);
+        positions.snap(w);
+        radios.snap(w);
+        macs.snap(w);
+        frames.snap(w);
+        medium.snapshot_state(w);
+        rng.snap(w);
+        counters.snap(w);
+        node_counters.snap(w);
+        cancelled_timers.snap(w);
+        timer_seq.snap(w);
+        handle_seq.snap(w);
+        mac_seq.snap(w);
+        metrics.snap(w);
+        match mobility {
             Some(model) => {
                 w.put_bool(true);
                 model.snapshot_state(w);
             }
             None => w.put_bool(false),
         }
-        self.down.snap(w);
-        self.tx_orphaned.snap(w);
-        self.fault_plan.snap(w);
-        self.partition_links.snap(w);
-        for &p in &self.class_drop {
-            w.put_f64(p);
-        }
-        w.put_u64(self.time_regressions);
-        w.put_u64(self.sched_hash);
+        down.snap(w);
+        tx_orphaned.snap(w);
+        fault_plan.snap(w);
+        partition_links.snap(w);
+        class_drop.snap(w);
+        time_regressions.snap(w);
+        sched_hash.snap(w);
     }
 
     /// Overwrite this world's mutable state from a checkpoint written by
@@ -1457,9 +1478,7 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
         self.tx_orphaned = unsnap_per_node(r, n, "tx_orphaned")?;
         self.fault_plan = Snap::unsnap(r)?;
         self.partition_links = Snap::unsnap(r)?;
-        for slot in self.class_drop.iter_mut() {
-            *slot = r.f64()?;
-        }
+        self.class_drop = Snap::unsnap(r)?;
         self.time_regressions = r.u64()?;
         self.sched_hash = r.u64()?;
         self.fan_buf.clear();

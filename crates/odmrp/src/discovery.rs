@@ -224,31 +224,16 @@ struct QueryState {
     used_quarantined: bool,
 }
 
-impl Snap for QueryState {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.group.snap(w);
-        self.best_cost.snap(w);
-        self.upstream.snap(w);
-        w.put_u8(self.hop_count);
-        self.alpha_deadline.snap(w);
-        self.best_forwarded.snap(w);
-        w.put_bool(self.forward_pending);
-        w.put_bool(self.used_quarantined);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(QueryState {
-            group: Snap::unsnap(r)?,
-            best_cost: Snap::unsnap(r)?,
-            upstream: Snap::unsnap(r)?,
-            hop_count: r.u8()?,
-            alpha_deadline: Snap::unsnap(r)?,
-            best_forwarded: Snap::unsnap(r)?,
-            forward_pending: r.bool()?,
-            used_quarantined: r.bool()?,
-        })
-    }
-}
+mesh_sim::snap_struct!(QueryState {
+    group,
+    best_cost,
+    upstream,
+    hop_count,
+    alpha_deadline,
+    best_forwarded,
+    forward_pending,
+    used_quarantined,
+});
 
 /// The discovery state of one node: everything but its forwarding half.
 /// `T` is the forwarding half's timer payload.
@@ -852,31 +837,54 @@ impl<F: Forwarding> SnapshotState for MulticastNode<F> {
     fn snapshot_state(&self, w: &mut SnapWriter) {
         // `cfg`, `role`, and `metric` are configuration: the restoring side
         // rebuilds them from the scenario (fingerprint-checked at the
-        // header). Everything below is mutable run state — including `me`,
+        // header). Everything else is mutable run state — including `me`,
         // because `start()` never re-runs on a restored simulator.
-        let c = &self.core;
-        c.me.snap(w);
-        c.timers.snap(w);
-        w.put_u64(c.timer_token);
-        c.query_state.snap(w);
-        self.fwd.snapshot_state(w);
-        c.delta_scheduled.snap(w);
-        c.data_seen.snap(w);
-        c.data_seen_order.snap(w);
-        w.put_u32(c.data_seq);
-        w.put_u32(c.refresh_seq);
-        c.backoff_exp.snap(w);
-        c.last_round.snap(w);
-        c.refresh_token.snap(w);
-        c.elected_rounds.snap(w);
-        w.put_bool(c.fallback_active);
-        w.put_f64(c.tx_fail_ewma);
-        c.stats.snap(w);
-        w.put_bool(c.prober.is_some());
-        if let Some(p) = &c.prober {
+        let MulticastNode { core, fwd } = self;
+        let Core {
+            cfg: _,    // configuration
+            role: _,   // configuration
+            metric: _, // configuration
+            prober,
+            table,
+            me,
+            timers,
+            timer_token,
+            query_state,
+            delta_scheduled,
+            data_seen,
+            data_seen_order,
+            data_seq,
+            refresh_seq,
+            backoff_exp,
+            last_round,
+            refresh_token,
+            elected_rounds,
+            fallback_active,
+            tx_fail_ewma,
+            stats,
+        } = core;
+        me.snap(w);
+        timers.snap(w);
+        timer_token.snap(w);
+        query_state.snap(w);
+        fwd.snapshot_state(w);
+        delta_scheduled.snap(w);
+        data_seen.snap(w);
+        data_seen_order.snap(w);
+        data_seq.snap(w);
+        refresh_seq.snap(w);
+        backoff_exp.snap(w);
+        last_round.snap(w);
+        refresh_token.snap(w);
+        elected_rounds.snap(w);
+        fallback_active.snap(w);
+        tx_fail_ewma.snap(w);
+        stats.snap(w);
+        w.put_bool(prober.is_some());
+        if let Some(p) = prober {
             p.snapshot_state(w);
         }
-        c.table.snapshot_state(w);
+        table.snapshot_state(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {

@@ -39,27 +39,14 @@ impl JoinQuery {
     pub const BYTES: u32 = 52;
 }
 
-impl Snap for JoinQuery {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.group.snap(w);
-        self.source.snap(w);
-        w.put_u32(self.seq);
-        self.prev_hop.snap(w);
-        w.put_u8(self.hop_count);
-        w.put_f64(self.cost);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(JoinQuery {
-            group: Snap::unsnap(r)?,
-            source: Snap::unsnap(r)?,
-            seq: r.u32()?,
-            prev_hop: Snap::unsnap(r)?,
-            hop_count: r.u8()?,
-            cost: r.f64()?,
-        })
-    }
-}
+mesh_sim::snap_struct!(JoinQuery {
+    group,
+    source,
+    seq,
+    prev_hop,
+    hop_count,
+    cost,
+});
 
 /// One entry of a `JOIN TABLE`: "for packets from `source`, my chosen next
 /// hop toward it is `next_hop`".
@@ -73,21 +60,11 @@ pub struct JoinTableEntry {
     pub next_hop: NodeId,
 }
 
-impl Snap for JoinTableEntry {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.source.snap(w);
-        w.put_u32(self.seq);
-        self.next_hop.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(JoinTableEntry {
-            source: Snap::unsnap(r)?,
-            seq: r.u32()?,
-            next_hop: Snap::unsnap(r)?,
-        })
-    }
-}
+mesh_sim::snap_struct!(JoinTableEntry {
+    source,
+    seq,
+    next_hop
+});
 
 /// A `JOIN REPLY`: a member's (or forwarding node's) join table, broadcast so
 /// the named next hops hear themselves selected.
@@ -108,21 +85,11 @@ impl JoinReply {
     }
 }
 
-impl Snap for JoinReply {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.group.snap(w);
-        self.sender.snap(w);
-        self.entries.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(JoinReply {
-            group: Snap::unsnap(r)?,
-            sender: Snap::unsnap(r)?,
-            entries: Snap::unsnap(r)?,
-        })
-    }
-}
+mesh_sim::snap_struct!(JoinReply {
+    group,
+    sender,
+    entries
+});
 
 /// A multicast data packet.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,25 +106,13 @@ pub struct DataPacket {
     pub bytes: u32,
 }
 
-impl Snap for DataPacket {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.group.snap(w);
-        self.source.snap(w);
-        w.put_u32(self.seq);
-        self.sent_at.snap(w);
-        w.put_u32(self.bytes);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(DataPacket {
-            group: Snap::unsnap(r)?,
-            source: Snap::unsnap(r)?,
-            seq: r.u32()?,
-            sent_at: Snap::unsnap(r)?,
-            bytes: r.u32()?,
-        })
-    }
-}
+mesh_sim::snap_struct!(DataPacket {
+    group,
+    source,
+    seq,
+    sent_at,
+    bytes,
+});
 
 /// Everything an ODMRP node puts on the air.
 #[derive(Debug, Clone, PartialEq)]

@@ -159,8 +159,12 @@ impl Forwarding for ForwardingGroup {
 
 impl SnapshotState for ForwardingGroup {
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.fg.snap(w);
-        self.forwarded_reply.snap(w);
+        let ForwardingGroup {
+            fg,
+            forwarded_reply,
+        } = self;
+        fg.snap(w);
+        forwarded_reply.snap(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {

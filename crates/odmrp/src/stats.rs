@@ -1,13 +1,12 @@
 //! Per-node protocol statistics collected during a run.
 //!
 //! Maps are `BTreeMap`s, not `HashMap`s: the harness traverses them when
-//! aggregating (edge usage, per-group totals), and hash-order traversal
+//! aggregating (tree usage, per-group totals), and hash-order traversal
 //! would leak into reported floats and replay hashes (mesh-lint rule R1).
 
 use std::collections::BTreeMap;
 
 use mesh_sim::ids::{GroupId, NodeId};
-use mesh_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use mesh_sim::time::SimTime;
 
 /// Delivery record for one `(group, source)` pair at a member.
@@ -30,19 +29,7 @@ impl Delivered {
     }
 }
 
-impl Snap for Delivered {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.count);
-        w.put_f64(self.delay_sum_s);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Delivered {
-            count: r.u64()?,
-            delay_sum_s: r.f64()?,
-        })
-    }
-}
+mesh_sim::snap_struct!(Delivered { count, delay_sum_s });
 
 /// Everything a node counted during a run.
 #[derive(Debug, Clone, Default)]
@@ -90,49 +77,25 @@ pub struct NodeStats {
     pub refresh_backoffs: u64,
 }
 
-impl Snap for NodeStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.sent.snap(w);
-        self.delivered.snap(w);
-        w.put_u64(self.data_forwards);
-        w.put_u64(self.queries_sent);
-        w.put_u64(self.queries_forwarded);
-        w.put_u64(self.replies_sent);
-        w.put_u64(self.probes_sent);
-        self.data_edges.snap(w);
-        self.tree_edges.snap(w);
-        w.put_u64(self.fg_refreshes);
-        w.put_u64(self.duplicate_data);
-        w.put_u64(self.restarts);
-        self.fg_selected.snap(w);
-        w.put_u64(self.quarantines);
-        w.put_u64(self.quarantine_substitutions);
-        w.put_u64(self.fallback_activations);
-        w.put_u64(self.refresh_backoffs);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(NodeStats {
-            sent: Snap::unsnap(r)?,
-            delivered: Snap::unsnap(r)?,
-            data_forwards: r.u64()?,
-            queries_sent: r.u64()?,
-            queries_forwarded: r.u64()?,
-            replies_sent: r.u64()?,
-            probes_sent: r.u64()?,
-            data_edges: Snap::unsnap(r)?,
-            tree_edges: Snap::unsnap(r)?,
-            fg_refreshes: r.u64()?,
-            duplicate_data: r.u64()?,
-            restarts: r.u64()?,
-            fg_selected: Snap::unsnap(r)?,
-            quarantines: r.u64()?,
-            quarantine_substitutions: r.u64()?,
-            fallback_activations: r.u64()?,
-            refresh_backoffs: r.u64()?,
-        })
-    }
-}
+mesh_sim::snap_struct!(NodeStats {
+    sent,
+    delivered,
+    data_forwards,
+    queries_sent,
+    queries_forwarded,
+    replies_sent,
+    probes_sent,
+    data_edges,
+    tree_edges,
+    fg_refreshes,
+    duplicate_data,
+    restarts,
+    fg_selected,
+    quarantines,
+    quarantine_substitutions,
+    fallback_activations,
+    refresh_backoffs,
+});
 
 /// Implemented by every multicast protocol node in this workspace so the
 /// experiment harness can measure ODMRP and tree-based nodes uniformly.

@@ -20,6 +20,9 @@ use crate::floorplan::{self, LinkClass};
 /// How strongly a link wanders per update step (std-dev of the walk).
 const WALK_STEP: f64 = 0.04;
 
+/// Cadence of the random walk.
+const UPDATE_INTERVAL: SimDuration = SimDuration::from_secs(5);
+
 #[derive(Debug, Clone)]
 struct WalkingLink {
     from: NodeId,
@@ -34,7 +37,6 @@ struct WalkingLink {
 pub struct TestbedMedium {
     table: LinkTableMedium,
     walkers: Vec<WalkingLink>,
-    update_interval: SimDuration,
     next_update: SimTime,
 }
 
@@ -69,16 +71,8 @@ impl TestbedMedium {
         TestbedMedium {
             table,
             walkers,
-            update_interval: SimDuration::from_secs(5),
-            next_update: SimTime::ZERO + SimDuration::from_secs(5),
+            next_update: SimTime::ZERO + UPDATE_INTERVAL,
         }
-    }
-
-    /// Change the cadence of the random walk (default: 5 s).
-    pub fn with_update_interval(mut self, interval: SimDuration) -> Self {
-        self.update_interval = interval;
-        self.next_update = SimTime::ZERO + interval;
-        self
     }
 
     /// Current loss of the directed link `from → to`, if it exists.
@@ -108,7 +102,7 @@ impl Medium for TestbedMedium {
     ) {
         while now >= self.next_update {
             self.step_walk(rng);
-            self.next_update += self.update_interval;
+            self.next_update += UPDATE_INTERVAL;
         }
         self.table.fan_out(tx, positions, now, rng, out)
     }
@@ -129,8 +123,13 @@ impl Medium for TestbedMedium {
         // Every walker's loss is its directed link's loss in the table, so
         // the table (losses and link faults) carries the walk; `next_update`
         // is when it steps next.
-        self.table.snapshot_state(w);
-        self.next_update.snap(w);
+        let TestbedMedium {
+            table,
+            walkers: _, // restored from the table's losses
+            next_update,
+        } = self;
+        table.snapshot_state(w);
+        next_update.snap(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
