@@ -408,17 +408,6 @@ fn mean_ci(s: &Summary) -> String {
     format!("{:.3} ± {:.3}", s.mean, s.ci95_half_width())
 }
 
-/// The failure tag the progress stream and summary share: a livelock on a
-/// resumed attempt points at the checkpoint, not the run, and is labeled
-/// distinctly so salvage triage can tell them apart.
-fn failure_tag(f: &RunFailure) -> &'static str {
-    match (f.livelock, f.last_attempt_resumed()) {
-        (true, true) => " [livelock after resume]",
-        (true, false) => " [livelock]",
-        (false, _) => "",
-    }
-}
-
 /// Render the per-configuration comparison tables plus a failure appendix.
 fn summary_markdown(
     name: &str,
@@ -502,18 +491,10 @@ fn summary_markdown(
                 f.seed,
                 f.reason.lines().next().unwrap_or("panic"),
                 f.attempts,
-                failure_tag(f)
+                f.livelock_tag()
             ));
-            if f.resume_points.iter().any(|p| p.is_some()) {
-                let pts: Vec<String> = f
-                    .resume_points
-                    .iter()
-                    .map(|p| match p {
-                        None => "scratch".to_string(),
-                        Some(t) => format!("ckpt@{t}"),
-                    })
-                    .collect();
-                md.push_str(&format!("  - attempts started from: {}\n", pts.join(", ")));
+            if let Some(trail) = f.resume_trail() {
+                md.push_str(&format!("  - attempts started from: {trail}\n"));
             }
         }
     }
@@ -843,7 +824,7 @@ fn run(args: &Args) -> Result<(), String> {
                     variant_name(jobs[i].variant),
                     jobs[i].seed,
                     f.reason.lines().next().unwrap_or("panic"),
-                    failure_tag(f)
+                    f.livelock_tag()
                 ),
             }
         },

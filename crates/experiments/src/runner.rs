@@ -311,30 +311,46 @@ impl RunFailure {
     pub fn last_attempt_resumed(&self) -> bool {
         self.resume_points.last().is_some_and(|p| p.is_some())
     }
+
+    /// ` [livelock]` when the watchdog ended the last attempt, ` [livelock
+    /// after resume]` when that attempt had resumed from a checkpoint (the
+    /// livelock then points at the checkpoint, not the run), else empty.
+    pub fn livelock_tag(&self) -> &'static str {
+        match (self.livelock, self.last_attempt_resumed()) {
+            (true, true) => " [livelock after resume]",
+            (true, false) => " [livelock]",
+            (false, _) => "",
+        }
+    }
+
+    /// Where each attempt started, as `scratch, ckpt@t, ...`; `None` when
+    /// every attempt started from scratch.
+    pub fn resume_trail(&self) -> Option<String> {
+        if self.resume_points.iter().all(|p| p.is_none()) {
+            return None;
+        }
+        let pts: Vec<String> = self
+            .resume_points
+            .iter()
+            .map(|p| match p {
+                None => "scratch".to_string(),
+                Some(t) => format!("ckpt@{t}"),
+            })
+            .collect();
+        Some(pts.join(", "))
+    }
 }
 
 impl std::fmt::Display for RunFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let tag = match (self.livelock, self.last_attempt_resumed()) {
-            (true, true) => " [livelock after resume]",
-            (true, false) => " [livelock]",
-            (false, _) => "",
-        };
+        let tag = self.livelock_tag();
         write!(
             f,
             "{} seed {} failed after {} attempt(s){}: {}",
             self.variant, self.seed, self.attempts, tag, self.reason
         )?;
-        if self.resume_points.iter().any(|p| p.is_some()) {
-            let pts: Vec<String> = self
-                .resume_points
-                .iter()
-                .map(|p| match p {
-                    None => "scratch".to_string(),
-                    Some(t) => format!("ckpt@{t}"),
-                })
-                .collect();
-            write!(f, " (attempts: {})", pts.join(", "))?;
+        if let Some(trail) = self.resume_trail() {
+            write!(f, " (attempts: {trail})")?;
         }
         Ok(())
     }
@@ -847,6 +863,11 @@ mod tests {
         assert_eq!(f.resume_points, vec![None, Some(t3), Some(t3)]);
         assert!(f.last_attempt_resumed());
         assert!(f.livelock);
+        assert_eq!(f.livelock_tag(), " [livelock after resume]");
+        assert_eq!(
+            f.resume_trail(),
+            Some(format!("scratch, ckpt@{t3}, ckpt@{t3}"))
+        );
         let shown = f.to_string();
         assert!(
             shown.contains("[livelock after resume]"),
@@ -877,6 +898,7 @@ mod tests {
         let f = failures[0];
         assert_eq!(f.resume_points, vec![None, None]);
         assert!(!f.last_attempt_resumed());
+        assert_eq!((f.livelock_tag(), f.resume_trail()), (" [livelock]", None));
         let shown = f.to_string();
         assert!(shown.contains("[livelock]") && !shown.contains("after resume"));
     }

@@ -182,26 +182,26 @@ fn blame_line(doc: &Doc, msg: &str, topo_line: usize) -> usize {
         .max(1)
 }
 
-fn secs_time(e: &Entry) -> Result<SimTime, TomlError> {
-    let v = e.float()?;
+/// The rejection of `groups.count = 0`, in the deck body and on a sweep axis.
+pub(super) const NO_GROUP: &str = "a scenario needs at least one group";
+/// The rejection of `groups.sources = 0`, in the deck body and on a sweep axis.
+pub(super) const NO_SOURCE: &str = "each group needs at least one source";
+
+/// `v` seconds as a duration; negative values are rejected rather than
+/// saturated to zero. Deck keys and sweep axes share this check.
+pub(super) fn nonneg_secs(key: &str, v: f64) -> Result<SimDuration, String> {
     if v < 0.0 {
-        return Err(TomlError::at(
-            e.line,
-            format!("key `{}` must be >= 0, got {v}", e.key),
-        ));
+        return Err(format!("key `{key}` must be >= 0, got {v}"));
     }
-    Ok(SimTime::ZERO + SimDuration::from_secs_f64(v))
+    Ok(SimDuration::from_secs_f64(v))
+}
+
+fn secs_time(e: &Entry) -> Result<SimTime, TomlError> {
+    Ok(SimTime::ZERO + secs_duration(e)?)
 }
 
 fn secs_duration(e: &Entry) -> Result<SimDuration, TomlError> {
-    let v = e.float()?;
-    if v < 0.0 {
-        return Err(TomlError::at(
-            e.line,
-            format!("key `{}` must be >= 0, got {v}", e.key),
-        ));
-    }
-    Ok(SimDuration::from_secs_f64(v))
+    nonneg_secs(&e.key, e.float()?).map_err(|msg| TomlError::at(e.line, msg))
 }
 
 fn compile_topology(
@@ -340,7 +340,7 @@ fn compile_groups(doc: &Doc, mesh: &mut MeshScenario) -> Result<(), TomlError> {
     if let Some(e) = t.get("count") {
         let n = e.usize()?;
         if n == 0 {
-            return Err(TomlError::at(e.line, "a scenario needs at least one group"));
+            return Err(TomlError::at(e.line, NO_GROUP));
         }
         mesh.groups = n;
     }
@@ -350,10 +350,7 @@ fn compile_groups(doc: &Doc, mesh: &mut MeshScenario) -> Result<(), TomlError> {
     if let Some(e) = t.get("sources") {
         let n = e.usize()?;
         if n == 0 {
-            return Err(TomlError::at(
-                e.line,
-                "each group needs at least one source",
-            ));
+            return Err(TomlError::at(e.line, NO_SOURCE));
         }
         mesh.sources_per_group = n;
     }
@@ -995,6 +992,52 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.line, 6);
         assert!(err.msg.contains("unsupported sweep axis"), "{}", err.msg);
+    }
+
+    /// A sweep axis value that the deck body rejects fails at the axis
+    /// line with the body's wording: it is not clamped to one (counts) or
+    /// saturated to zero (negative durations) and then run under a label
+    /// naming the value it did not run.
+    #[test]
+    fn sweep_axes_reject_what_the_deck_body_rejects() {
+        let base = format!(
+            "{MINIMAL}[traffic]\nmix = \"bursty\"\non_secs = 1.0\noff_secs = 2.0\n\
+             [churn]\nper_group = 1\nstart_secs = 40.0\nend_secs = 80.0\n\
+             dwell_secs = 10.0\nstagger_secs = 1.0\n"
+        );
+        let axis_line = base.lines().count() + 2;
+        compile(&base).expect("the base deck compiles");
+        for (axis, bad, msg) in [
+            ("groups.count", "0", "a scenario needs at least one group"),
+            (
+                "groups.sources",
+                "0",
+                "each group needs at least one source",
+            ),
+            (
+                "traffic.off_secs",
+                "-1",
+                "key `traffic.off_secs` must be >= 0, got -1",
+            ),
+            (
+                "churn.stagger_secs",
+                "-2",
+                "key `churn.stagger_secs` must be >= 0, got -2",
+            ),
+            (
+                "churn.dwell_secs",
+                "-3",
+                "key `churn.dwell_secs` must be >= 0, got -3",
+            ),
+        ] {
+            let deck = format!("{base}[sweep.axes]\n\"{axis}\" = [{bad}, 2]\n");
+            let err = compile(&deck).unwrap_err();
+            assert_eq!(
+                (err.line, err.msg.as_str()),
+                (axis_line, msg),
+                "axis `{axis}`"
+            );
+        }
     }
 
     #[test]

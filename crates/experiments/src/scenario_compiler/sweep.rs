@@ -10,7 +10,9 @@
 
 use odmrp::Variant;
 
-use crate::scenario_compiler::compile::{CompiledScenario, SweepSpec, SUPPORTED_AXES};
+use crate::scenario_compiler::compile::{
+    nonneg_secs, CompiledScenario, SweepSpec, NO_GROUP, NO_SOURCE, SUPPORTED_AXES,
+};
 use crate::scenario_compiler::toml::TomlError;
 use crate::scenario_compiler::workload::{
     grid_side, metro_side, FaultSpec, TopologyFamily, TrafficMix, WorkloadScenario,
@@ -41,8 +43,18 @@ fn as_count(key: &str, v: f64) -> Result<usize, String> {
     Ok(v as usize)
 }
 
+/// A count of at least one: the deck body rejects zero with `msg`, so the
+/// axis does too instead of clamping it.
+fn at_least_one(key: &str, v: f64, msg: &str) -> Result<usize, String> {
+    match as_count(key, v)? {
+        0 => Err(msg.into()),
+        n => Ok(n),
+    }
+}
+
 /// Apply one axis assignment to a scenario, then re-derive dependent fields.
-/// Errors are human-readable and name the axis.
+/// A value the deck body would reject fails with the compiler's wording;
+/// other errors are human-readable and name the axis.
 pub fn apply_axis(w: &mut WorkloadScenario, key: &str, v: f64) -> Result<(), String> {
     match key {
         "topology.nodes" => {
@@ -68,17 +80,17 @@ pub fn apply_axis(w: &mut WorkloadScenario, key: &str, v: f64) -> Result<(), Str
             TopologyFamily::Grid { spacing, .. } => *spacing = v,
             _ => return Err("axis `topology.spacing` only applies to grid topologies".into()),
         },
-        "groups.count" => w.mesh.groups = as_count(key, v)?.max(1),
+        "groups.count" => w.mesh.groups = at_least_one(key, v, NO_GROUP)?,
         "groups.members" => w.mesh.members_per_group = as_count(key, v)?,
-        "groups.sources" => w.mesh.sources_per_group = as_count(key, v)?.max(1),
-        "time.data_stop_secs" => w.mesh.data_stop = SimTime::ZERO + SimDuration::from_secs_f64(v),
+        "groups.sources" => w.mesh.sources_per_group = at_least_one(key, v, NO_SOURCE)?,
+        "time.data_stop_secs" => w.mesh.data_stop = SimTime::ZERO + nonneg_secs(key, v)?,
         "protocol.probe_rate" => w.mesh.probe_rate = v,
         "traffic.on_secs" | "traffic.off_secs" => match &mut w.traffic {
             TrafficMix::Bursty { on, off } => {
                 if key.ends_with("on_secs") {
-                    *on = SimDuration::from_secs_f64(v);
+                    *on = nonneg_secs(key, v)?;
                 } else {
-                    *off = SimDuration::from_secs_f64(v);
+                    *off = nonneg_secs(key, v)?;
                 }
             }
             TrafficMix::Steady => {
@@ -93,8 +105,8 @@ pub fn apply_axis(w: &mut WorkloadScenario, key: &str, v: f64) -> Result<(), Str
             };
             match key {
                 "churn.per_group" => churn.per_group = as_count(key, v)?,
-                "churn.dwell_secs" => churn.dwell = SimDuration::from_secs_f64(v),
-                _ => churn.stagger = SimDuration::from_secs_f64(v),
+                "churn.dwell_secs" => churn.dwell = nonneg_secs(key, v)?,
+                _ => churn.stagger = nonneg_secs(key, v)?,
             }
             if churn.per_group > 0 && churn.end <= churn.start {
                 return Err(format!(

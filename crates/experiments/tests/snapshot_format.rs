@@ -1,6 +1,6 @@
 //! Golden snapshot-format fixture and writer pins (DESIGN.md §14).
 //!
-//! `fixtures/checkpoint-v2.bin` is a committed checkpoint taken from a
+//! `fixtures/checkpoint-v3.bin` is a committed checkpoint taken from a
 //! pinned scenario (faults + mobility + metrics recorder active, so the
 //! widest slice of the wire format is exercised). It must keep
 //! deserializing forever under the current [`SNAPSHOT_FORMAT_VERSION`]; a
@@ -217,12 +217,12 @@ fn tree_and_testbed_snapshots_are_pinned() {
     );
     assert_eq!(
         payload_pin(&tree),
-        (496_534, 0x75b9_07f7_7325_a161),
+        (491_590, 0x158c_8e5a_6f61_be9d),
         "tree-quick MAODV snapshot"
     );
     assert_eq!(
         payload_pin(&testbed),
-        (60_152, 0xef19_ef04_fabe_b6fd),
+        (59_784, 0xce45_287d_2ed0_1c31),
         "testbed-quick ODMRP snapshot"
     );
 }

@@ -153,13 +153,13 @@ mod tests {
             crates = ["mesh-sim", "core"]  # deterministic crates
 
             [rules.R2]
-            allow_paths = ["crates/criterion/"]
+            allow_paths = ["crates/experiments/src/bin/"]
             "#,
         )
         .unwrap();
         assert_eq!(cfg.skip_paths.len(), 2);
         assert_eq!(cfg.scope("R1").crates, ["mesh-sim", "core"]);
-        assert_eq!(cfg.scope("R2").allow_paths, ["crates/criterion/"]);
+        assert_eq!(cfg.scope("R2").allow_paths, ["crates/experiments/src/bin/"]);
         assert!(cfg.scope("R9").crates.is_empty());
     }
 

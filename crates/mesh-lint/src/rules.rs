@@ -496,7 +496,7 @@ fn rule_r5_threading(tokens: &[Token], out: &mut Vec<Finding>) {
                 line: tokens[i].line,
                 message: format!(
                     "`thread::{}` introduces scheduling nondeterminism; threading is \
-                     confined to experiments::runner::run_matrix",
+                     confined to experiments::runner::run_jobs_supervised_resumable",
                     t(tokens, i as isize + 2)
                 ),
             });

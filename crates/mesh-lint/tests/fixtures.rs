@@ -136,7 +136,7 @@ fn reasonless_suppressions_are_findings_and_do_not_silence() {
 
 /// Per-crate scoping from the real workspace config: R1 is confined to the
 /// deterministic crates, so the same R1 fixture is silent when placed in
-/// e.g. the bench crate — unless `--unscoped` overrides scoping.
+/// e.g. the testbed crate — unless `--unscoped` overrides scoping.
 #[test]
 fn workspace_config_scopes_r1_to_deterministic_crates() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -147,11 +147,11 @@ fn workspace_config_scopes_r1_to_deterministic_crates() {
     let in_sim = lint_source("crates/mesh-sim/src/f.rs", &src, &cfg, LintOpts::default());
     assert_eq!(in_sim.len(), 3, "R1 must fire inside mesh-sim");
 
-    let in_bench = lint_source("crates/bench/src/f.rs", &src, &cfg, LintOpts::default());
-    assert!(in_bench.is_empty(), "R1 must not fire in the bench crate");
+    let outside = lint_source("crates/testbed/src/f.rs", &src, &cfg, LintOpts::default());
+    assert!(outside.is_empty(), "R1 must not fire in the testbed crate");
 
     let unscoped = lint_source(
-        "crates/bench/src/f.rs",
+        "crates/testbed/src/f.rs",
         &src,
         &cfg,
         LintOpts {
@@ -178,8 +178,8 @@ fn workspace_config_scopes_r6_to_hot_crates() {
     let in_sim = lint_source("crates/mesh-sim/src/f.rs", &src, &cfg, all);
     assert_eq!(in_sim.len(), 4, "R6 must fire inside mesh-sim: {in_sim:?}");
 
-    let in_bench = lint_source("crates/bench/src/f.rs", &src, &cfg, all);
-    assert!(in_bench.is_empty(), "R6 is confined to the hot crates");
+    let outside = lint_source("crates/testbed/src/f.rs", &src, &cfg, all);
+    assert!(outside.is_empty(), "R6 is confined to the hot crates");
 
     let in_sim_tests = lint_source("crates/mesh-sim/tests/f.rs", &src, &cfg, all);
     assert!(in_sim_tests.is_empty(), "/tests/ is allowlisted for R6");

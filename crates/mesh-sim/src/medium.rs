@@ -720,8 +720,12 @@ impl FanOutCache {
 /// (who can possibly hear me, at what mean power and delay) are computed once
 /// per positions snapshot via a [`NeighborIndex`] grid and replayed per
 /// frame, so static topologies pay the O(N) geometry math once instead of
-/// per transmission. Mobility invalidates the caches through
-/// [`Medium::invalidate_positions`].
+/// per transmission. Every mobility tick reports its moves through
+/// [`Medium::positions_changed`], which re-buckets the moved nodes and
+/// stamps epochs on the cells they touched, so the next fan-out refreshes
+/// only the cached lists near them. [`Medium::invalidate_positions`] drops
+/// the caches wholesale; the world calls it only when a mobility model is
+/// attached.
 ///
 /// Determinism is preserved exactly: candidate membership is the same
 /// predicate the full scan applies, lists are NodeId-ascending, and fading is

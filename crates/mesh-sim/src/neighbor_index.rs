@@ -2,10 +2,10 @@
 //! re-bucketing.
 //!
 //! [`NeighborIndex`] buckets nodes into square cells so that range queries
-//! ("every node within `r` meters of here") touch only the cells overlapping
-//! the query square instead of scanning all N nodes. The medium uses it to
-//! build its per-transmitter candidate caches in O(K) per transmitter
-//! (K = nodes in range) rather than O(N).
+//! ("every node within `r` meters of this node") touch only the block of
+//! cells around the node's own cell instead of scanning all N nodes. The
+//! medium uses it to build its per-transmitter candidate caches in O(K) per
+//! transmitter (K = nodes in range) rather than O(N).
 //!
 //! The index observes position changes through [`NeighborIndex::update_position`]:
 //! a node that moved is re-bucketed only if its position crossed a grid-cell
@@ -17,9 +17,10 @@
 //!
 //! The grid *frame* (origin, cell size, dimensions) is fixed at build time
 //! from the initial bounding box. Nodes that later wander outside the frame
-//! are clamped into the border cells — queries stay conservative (the same
-//! clamping applies to query corners), only less selective. A workload whose
-//! population migrates far off the original frame should rebuild the index.
+//! are clamped into the border cells — block queries stay conservative
+//! (clamping never moves a node farther from another in cells), only less
+//! selective. A workload whose population migrates far off the original
+//! frame should rebuild the index.
 
 use crate::geometry::Pos;
 use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
@@ -33,7 +34,7 @@ const MAX_CELLS_PER_AXIS: usize = 256;
 /// range queries and incremental position updates.
 ///
 /// Queries return a **superset** of the nodes within the radius (everything
-/// in the cells overlapping the query square); callers apply their exact
+/// in the block of cells around a node's cell); callers apply their exact
 /// predicate per node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborIndex {
@@ -228,25 +229,6 @@ impl NeighborIndex {
     pub fn nodes_in_block(&self, cell: usize, rings: usize, out: &mut Vec<u32>) {
         self.for_each_block_cell(cell, rings, |c| out.extend_from_slice(&self.cells[c]));
     }
-
-    /// Append to `out` every node in a cell overlapping the square of
-    /// half-side `radius_m` around `center` — a superset of the nodes within
-    /// `radius_m` meters. Within a cell nodes come out ascending, but cells
-    /// are visited row-major, so the overall order is not sorted.
-    // mesh-lint: hot(candidate-query)
-    pub fn candidates_within(&self, center: Pos, radius_m: f64, out: &mut Vec<u32>) {
-        let lo = Pos::new(center.x - radius_m, center.y - radius_m);
-        let hi = Pos::new(center.x + radius_m, center.y + radius_m);
-        let (cx0, cy0) = self.cell_coords(clamp_to(lo, self.origin));
-        let (cx1, cy1) = self.cell_coords(hi);
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                // mesh-lint: allow(R6, "cell_coords clamps to cols-1/rows-1, so cy * cols + cx < rows * cols == cells.len()")
-                out.extend_from_slice(&self.cells[cy * self.cols + cx]);
-            }
-        }
-    }
-    // mesh-lint: end-hot
 }
 
 // The index is SERIALIZED rather than rebuilt on restore: the grid frame
@@ -326,13 +308,6 @@ fn grid_extent(span: f64, cell: f64) -> usize {
     ((span / cell).floor() as usize + 1).min(MAX_CELLS_PER_AXIS)
 }
 
-/// Clamp a query corner to the grid origin so the `f64 as usize` cast in
-/// `cell_coords` (which saturates negatives to 0 only for the final min)
-/// never sees a coordinate below the origin.
-fn clamp_to(p: Pos, origin: Pos) -> Pos {
-    Pos::new(p.x.max(origin.x), p.y.max(origin.y))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,43 +325,14 @@ mod tests {
     }
 
     #[test]
-    fn query_is_superset_of_brute_force() {
-        let mut rng = SimRng::seed_from(42);
-        for trial in 0..50 {
-            let n = 1 + (trial % 40);
-            let positions: Vec<Pos> = (0..n)
-                .map(|_| {
-                    Pos::new(
-                        rng.uniform_range(-500.0, 1500.0),
-                        rng.uniform_range(0.0, 900.0),
-                    )
-                })
-                .collect();
-            let idx = NeighborIndex::build(&positions, 200.0);
-            for _ in 0..10 {
-                let center = positions[rng.uniform_u32(n as u32) as usize];
-                let r = rng.uniform_range(1.0, 400.0);
-                let mut got = Vec::new();
-                idx.candidates_within(center, r, &mut got);
-                got.sort_unstable();
-                let expect = brute_force(&positions, center, r);
-                for e in expect {
-                    assert!(got.contains(&e), "node {e} missing at r={r}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn query_prunes_far_nodes() {
-        // A long line of nodes: a small-radius query near one end must not
-        // return the whole line.
+    fn block_prunes_far_nodes() {
+        // A long line of nodes: the block around one end must not return
+        // the whole line.
         let positions: Vec<Pos> = (0..1000).map(|i| Pos::new(i as f64 * 10.0, 0.0)).collect();
         let idx = NeighborIndex::build(&positions, 100.0);
         let mut got = Vec::new();
-        idx.candidates_within(positions[0], 100.0, &mut got);
+        idx.nodes_in_block(idx.node_cell(0), 1, &mut got);
         assert!(got.len() < 100, "pruning failed: {} candidates", got.len());
-        got.sort_unstable();
         for e in brute_force(&positions, positions[0], 100.0) {
             assert!(got.contains(&e));
         }
@@ -394,17 +340,17 @@ mod tests {
 
     #[test]
     fn handles_degenerate_inputs() {
-        // Empty.
+        // Empty: one cell, holding nothing.
         let idx = NeighborIndex::build(&[], 10.0);
         assert!(idx.is_empty());
+        assert_eq!(idx.grid_dims(), (1, 1));
         let mut out = Vec::new();
-        idx.candidates_within(Pos::new(0.0, 0.0), 50.0, &mut out);
+        idx.nodes_in_block(0, 1, &mut out);
         assert!(out.is_empty());
-        // All co-located.
+        // All co-located: one cell, ascending.
         let positions = vec![Pos::new(5.0, 5.0); 7];
         let idx = NeighborIndex::build(&positions, 1.0);
-        out.clear();
-        idx.candidates_within(Pos::new(5.0, 5.0), 0.5, &mut out);
+        idx.nodes_in_block(idx.node_cell(0), 0, &mut out);
         assert_eq!(out, (0..7).collect::<Vec<u32>>());
     }
 
@@ -414,9 +360,7 @@ mod tests {
         let idx = NeighborIndex::build(&positions, 0.001);
         let (cols, rows) = idx.grid_dims();
         assert!(cols <= MAX_CELLS_PER_AXIS && rows <= MAX_CELLS_PER_AXIS);
-        let mut out = Vec::new();
-        idx.candidates_within(Pos::new(0.0, 0.0), 10.0, &mut out);
-        assert!(out.contains(&0));
+        assert_ne!(idx.node_cell(0), idx.node_cell(1));
     }
 
     #[test]
@@ -428,9 +372,7 @@ mod tests {
             Pos::new(1.5, 2.5),
         ];
         let idx = NeighborIndex::build(&positions, 100.0);
-        let mut out = Vec::new();
-        idx.candidates_within(Pos::new(2.0, 2.0), 50.0, &mut out);
-        assert_eq!(out, vec![0, 1, 2, 3]);
+        assert_eq!(idx.nodes_in_cell(idx.node_cell(2)), &[0, 1, 2, 3]);
     }
 
     #[test]

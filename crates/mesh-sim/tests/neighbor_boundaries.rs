@@ -1,12 +1,14 @@
 //! Boundary coverage for the spatial [`NeighborIndex`] and its interaction
-//! with mobility-driven cache invalidation.
+//! with mobility-driven cache updates.
 //!
-//! The index promises a *superset* of the nodes within the query radius.
-//! These tests probe the places where that promise is easiest to break:
-//! positions exactly on cell edges (ties in the `f64 → usize` cell mapping),
-//! coincident positions, query squares whose corners land on edges, and —
-//! through the indexed [`PhysicalMedium`] under random-waypoint mobility —
-//! `invalidate_positions` arriving between transmissions mid-tick.
+//! The medium's fan-out cache relies on one promise: the block of
+//! `rings = ⌈r / cell_size_m⌉` rings around a node's cell
+//! ([`NeighborIndex::nodes_in_block`]) holds every node within `r` meters of
+//! that node. These tests probe the places where that promise is easiest to
+//! break: positions exactly on cell edges (ties in the `f64 → usize` cell
+//! mapping), coincident positions, a negative edge-aligned origin, radius
+//! zero, and — through the indexed [`PhysicalMedium`] under random-waypoint
+//! mobility — `positions_changed` arriving every mobility tick.
 
 use mesh_sim::geometry::Area;
 use mesh_sim::mobility::RandomWaypoint;
@@ -23,14 +25,20 @@ fn brute_force(positions: &[Pos], center: Pos, r: f64) -> Vec<u32> {
     v
 }
 
-fn assert_superset(idx: &NeighborIndex, positions: &[Pos], center: Pos, r: f64) {
+/// The block around `node`'s cell, `⌈r / cell_size_m⌉` rings wide.
+fn block(idx: &NeighborIndex, node: usize, r: f64) -> Vec<u32> {
+    let rings = (r / idx.cell_size_m()).ceil() as usize;
     let mut got = Vec::new();
-    idx.candidates_within(center, r, &mut got);
-    got.sort_unstable();
-    for e in brute_force(positions, center, r) {
+    idx.nodes_in_block(idx.node_cell(node as u32), rings, &mut got);
+    got
+}
+
+fn assert_block_covers(idx: &NeighborIndex, positions: &[Pos], node: usize, r: f64) {
+    let got = block(idx, node, r);
+    for e in brute_force(positions, positions[node], r) {
         assert!(
             got.contains(&e),
-            "node {e} within {r} m of {center:?} missing from candidates"
+            "node {e} within {r} m of node {node} missing from its block"
         );
     }
 }
@@ -38,39 +46,37 @@ fn assert_superset(idx: &NeighborIndex, positions: &[Pos], center: Pos, r: f64) 
 #[test]
 fn nodes_exactly_on_cell_edges_are_never_lost() {
     // A lattice whose points all sit exactly on cell boundaries (multiples
-    // of the 100 m cell size), including the far corner of the grid.
+    // of the 100 m cell size), including the far corner of the grid, plus
+    // one node at every cell midpoint.
     let cell = 100.0;
-    let positions: Vec<Pos> = (0..=5)
-        .flat_map(|i| (0..=5).map(move |j| Pos::new(i as f64 * cell, j as f64 * cell)))
+    let lattice = (0..=5).flat_map(|i| (0..=5).map(move |j| (i as f64, j as f64)));
+    let midpoints = (0..5).flat_map(|i| (0..5).map(move |j| (i as f64 + 0.5, j as f64 + 0.5)));
+    let positions: Vec<Pos> = lattice
+        .chain(midpoints)
+        .map(|(i, j)| Pos::new(i * cell, j * cell))
         .collect();
     let idx = NeighborIndex::build(&positions, cell);
-    // Query centers on every lattice point and every cell midpoint, with
-    // radii that also land query corners exactly on edges.
-    for &center in &positions {
+    // Radii that also land the covered distance exactly on edges.
+    for node in 0..positions.len() {
         for r in [cell, cell / 2.0, 1.5 * cell] {
-            assert_superset(&idx, &positions, center, r);
-        }
-    }
-    for i in 0..5 {
-        for j in 0..5 {
-            let mid = Pos::new((i as f64 + 0.5) * cell, (j as f64 + 0.5) * cell);
-            assert_superset(&idx, &positions, mid, cell / 2.0);
+            assert_block_covers(&idx, &positions, node, r);
         }
     }
 }
 
 #[test]
-fn zero_radius_query_on_an_edge_still_finds_the_node_there() {
+fn zero_radius_block_on_an_edge_still_holds_the_node_there() {
     let positions = vec![
         Pos::new(0.0, 0.0),
         Pos::new(100.0, 0.0),
         Pos::new(200.0, 0.0),
     ];
     let idx = NeighborIndex::build(&positions, 100.0);
-    for (i, &p) in positions.iter().enumerate() {
-        let mut got = Vec::new();
-        idx.candidates_within(p, 0.0, &mut got);
-        assert!(got.contains(&(i as u32)), "node {i} lost at zero radius");
+    for i in 0..positions.len() {
+        assert!(
+            block(&idx, i, 0.0).contains(&(i as u32)),
+            "node {i} lost at zero radius"
+        );
     }
 }
 
@@ -81,18 +87,15 @@ fn coincident_nodes_on_an_edge_all_appear_once() {
     positions.push(Pos::new(0.0, 100.0));
     positions.push(Pos::new(200.0, 100.0));
     let idx = NeighborIndex::build(&positions, 100.0);
-    let mut got = Vec::new();
-    idx.candidates_within(Pos::new(100.0, 100.0), 1.0, &mut got);
-    got.sort_unstable();
-    let stacked: Vec<u32> = (0..7).collect();
-    for e in &stacked {
+    let got = block(&idx, 0, 1.0);
+    for e in 0..7 {
         assert_eq!(
-            got.iter().filter(|&&g| g == *e).count(),
+            got.iter().filter(|&&g| g == e).count(),
             1,
             "node {e} duplicated or lost"
         );
     }
-    assert_superset(&idx, &positions, Pos::new(100.0, 100.0), 100.0);
+    assert_block_covers(&idx, &positions, 0, 100.0);
 }
 
 #[test]
@@ -106,11 +109,11 @@ fn negative_coordinates_with_edge_aligned_origin() {
         Pos::new(100.0, 100.0),
     ];
     let idx = NeighborIndex::build(&positions, 100.0);
-    for &center in &positions {
-        assert_superset(&idx, &positions, center, 150.0);
+    for node in 0..positions.len() {
+        assert_block_covers(&idx, &positions, node, 150.0);
     }
-    // Query square poking past the grid on the low side.
-    assert_superset(&idx, &positions, Pos::new(-200.0, -100.0), 400.0);
+    // A block reaching past the grid on the low side.
+    assert_block_covers(&idx, &positions, 0, 400.0);
 }
 
 /// A silent protocol; the medium, index and mobility do all the work.
@@ -129,10 +132,10 @@ impl Protocol for Beacon {
     }
 }
 
-/// Under random-waypoint mobility, `invalidate_positions` hits the indexed
-/// medium between transmissions mid-tick. Indexed and unindexed media must
-/// stay bit-identical anyway — any stale cache shows up as diverging
-/// counters.
+/// Under random-waypoint mobility, every tick reports its moves to the
+/// indexed medium through `positions_changed`, between transmissions.
+/// Indexed and unindexed media must stay bit-identical anyway — any stale
+/// cache shows up as diverging counters.
 #[test]
 fn indexed_medium_matches_scan_under_mobility_invalidation() {
     let run = |indexed: bool| {
@@ -275,7 +278,7 @@ fn random_rebucket_walk_matches_fresh_build_and_stays_a_superset() {
     // A randomized mobility walk — wiggles, cell-width hops, edge landings
     // and out-of-frame excursions — checking after every tick that the
     // incrementally-maintained index equals the from-scratch rebuild and
-    // still answers superset queries correctly.
+    // that its blocks still cover the radius.
     let mut rng = SimRng::seed_from(0x5EED_CAFE);
     let mut positions: Vec<Pos> = (0..40)
         .map(|_| Pos::new(rng.uniform_range(0.0, 900.0), rng.uniform_range(0.0, 900.0)))
@@ -300,8 +303,8 @@ fn random_rebucket_walk_matches_fresh_build_and_stays_a_superset() {
             idx.update_position(i as u32, to);
         }
         assert_eq!(idx, idx.rebuilt(&positions), "diverged at tick {tick}");
-        let center = positions[(tick * 7) % positions.len()];
-        assert_superset(&idx, &positions, center, 150.0);
-        assert_superset(&idx, &positions, center, 300.0);
+        let node = (tick * 7) % positions.len();
+        assert_block_covers(&idx, &positions, node, 150.0);
+        assert_block_covers(&idx, &positions, node, 300.0);
     }
 }

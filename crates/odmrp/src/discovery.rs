@@ -787,7 +787,7 @@ impl<F: Forwarding> MulticastNode<F> {
         &self.core.backoff_exp
     }
 
-    fn handle_data(&mut self, ctx: &mut Ctx<'_, F::Msg>, from: NodeId, d: &DataPacket) {
+    fn handle_data(&mut self, ctx: &mut Ctx<'_, F::Msg>, d: &DataPacket) {
         let core = &mut self.core;
         if d.source == core.me {
             return;
@@ -809,7 +809,6 @@ impl<F: Forwarding> MulticastNode<F> {
                 core.data_seen.remove(&old);
             }
         }
-        *core.stats.data_edges.entry((from, core.me)).or_insert(0) += 1;
 
         let now = ctx.now();
         if core.role.is_member(d.group, now) {
@@ -957,7 +956,7 @@ impl<F: Forwarding> Protocol for MulticastNode<F> {
                 self.core.table.handle_probe(src, p, self.core.me, now);
             }
             Heard::Query(q) => self.core.handle_query(ctx, src, q),
-            Heard::Data(d) => self.handle_data(ctx, src, d),
+            Heard::Data(d) => self.handle_data(ctx, d),
             Heard::Own => self.fwd.on_message(&mut self.core, ctx, src, msg),
         }
     }

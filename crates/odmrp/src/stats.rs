@@ -48,8 +48,6 @@ pub struct NodeStats {
     pub replies_sent: u64,
     /// Probe packets broadcast.
     pub probes_sent: u64,
-    /// First-copy data receptions per directed link `(from, to=this node)`.
-    pub data_edges: BTreeMap<(NodeId, NodeId), u64>,
     /// Tree edges selected in `JOIN REPLY`s: `(upstream, this node)` counted
     /// once per refresh round the edge was chosen; used for Fig. 5.
     pub tree_edges: BTreeMap<(NodeId, NodeId), u64>,
@@ -85,7 +83,6 @@ mesh_sim::snap_struct!(NodeStats {
     queries_forwarded,
     replies_sent,
     probes_sent,
-    data_edges,
     tree_edges,
     fg_refreshes,
     duplicate_data,
