@@ -32,6 +32,11 @@
 //! above [`DEFAULT_CAP`] jobs is refused. `--quick` shrinks the matrix to a
 //! CI-sized smoke run (≤ 2 values per axis, 2 variants, 1 seed, 20 s data
 //! window) and suffixes output names with `-quick`.
+//!
+//! Exit status: 0 when the sweep finished, 1 when it failed (an unreadable
+//! or malformed deck, an unwritable output, a refused resume), 2 on a
+//! usage error (an unknown flag, a bad value, `--help`, no scenario file,
+//! `--resume` with other flags), as for `repro` and `trace`.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -881,7 +886,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     match run(&args) {

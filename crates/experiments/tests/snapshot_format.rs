@@ -19,6 +19,16 @@
 //! the testbed's loss walk) keep literal length and FNV-1a pins. A
 //! deliberate change to the event schedule moves both: regenerate the
 //! fixture and update the pins in the same commit.
+//!
+//! Decoding is canonical: every truncated or bit-flipped mutant of the
+//! fixture is either refused with a typed [`SnapError`] or restores into a
+//! simulator whose snapshot is the mutant's exact bytes, and none panics.
+//! Replay one mutant by its name:
+//!
+//! ```text
+//! SNAPSHOT_MUTANT='flip 20480.3' cargo test -p experiments --test snapshot_format \
+//!     mutated -- --nocapture
+//! ```
 
 use experiments::scenario::MeshScenario;
 use experiments::scenario_compiler::{compile, FaultSpec, MobilitySpec, WorkloadScenario};
@@ -225,4 +235,68 @@ fn tree_and_testbed_snapshots_are_pinned() {
         (59_784, 0xce45_287d_2ed0_1c31),
         "testbed-quick ODMRP snapshot"
     );
+}
+
+/// Restore `mutant` into a fresh fixture simulator, trusting its own
+/// header fingerprint so that flipped fingerprint bits still reach the
+/// body. `Some(snapshot)` when it restores, `None` on a typed error.
+fn restore_mutant(w: &WorkloadScenario, mutant: &[u8]) -> Option<Vec<u8>> {
+    let fp = if mutant.len() >= 16 {
+        header_fingerprint(mutant)
+    } else {
+        0
+    };
+    let mut sim = w.build(FIXTURE_VARIANT, FIXTURE_SEED);
+    sim.world_mut().set_metrics(SimDuration::from_secs(3));
+    sim.restore(mutant, fp).ok().map(|()| sim.snapshot(fp))
+}
+
+/// Every 16th truncation of the fixture and 2 000 single-bit flips drawn
+/// from `SimRng::seed_from(7)` must each be refused with a typed
+/// [`SnapError`] or restore canonically, to a simulator that snapshots
+/// to the mutant's exact bytes; no mutant may panic. `SNAPSHOT_MUTANT`
+/// set to one failure's name (`trunc <len>` or `flip <offset>.<bit>`)
+/// runs that mutant alone.
+#[test]
+fn mutated_checkpoints_fail_typed_or_restore_canonically() {
+    let bytes = load_fixture();
+    let w = fixture_workload();
+    let only = std::env::var("SNAPSHOT_MUTANT").ok();
+    let bits = u32::try_from(bytes.len() * 8).expect("fixture under 512 MiB");
+    let mut rng = SimRng::seed_from(7);
+    let flips = (0..2_000).map(|_| {
+        let at = rng.uniform_u32(bits) as usize;
+        let mut m = bytes.clone();
+        m[at / 8] ^= 1 << (at % 8);
+        (format!("flip {}.{}", at / 8, at % 8), m)
+    });
+    let cuts = (0..bytes.len())
+        .step_by(16)
+        .map(|len| (format!("trunc {len}"), bytes[..len].to_vec()));
+    let (mut ok, mut typed) = (0, 0);
+    let (mut panics, mut non_canonical) = (Vec::new(), Vec::new());
+    for (name, mutant) in cuts.chain(flips) {
+        if only.as_ref().is_some_and(|o| *o != name) {
+            continue;
+        }
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| restore_mutant(&w, &mutant)));
+        match outcome {
+            Err(_) => panics.push(name),
+            Ok(None) => typed += 1,
+            Ok(Some(again)) if again == mutant => ok += 1,
+            Ok(Some(_)) => non_canonical.push(name),
+        }
+    }
+    eprintln!(
+        "mutants: {ok} restored canonically, {typed} typed errors, {} non-canonical, {} panics",
+        non_canonical.len(),
+        panics.len()
+    );
+    assert!(panics.is_empty(), "mutants panicked: {panics:?}");
+    assert!(
+        non_canonical.is_empty(),
+        "mutants restored but snapshot to other bytes: {non_canonical:?}"
+    );
+    assert!(ok + typed > 0, "no mutant is named {only:?}");
 }

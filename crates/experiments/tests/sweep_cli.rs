@@ -2,6 +2,8 @@
 //! decks, unwritable output and mid-run JSONL write failures must all be
 //! reported as clean errors with a nonzero exit — never as panics (a panic
 //! inside the progress callback used to take the whole sweep down with it).
+//! A usage error exits 2 and a failed sweep 1, so scripts can tell them
+//! apart.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -77,6 +79,25 @@ fn malformed_deck_is_a_clean_error() {
         .output()
         .expect("spawn sweep");
     assert_clean_failure(&out, "unknown key `rage`");
+    assert_eq!(out.status.code(), Some(1), "a failed sweep exits 1");
+}
+
+#[test]
+fn usage_errors_exit_2() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["--bogus"], "unknown argument: --bogus"),
+        (
+            &["deck.toml", "--limit", "many"],
+            "bad value for --limit: many",
+        ),
+        (&["--help"], "usage: sweep"),
+        (&["--quick"], "usage: sweep"),
+    ];
+    for (args, needle) in cases {
+        let out = sweep().args(args).output().expect("spawn sweep");
+        assert_clean_failure(&out, needle);
+        assert_eq!(out.status.code(), Some(2), "sweep {args:?}");
+    }
 }
 
 #[test]
@@ -150,6 +171,7 @@ fn resume_rejects_extra_flags() {
         .output()
         .expect("spawn sweep");
     assert_clean_failure(&out, "--resume takes only a directory");
+    assert_eq!(out.status.code(), Some(2), "a usage error exits 2");
 }
 
 #[test]

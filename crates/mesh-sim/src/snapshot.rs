@@ -19,9 +19,9 @@
 //!
 //! The format is strict: readers must consume every byte ([`SnapReader::
 //! finish`] returns [`SnapError::TrailingBytes`] otherwise), unknown enum
-//! tags are hard errors, and any version drift requires regenerating the
-//! committed golden fixture in the same PR (see
-//! `crates/experiments/tests/snapshot_format.rs`).
+//! tags are hard errors, map and set keys must be strictly ascending, and
+//! any version drift requires regenerating the committed golden fixture in
+//! the same PR (see `crates/experiments/tests/snapshot_format.rs`).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -281,8 +281,9 @@ impl<'a> SnapReader<'a> {
 /// Field-by-field binary serialization for value types.
 ///
 /// Implementations must be **lossless and canonical**: `unsnap(snap(x)) ==
-/// x` bit-for-bit, and equal values produce equal bytes. Floats are encoded
-/// by bit pattern, never by text.
+/// x` bit-for-bit, equal values produce equal bytes, and `unsnap` accepts
+/// only bytes that `snap` writes back unchanged. Floats are encoded by bit
+/// pattern, never by text.
 pub trait Snap: Sized {
     /// Write this value into `w`.
     fn snap(&self, w: &mut SnapWriter);
@@ -507,14 +508,9 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
         }
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.len()?;
-        let mut out = BTreeMap::new();
-        for _ in 0..n {
-            let k = K::unsnap(r)?;
-            let v = V::unsnap(r)?;
-            out.insert(k, v);
-        }
-        Ok(out)
+        Ok(unsnap_ascending(r, |(k, _): &(K, V)| k)?
+            .into_iter()
+            .collect())
     }
 }
 
@@ -526,13 +522,31 @@ impl<T: Snap + Ord> Snap for BTreeSet<T> {
         }
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.len()?;
-        let mut out = BTreeSet::new();
-        for _ in 0..n {
-            out.insert(T::unsnap(r)?);
-        }
-        Ok(out)
+        Ok(unsnap_ascending(r, |v: &T| v)?.into_iter().collect())
     }
+}
+
+/// Decode the entries of a map or set. Their writer emits a B-tree's keys,
+/// ascending and unique, so a key that is not strictly greater than the one
+/// before it is a [`SnapError::StateMismatch`]: restoring it would build a
+/// collection that snapshots to other bytes. The sorted run lets `collect()`
+/// bulk-build the tree in O(n) with full leaves, instead of n inserts.
+fn unsnap_ascending<T: Snap, K: Ord>(
+    r: &mut SnapReader<'_>,
+    key: impl Fn(&T) -> &K,
+) -> Result<Vec<T>, SnapError> {
+    let n = r.len()?;
+    let mut out: Vec<T> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let entry = T::unsnap(r)?;
+        if out.last().is_some_and(|prev| key(prev) >= key(&entry)) {
+            return Err(SnapError::StateMismatch(
+                "map or set keys not strictly ascending",
+            ));
+        }
+        out.push(entry);
+    }
+    Ok(out)
 }
 
 impl<A: Snap, B: Snap> Snap for (A, B) {
@@ -651,14 +665,21 @@ impl Snap for crate::ids::FrameId {
 mod tests {
     use super::*;
 
-    fn roundtrip<T: Snap + PartialEq + std::fmt::Debug>(v: T) {
+    fn encode<T: Snap>(v: &T) -> Vec<u8> {
         let mut w = SnapWriter::new();
         v.snap(&mut w);
-        let bytes = w.into_bytes();
+        w.into_bytes()
+    }
+
+    /// Decode `v`'s bytes back to an equal value that encodes to the same
+    /// bytes again.
+    fn roundtrip<T: Snap + PartialEq + std::fmt::Debug>(v: T) {
+        let bytes = encode(&v);
         let mut r = SnapReader::new(&bytes);
         let back = T::unsnap(&mut r).expect("decode");
         r.finish().expect("fully consumed");
         assert_eq!(back, v);
+        assert_eq!(encode(&back), bytes, "re-encoding moved bytes");
     }
 
     #[test]
@@ -694,8 +715,16 @@ mod tests {
         roundtrip(Some(7u32));
         roundtrip(Option::<u32>::None);
         roundtrip(VecDeque::from([1u8, 2, 3]));
-        roundtrip(BTreeMap::from([(1u32, 2u64), (3, 4)]));
-        roundtrip(BTreeSet::from([5u32, 9, 1]));
+        // Maps and sets either side of std's B-tree node capacity (11
+        // keys), up to a tree four levels deep.
+        for n in [0u32, 1, 11, 12, 200, 5_000] {
+            roundtrip(
+                (0..n)
+                    .map(|i| (i * 7 + 3, u64::from(i) << 33 | 5))
+                    .collect::<BTreeMap<_, _>>(),
+            );
+            roundtrip((0..n).map(|i| (i / 4, i * 3)).collect::<BTreeSet<_>>());
+        }
         roundtrip((1u32, 2u64));
         roundtrip((1u8, 2u32, 3u64));
         roundtrip(Arc::new(42u64));
@@ -703,6 +732,72 @@ mod tests {
         let mut w = SnapWriter::new();
         [1u64, 2].snap(&mut w);
         assert_eq!(w.len(), 16, "arrays carry no length prefix");
+    }
+
+    /// Hand-built payloads of two `u32 → u64` entries or two `(u32, u32)`
+    /// keys, in the order given.
+    fn two_entries(keys: [u32; 2]) -> (Vec<u8>, Vec<u8>) {
+        let (mut map, mut set) = (SnapWriter::new(), SnapWriter::new());
+        map.put_usize(2);
+        set.put_usize(2);
+        for k in keys {
+            (k, 9u64).snap(&mut map);
+            (k, 1u32).snap(&mut set);
+        }
+        (map.into_bytes(), set.into_bytes())
+    }
+
+    /// The writer emits a B-tree's keys ascending and unique, so a
+    /// duplicate or descending key is corrupt input, not a smaller map.
+    #[test]
+    fn maps_and_sets_reject_keys_out_of_order() {
+        for keys in [[4, 4], [9, 2]] {
+            let (map, set) = two_entries(keys);
+            assert!(
+                matches!(
+                    BTreeMap::<u32, u64>::unsnap(&mut SnapReader::new(&map)),
+                    Err(SnapError::StateMismatch(_))
+                ),
+                "map keys {keys:?} restored"
+            );
+            assert!(
+                matches!(
+                    BTreeSet::<(u32, u32)>::unsnap(&mut SnapReader::new(&set)),
+                    Err(SnapError::StateMismatch(_))
+                ),
+                "set keys {keys:?} restored"
+            );
+        }
+        let (map, set) = two_entries([2, 9]);
+        assert_eq!(
+            BTreeMap::<u32, u64>::unsnap(&mut SnapReader::new(&map)).unwrap(),
+            BTreeMap::from([(2, 9), (9, 9)])
+        );
+        assert_eq!(
+            BTreeSet::<(u32, u32)>::unsnap(&mut SnapReader::new(&set)).unwrap(),
+            BTreeSet::from([(2, 1), (9, 1)])
+        );
+    }
+
+    /// A length prefix past the entries that follow it stays `Truncated`,
+    /// whether the decode runs out mid-entry (3) or `len` refuses a count
+    /// above the bytes left (`u64::MAX / 2`).
+    #[test]
+    fn map_and_set_length_past_the_payload_is_truncated() {
+        let (map, set) = two_entries([2, 9]);
+        for n in [3u64, u64::MAX / 2] {
+            let (mut map, mut set) = (map.clone(), set.clone());
+            map[..8].copy_from_slice(&n.to_le_bytes());
+            set[..8].copy_from_slice(&n.to_le_bytes());
+            assert_eq!(
+                BTreeMap::<u32, u64>::unsnap(&mut SnapReader::new(&map)).unwrap_err(),
+                SnapError::Truncated
+            );
+            assert_eq!(
+                BTreeSet::<(u32, u32)>::unsnap(&mut SnapReader::new(&set)).unwrap_err(),
+                SnapError::Truncated
+            );
+        }
     }
 
     #[test]
