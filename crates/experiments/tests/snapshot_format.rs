@@ -23,11 +23,13 @@
 //! Decoding is canonical: every truncated or bit-flipped mutant of the
 //! fixture is either refused with a typed [`SnapError`] or restores into a
 //! simulator whose snapshot is the mutant's exact bytes, and none panics.
-//! Replay one mutant by its name:
+//! An ignored forward pass runs every mutant that restores under the
+//! world and ODMRP oracles on to the scenario's end, where none may panic
+//! either. Replay one mutant by its name:
 //!
 //! ```text
 //! SNAPSHOT_MUTANT='flip 20480.3' cargo test -p experiments --test snapshot_format \
-//!     mutated -- --nocapture
+//!     muta -- --include-ignored --nocapture
 //! ```
 
 use experiments::scenario::MeshScenario;
@@ -239,8 +241,14 @@ fn tree_and_testbed_snapshots_are_pinned() {
 
 /// Restore `mutant` into a fresh fixture simulator, trusting its own
 /// header fingerprint so that flipped fingerprint bits still reach the
-/// body. `Some(snapshot)` when it restores, `None` on a typed error.
-fn restore_mutant(w: &WorkloadScenario, mutant: &[u8]) -> Option<Vec<u8>> {
+/// body. With `oracles` the simulator checks the world and ODMRP oracles
+/// every refresh interval, as supervised runs do, and its restore refuses
+/// a state they find broken.
+fn restore_mutant(
+    w: &WorkloadScenario,
+    mutant: &[u8],
+    oracles: bool,
+) -> Result<(Simulator<odmrp::OdmrpNode>, u64), SnapError> {
     let fp = if mutant.len() >= 16 {
         header_fingerprint(mutant)
     } else {
@@ -248,41 +256,57 @@ fn restore_mutant(w: &WorkloadScenario, mutant: &[u8]) -> Option<Vec<u8>> {
     };
     let mut sim = w.build(FIXTURE_VARIANT, FIXTURE_SEED);
     sim.world_mut().set_metrics(SimDuration::from_secs(3));
-    sim.restore(mutant, fp).ok().map(|()| sim.snapshot(fp))
+    if oracles {
+        sim.set_invariant_interval(w.mesh.odmrp_config(FIXTURE_VARIANT).refresh_interval);
+        sim.add_oracle(odmrp::invariants::oracle());
+    }
+    sim.restore(mutant, fp)?;
+    Ok((sim, fp))
 }
 
-/// Every 16th truncation of the fixture and 2 000 single-bit flips drawn
-/// from `SimRng::seed_from(7)` must each be refused with a typed
-/// [`SnapError`] or restore canonically, to a simulator that snapshots
-/// to the mutant's exact bytes; no mutant may panic. `SNAPSHOT_MUTANT`
-/// set to one failure's name (`trunc <len>` or `flip <offset>.<bit>`)
-/// runs that mutant alone.
-#[test]
-fn mutated_checkpoints_fail_typed_or_restore_canonically() {
-    let bytes = load_fixture();
-    let w = fixture_workload();
+/// Every 16th truncation of the fixture, then 2 000 single-bit flips at
+/// bits drawn from `SimRng::seed_from(7)`, each with its name (`trunc
+/// <len>` or `flip <offset>.<bit>`). `SNAPSHOT_MUTANT` set to one name
+/// keeps that mutant alone.
+fn mutants(bytes: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
     let only = std::env::var("SNAPSHOT_MUTANT").ok();
     let bits = u32::try_from(bytes.len() * 8).expect("fixture under 512 MiB");
     let mut rng = SimRng::seed_from(7);
-    let flips = (0..2_000).map(|_| {
+    let flips = (0..2_000).map(move |_| {
         let at = rng.uniform_u32(bits) as usize;
-        let mut m = bytes.clone();
+        let mut m = bytes.to_vec();
         m[at / 8] ^= 1 << (at % 8);
         (format!("flip {}.{}", at / 8, at % 8), m)
     });
     let cuts = (0..bytes.len())
         .step_by(16)
         .map(|len| (format!("trunc {len}"), bytes[..len].to_vec()));
+    cuts.chain(flips)
+        .filter(move |(name, _)| only.as_ref().is_none_or(|o| o == name))
+}
+
+/// Run `f` on a mutant, turning a panic into `Err` with the mutant's name.
+fn guarded<T>(name: &str, f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|_| name.to_string())
+}
+
+/// Every mutant of [`mutants`] must be refused with a typed [`SnapError`]
+/// or restore canonically, to a simulator that snapshots to the mutant's
+/// exact bytes; no mutant may panic.
+#[test]
+fn mutated_checkpoints_fail_typed_or_restore_canonically() {
+    let bytes = load_fixture();
+    let w = fixture_workload();
     let (mut ok, mut typed) = (0, 0);
     let (mut panics, mut non_canonical) = (Vec::new(), Vec::new());
-    for (name, mutant) in cuts.chain(flips) {
-        if only.as_ref().is_some_and(|o| *o != name) {
-            continue;
-        }
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| restore_mutant(&w, &mutant)));
+    for (name, mutant) in mutants(&bytes) {
+        let outcome = guarded(&name, || {
+            restore_mutant(&w, &mutant, false)
+                .ok()
+                .map(|(sim, fp)| sim.snapshot(fp))
+        });
         match outcome {
-            Err(_) => panics.push(name),
+            Err(name) => panics.push(name),
             Ok(None) => typed += 1,
             Ok(Some(again)) if again == mutant => ok += 1,
             Ok(Some(_)) => non_canonical.push(name),
@@ -298,5 +322,64 @@ fn mutated_checkpoints_fail_typed_or_restore_canonically() {
         non_canonical.is_empty(),
         "mutants restored but snapshot to other bytes: {non_canonical:?}"
     );
-    assert!(ok + typed > 0, "no mutant is named {only:?}");
+    assert!(ok + typed > 0, "no mutant has the SNAPSHOT_MUTANT name");
+}
+
+/// Canonical is not enough: a restored index can still name a node, slot
+/// or cell that does not exist and panic steps later. These three flips
+/// once restored canonically and then panicked on the way to the
+/// scenario's end, on a cached fan-out superset, the frame slab's free
+/// list and a queued fault's node; restore refuses each.
+#[test]
+fn mutants_that_panicked_later_fail_typed() {
+    let bytes = load_fixture();
+    let w = fixture_workload();
+    for (at, bit, field) in [
+        (5711, 5, "fan-out cache entry"),
+        (2024, 7, "frame slab free list"),
+        (9836, 3, "fault plan node"),
+    ] {
+        let mut mutant = bytes.clone();
+        mutant[at] ^= 1 << bit;
+        assert_eq!(
+            restore_mutant(&w, &mutant, false).err(),
+            Some(SnapError::StateMismatch(field)),
+            "flip {at}.{bit}"
+        );
+    }
+}
+
+/// Every mutant that restores runs on to the scenario's end under the
+/// world and ODMRP oracles, and none panics: restore refuses every index
+/// that a later step would follow out of bounds. Slow in a debug build,
+/// so it runs with `--include-ignored` (CI's `checkpoint` job):
+///
+/// ```text
+/// cargo test --release -p experiments --test snapshot_format \
+///     accepted_mutants -- --include-ignored --nocapture
+/// ```
+#[test]
+#[ignore = "runs about 1 300 restored mutants to the scenario's end"]
+fn accepted_mutants_run_to_the_end_under_the_oracles() {
+    let bytes = load_fixture();
+    let w = fixture_workload();
+    let mut ran = 0;
+    let mut panics = Vec::new();
+    for (name, mutant) in mutants(&bytes) {
+        let outcome = guarded(&name, || {
+            if let Ok((mut sim, _)) = restore_mutant(&w, &mutant, true) {
+                sim.run_until(w.run_until());
+                ran += 1;
+            }
+        });
+        if let Err(name) = outcome {
+            panics.push(name);
+        }
+    }
+    eprintln!(
+        "forward: {ran} restored mutants ran to the end, {} panicked",
+        panics.len()
+    );
+    assert!(panics.is_empty(), "mutants panicked: {panics:?}");
+    assert!(ran + panics.len() > 0, "no mutant restored");
 }

@@ -72,6 +72,20 @@ pub enum FaultKind {
     },
 }
 
+impl FaultKind {
+    /// The nodes this fault acts on: none for partitions and class bursts.
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = NodeId> {
+        let (a, b) = match *self {
+            FaultKind::NodeCrash(n) | FaultKind::NodeRecover(n) => (Some(n), None),
+            FaultKind::LinkFault { from, to, .. } | FaultKind::LinkRestore { from, to } => {
+                (Some(from), Some(to))
+            }
+            _ => (None, None),
+        };
+        a.into_iter().chain(b)
+    }
+}
+
 /// A deterministic schedule of faults, applied as simulator events.
 ///
 /// Build one with the chained helpers and attach it via

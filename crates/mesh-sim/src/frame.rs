@@ -142,6 +142,27 @@ impl<M> FrameSlab<M> {
     pub fn live(&self) -> usize {
         self.live
     }
+
+    /// Check a restored slab's bookkeeping, which a later insert or release
+    /// would index by or count down: one generation per slot, a free list
+    /// of distinct empty slots, and `live` counting the occupied ones.
+    pub fn check(&self) -> Result<(), SnapError> {
+        if self.gens.len() != self.slots.len() {
+            return Err(SnapError::StateMismatch("frame slab generations"));
+        }
+        let mut listed = vec![false; self.slots.len()];
+        for &slot in &self.free {
+            let i = slot as usize;
+            if !matches!(self.slots.get(i), Some(None)) || listed[i] {
+                return Err(SnapError::StateMismatch("frame slab free list"));
+            }
+            listed[i] = true;
+        }
+        if self.slots.iter().filter(|s| s.is_some()).count() != self.live {
+            return Err(SnapError::StateMismatch("frame slab live count"));
+        }
+        Ok(())
+    }
 }
 
 impl<M: Snap> Snap for FrameBody<M> {
@@ -275,6 +296,36 @@ mod tests {
             ..frame(1)
         };
         assert_eq!(r.dst(), Some(NodeId::new(4)));
+    }
+
+    /// Restored bookkeeping that a later insert or release would index by
+    /// or count down is a [`SnapError::StateMismatch`].
+    #[test]
+    fn check_rejects_bookkeeping_a_later_step_would_trip_on() {
+        // Slot 0 freed, slot 1 live.
+        let slab = || {
+            let mut s = FrameSlab::new();
+            let a = s.insert(frame(1));
+            s.insert(frame(1));
+            s.release(a);
+            s
+        };
+        assert_eq!(slab().check(), Ok(()));
+        type Defect = fn(&mut FrameSlab<u32>);
+        let defects: [(&str, Defect); 5] = [
+            ("frame slab free list", |s| s.free.push(7)),
+            ("frame slab free list", |s| s.free.push(1)),
+            ("frame slab free list", |s| s.free.push(0)),
+            ("frame slab generations", |s| {
+                s.gens.pop();
+            }),
+            ("frame slab live count", |s| s.live = 2),
+        ];
+        for (field, defect) in defects {
+            let mut s = slab();
+            defect(&mut s);
+            assert_eq!(s.check(), Err(SnapError::StateMismatch(field)));
+        }
     }
 
     #[test]

@@ -183,6 +183,15 @@ pub trait Medium {
     /// Restore the medium's mutable state from a checkpoint. The medium is
     /// assumed to be freshly constructed from the same scenario config.
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+
+    /// Check a restored medium against the world's restored node
+    /// `positions`: a medium that keeps its own copy of them must hold the
+    /// same ones ([`SnapError::StateMismatch`] otherwise). The default
+    /// accepts, for media that keep none.
+    fn check_positions(&self, positions: &[Pos]) -> Result<(), SnapError> {
+        let _ = positions;
+        Ok(())
+    }
 }
 
 /// A potential receiver of one transmitter, with its geometry-derived
@@ -685,12 +694,32 @@ impl FanOutCache {
         let last_seq = r.u64()?;
         let per_tx: Vec<Option<TxEntry>> = Snap::unsnap(r)?;
         let (cols, rows) = grid.grid_dims();
+        let n = positions.len();
         if cell_epochs.len() != cols * rows
             || cell_logs.len() != cols * rows
-            || per_tx.len() != positions.len()
-            || grid.len() != positions.len()
+            || per_tx.len() != n
+            || grid.len() != n
         {
             return Err(SnapError::StateMismatch("fan-out cache geometry"));
+        }
+        // A fan-out indexes positions by every node an entry or a patch
+        // names, and patches by binary search into the superset.
+        if cell_logs
+            .iter()
+            .any(|log| log.patches.iter().any(|p| p.node as usize >= n))
+        {
+            return Err(SnapError::StateMismatch("fan-out cache patch node"));
+        }
+        for (tx, entry) in per_tx.iter().enumerate() {
+            let Some(e) = entry else { continue };
+            if e.home_cell as usize >= cols * rows
+                || !e.superset.is_sorted_by(|a, b| a < b)
+                || e.superset.last().is_some_and(|&i| i as usize >= n)
+                || e.superset.binary_search(&(tx as u32)).is_ok()
+                || e.list.iter().any(|c| c.node.index() >= n)
+            {
+                return Err(SnapError::StateMismatch("fan-out cache entry"));
+            }
         }
         let candidate_range_m = phy.range_for_mean_power(floor_w / 100.0) * 1.001 + 1.0;
         let mut rings = 1usize;
@@ -971,6 +1000,15 @@ impl Medium for PhysicalMedium {
             None
         };
         Ok(())
+    }
+
+    fn check_positions(&self, positions: &[Pos]) -> Result<(), SnapError> {
+        match &self.cache {
+            Some(c) if c.positions != positions => {
+                Err(SnapError::StateMismatch("fan-out cache positions"))
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -1543,5 +1581,50 @@ mod tests {
                 .unwrap_err(),
             SnapError::StateMismatch("fan-out cache geometry")
         );
+    }
+
+    /// Entries and patches whose node ids a later fan-out would index
+    /// positions by, and positions that differ from the world's, restore
+    /// as a [`SnapError::StateMismatch`].
+    #[test]
+    fn restore_rejects_cache_entries_a_fan_out_would_panic_on() {
+        let p = positions();
+        let mut built = PhysicalMedium::default();
+        let mut rng = SimRng::seed_from(3);
+        built.fan_out(NodeId::new(0), &p, SimTime::ZERO, &mut rng, &mut Vec::new());
+        let restore = |m: &PhysicalMedium| {
+            let mut w = SnapWriter::new();
+            m.snapshot_state(&mut w);
+            let mut fresh = PhysicalMedium::default();
+            fresh.restore_state(&mut SnapReader::new(&w.into_bytes()))?;
+            fresh.check_positions(&p)
+        };
+        assert_eq!(restore(&built), Ok(()));
+        type Defect = fn(&mut FanOutCache);
+        fn entry(c: &mut FanOutCache) -> &mut TxEntry {
+            c.per_tx[0].as_mut().expect("node 0 sent")
+        }
+        let defects: [(&str, Defect); 7] = [
+            ("fan-out cache entry", |c| entry(c).superset.push(4)),
+            ("fan-out cache entry", |c| entry(c).superset.reverse()),
+            ("fan-out cache entry", |c| entry(c).superset.insert(0, 0)),
+            ("fan-out cache entry", |c| entry(c).home_cell = u32::MAX),
+            ("fan-out cache entry", |c| {
+                entry(c).list[0].node = NodeId::new(9)
+            }),
+            ("fan-out cache patch node", |c| {
+                c.cell_logs[0].push(MembershipPatch {
+                    seq: 1,
+                    node: 4,
+                    added: true,
+                })
+            }),
+            ("fan-out cache positions", |c| c.positions[2].x += 1.0),
+        ];
+        for (field, defect) in defects {
+            let mut m = built.clone();
+            defect(m.cache.as_mut().expect("the fan-out built the cache"));
+            assert_eq!(restore(&m), Err(SnapError::StateMismatch(field)));
+        }
     }
 }

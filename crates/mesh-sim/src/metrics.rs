@@ -13,6 +13,7 @@
 
 use crate::counters::Counters;
 use crate::medium::IndexStats;
+use crate::snapshot::SnapError;
 use crate::time::{SimDuration, SimTime};
 
 /// Counter deltas over one `[start, end)` time bucket.
@@ -199,37 +200,63 @@ impl MetricsRecorder {
     }
 
     fn close_bucket(&mut self, end: SimTime, c: &Counters, index: Option<IndexStats>) {
-        let b = &self.base;
         let ix = index.unwrap_or_default();
-        let bx = &self.base_index;
-        self.buckets.push(MetricsBucket {
-            start: self.open_start,
-            end,
-            tx_data_frames: frames(&c.tx_data) - frames(&b.tx_data),
-            tx_data_bytes: c.tx_data_bytes_total() - b.tx_data_bytes_total(),
-            rx_data_frames: frames(&c.rx_data) - frames(&b.rx_data),
-            rx_data_bytes: c.rx_data_bytes_total() - b.rx_data_bytes_total(),
-            tx_ctrl_frames: c.tx_ctrl_frames - b.tx_ctrl_frames,
-            collisions: c.collisions - b.collisions,
-            queue_drops: c.queue_drops - b.queue_drops,
-            retries: c.retries - b.retries,
-            rx_lost_data: c.rx_lost_data - b.rx_lost_data,
-            rx_corrupted_data: c.rx_corrupted_data - b.rx_corrupted_data,
-            fault_rx_dropped: c.fault_rx_dropped - b.fault_rx_dropped,
-            fault_events: c.fault_events - b.fault_events,
-            deliveries: self.open_deliveries,
-            delay_sum_s: self.open_delay_sum_s,
-            index_rebuckets: ix.rebuckets - bx.rebuckets,
-            index_epoch_bumps: ix.epoch_bumps - bx.epoch_bumps,
-            index_cache_hits: ix.cache_hits - bx.cache_hits,
-            index_cache_refreshes: ix.cache_refreshes - bx.cache_refreshes,
-            index_cache_rebuilds: ix.cache_rebuilds - bx.cache_rebuilds,
-        });
+        // Counters only grow, and restore refuses bases ahead of them (see
+        // `MetricsRecorder::check`), so every delta exists.
+        if let Some(bucket) = self.deltas(end, c, ix) {
+            self.buckets.push(bucket);
+        }
         self.open_start = end;
         self.base = c.clone();
         self.base_index = ix;
         self.open_deliveries = 0;
         self.open_delay_sum_s = 0.0;
+    }
+}
+
+impl MetricsRecorder {
+    /// The open bucket, closed at `end`: what the counters `c` and the index
+    /// stats `ix` gained since its bases. `None` if a base is ahead.
+    fn deltas(&self, end: SimTime, c: &Counters, ix: IndexStats) -> Option<MetricsBucket> {
+        let (b, bx) = (&self.base, &self.base_index);
+        let d = |now: u64, then: u64| now.checked_sub(then);
+        Some(MetricsBucket {
+            start: self.open_start,
+            end,
+            tx_data_frames: d(frames(&c.tx_data), frames(&b.tx_data))?,
+            tx_data_bytes: d(c.tx_data_bytes_total(), b.tx_data_bytes_total())?,
+            rx_data_frames: d(frames(&c.rx_data), frames(&b.rx_data))?,
+            rx_data_bytes: d(c.rx_data_bytes_total(), b.rx_data_bytes_total())?,
+            tx_ctrl_frames: d(c.tx_ctrl_frames, b.tx_ctrl_frames)?,
+            collisions: d(c.collisions, b.collisions)?,
+            queue_drops: d(c.queue_drops, b.queue_drops)?,
+            retries: d(c.retries, b.retries)?,
+            rx_lost_data: d(c.rx_lost_data, b.rx_lost_data)?,
+            rx_corrupted_data: d(c.rx_corrupted_data, b.rx_corrupted_data)?,
+            fault_rx_dropped: d(c.fault_rx_dropped, b.fault_rx_dropped)?,
+            fault_events: d(c.fault_events, b.fault_events)?,
+            deliveries: self.open_deliveries,
+            delay_sum_s: self.open_delay_sum_s,
+            index_rebuckets: d(ix.rebuckets, bx.rebuckets)?,
+            index_epoch_bumps: d(ix.epoch_bumps, bx.epoch_bumps)?,
+            index_cache_hits: d(ix.cache_hits, bx.cache_hits)?,
+            index_cache_refreshes: d(ix.cache_refreshes, bx.cache_refreshes)?,
+            index_cache_rebuilds: d(ix.cache_rebuilds, bx.cache_rebuilds)?,
+        })
+    }
+
+    /// Check a restored recorder against the restored `counters` and the
+    /// medium's `index` stats: the next bucket closes on their growth since
+    /// its bases, so no base may be ahead.
+    pub(crate) fn check(
+        &self,
+        counters: &Counters,
+        index: Option<IndexStats>,
+    ) -> Result<(), SnapError> {
+        match self.deltas(self.open_start, counters, index.unwrap_or_default()) {
+            Some(_) => Ok(()),
+            None => Err(SnapError::StateMismatch("metrics recorder base")),
+        }
     }
 }
 
@@ -282,6 +309,27 @@ crate::snap_struct!(MetricsRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A bucket closes on the counters' growth since its bases, so a
+    /// restored base ahead of the counters is a state mismatch.
+    #[test]
+    fn check_rejects_a_base_ahead_of_the_counters() {
+        let c = Counters {
+            collisions: 3,
+            ..Counters::default()
+        };
+        let mut rec = MetricsRecorder::new(SimDuration::from_secs(10), SimTime::ZERO);
+        rec.base.collisions = 3;
+        assert_eq!(rec.check(&c, None), Ok(()));
+        rec.base.collisions = 4;
+        assert_eq!(
+            rec.check(&c, None),
+            Err(SnapError::StateMismatch("metrics recorder base"))
+        );
+        rec.base.collisions = 0;
+        rec.base_index.cache_hits = 1;
+        assert!(rec.check(&c, Some(IndexStats::default())).is_err());
+    }
 
     #[test]
     fn buckets_partition_counter_deltas() {

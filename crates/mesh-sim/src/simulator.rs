@@ -164,6 +164,17 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// Panics if any invariant is violated.
     pub fn check_invariants(&mut self) {
+        let msgs = self.violations();
+        assert!(
+            msgs.is_empty(),
+            "invariant violation(s) at {:?}:\n  {}",
+            self.world.now(),
+            msgs.join("\n  ")
+        );
+    }
+
+    /// What the world oracles and the registered oracles find broken now.
+    fn violations(&mut self) -> Vec<String> {
         let mut msgs: Vec<String> = self
             .world
             .check_invariants()
@@ -175,12 +186,7 @@ impl<P: Protocol> Simulator<P> {
         for oracle in &mut self.oracles {
             msgs.extend(oracle(world, protocols));
         }
-        assert!(
-            msgs.is_empty(),
-            "invariant violation(s) at {:?}:\n  {}",
-            world.now(),
-            msgs.join("\n  ")
-        );
+        msgs
     }
 
     /// Current simulated time.
@@ -382,8 +388,11 @@ where
     ///
     /// Returns a [`SnapError`] if the checkpoint is malformed, truncated,
     /// from an unsupported format version, or stamped with a different
-    /// configuration fingerprint. The simulator may be partially overwritten
-    /// on error and must be discarded.
+    /// configuration fingerprint. A simulator with an invariant interval
+    /// (see [`Simulator::set_invariant_interval`]) also refuses, as
+    /// [`SnapError::StateMismatch`], a state that its oracles find broken:
+    /// its first check would panic on it. The simulator may be partially
+    /// overwritten on error and must be discarded.
     pub fn restore(&mut self, bytes: &[u8], fingerprint: u64) -> Result<(), SnapError> {
         let mut r = SnapReader::with_header(bytes, fingerprint)?;
         self.started = r.bool()?;
@@ -394,6 +403,10 @@ where
         for p in &mut self.protocols {
             p.restore_state(&mut r)?;
         }
-        r.finish()
+        r.finish()?;
+        if self.check_interval.is_some() && !self.violations().is_empty() {
+            return Err(SnapError::StateMismatch("invariant oracles"));
+        }
+        Ok(())
     }
 }

@@ -178,11 +178,7 @@ impl<'a> SnapReader<'a> {
     /// fingerprint, then position the reader at the payload.
     pub fn with_header(buf: &'a [u8], fingerprint: u64) -> Result<Self, SnapError> {
         let mut r = SnapReader::new(buf);
-        let mut magic = [0u8; 4];
-        for b in &mut magic {
-            *b = r.u8()?;
-        }
-        if magic != SNAPSHOT_MAGIC {
+        if r.take(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
             return Err(SnapError::BadMagic);
         }
         let version = r.u32()?;
@@ -211,21 +207,25 @@ impl<'a> SnapReader<'a> {
         Ok(b)
     }
 
-    /// Read a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, SnapError> {
-        let end = self.pos.checked_add(4).ok_or(SnapError::Truncated)?;
+    /// Take the next `n` bytes as one slice: a decoder of a run of
+    /// fixed-width records bounds-checks the whole run once, then splits
+    /// it (for example with `chunks_exact`).
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
+        let end = self.pos.checked_add(n).ok_or(SnapError::Truncated)?;
         let bytes = self.buf.get(self.pos..end).ok_or(SnapError::Truncated)?;
         self.pos = end;
-        let arr: [u8; 4] = bytes.try_into().map_err(|_| SnapError::Truncated)?;
+        Ok(bytes)
+    }
+
+    /// Read a little-endian u32.
+    pub fn u32(&mut self) -> Result<u32, SnapError> {
+        let arr: [u8; 4] = self.take(4)?.try_into().map_err(|_| SnapError::Truncated)?;
         Ok(u32::from_le_bytes(arr))
     }
 
     /// Read a little-endian u64.
     pub fn u64(&mut self) -> Result<u64, SnapError> {
-        let end = self.pos.checked_add(8).ok_or(SnapError::Truncated)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(SnapError::Truncated)?;
-        self.pos = end;
-        let arr: [u8; 8] = bytes.try_into().map_err(|_| SnapError::Truncated)?;
+        let arr: [u8; 8] = self.take(8)?.try_into().map_err(|_| SnapError::Truncated)?;
         Ok(u64::from_le_bytes(arr))
     }
 
@@ -438,11 +438,8 @@ impl Snap for String {
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.len()?;
-        let mut bytes = Vec::with_capacity(n);
-        for _ in 0..n {
-            bytes.push(r.u8()?);
-        }
-        String::from_utf8(bytes).map_err(|_| SnapError::StateMismatch("invalid utf-8 string"))
+        String::from_utf8(r.take(n)?.to_vec())
+            .map_err(|_| SnapError::StateMismatch("invalid utf-8 string"))
     }
 }
 

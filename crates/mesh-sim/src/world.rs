@@ -1448,9 +1448,12 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
     ///
     /// Per-node state must have one entry per node, and every queued event
     /// must be due no earlier than the restored clock, name a node of this
-    /// world and, for `RxStart`/`RxEnd`/`TxEnd`, a live frame. Anything else
-    /// would panic in the first `step` that reaches it, so it is a
-    /// [`SnapError::StateMismatch`] naming the field.
+    /// world and, for `RxStart`/`RxEnd`/`TxEnd`, a live frame, or for a
+    /// `Fault`, an entry of the fault plan, whose faults name nodes of this
+    /// world. The frame slab's bookkeeping, the medium's copy of the
+    /// positions and the metrics recorder's bucket bases are checked too.
+    /// Anything else would panic in a later `step` that reaches it, so it
+    /// is a [`SnapError::StateMismatch`] naming the field.
     pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = self.positions.len();
         self.now = Snap::unsnap(r)?;
@@ -1459,7 +1462,9 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
         self.radios = unsnap_per_node(r, n, "radios")?;
         self.macs = unsnap_per_node(r, n, "macs")?;
         self.frames = Snap::unsnap(r)?;
+        self.frames.check()?;
         self.medium.restore_state(r)?;
+        self.medium.check_positions(&self.positions)?;
         self.rng = Snap::unsnap(r)?;
         self.counters = Snap::unsnap(r)?;
         self.node_counters = unsnap_per_node(r, n, "node_counters")?;
@@ -1468,6 +1473,9 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
         self.handle_seq = r.u64()?;
         self.mac_seq = r.u64()?;
         self.metrics = Snap::unsnap(r)?;
+        if let Some(m) = &self.metrics {
+            m.check(&self.counters, self.medium.index_stats())?;
+        }
         let has_mobility = r.bool()?;
         match self.mobility.as_mut() {
             Some(model) if has_mobility => model.restore_state(r)?,
@@ -1477,6 +1485,13 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
         self.down = unsnap_per_node(r, n, "down")?;
         self.tx_orphaned = unsnap_per_node(r, n, "tx_orphaned")?;
         self.fault_plan = Snap::unsnap(r)?;
+        let faults = self.fault_plan.as_ref().map_or(&[][..], |p| p.events());
+        if faults
+            .iter()
+            .any(|(_, f)| f.nodes().any(|v| v.index() >= n))
+        {
+            return Err(SnapError::StateMismatch("fault plan node"));
+        }
         self.partition_links = Snap::unsnap(r)?;
         self.class_drop = Snap::unsnap(r)?;
         self.time_regressions = r.u64()?;
@@ -1495,6 +1510,9 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
                 EventKind::TxEnd { node, frame }
                 | EventKind::RxStart { node, frame, .. }
                 | EventKind::RxEnd { node, frame, .. } => (Some(node), Some(frame)),
+                EventKind::Fault { idx } if idx >= faults.len() => {
+                    return Err(SnapError::StateMismatch("queued fault"));
+                }
                 EventKind::MobilityTick | EventKind::Fault { .. } => (None, None),
             };
             if node.is_some_and(|v| v.index() >= n) {
@@ -1763,6 +1781,24 @@ mod tests {
             },
         );
         assert_eq!(mismatch(&snapshot(&w)), Some("queued event frame"));
+    }
+
+    #[test]
+    fn restore_rejects_faults_naming_an_absent_node_or_plan_entry() {
+        let mut w = three_nodes();
+        w.fault_plan = Some(FaultPlan::new().at(
+            SimTime::from_secs(1),
+            FaultKind::LinkRestore {
+                from: NodeId::new(0),
+                to: NodeId::new(3),
+            },
+        ));
+        assert_eq!(mismatch(&snapshot(&w)), Some("fault plan node"));
+
+        let mut w = three_nodes();
+        w.queue
+            .push(SimTime::from_secs(1), EventKind::Fault { idx: 0 });
+        assert_eq!(mismatch(&snapshot(&w)), Some("queued fault"));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Dispatch is static: each protocol's node is a monomorphic
 //! `MulticastNode<F>`, so no `dyn` call enters the per-message path.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 
 use mcast_metrics::probe::ProbeMsg;
@@ -35,11 +35,9 @@ use mesh_sim::trace::Decision;
 use mesh_sim::world::Ctx;
 
 use crate::config::{NodeRole, OdmrpConfig};
+use crate::dup_cache::DupCache;
 use crate::messages::{class, DataPacket, JoinQuery};
 use crate::stats::{MulticastApp, NodeStats};
-
-/// Bound on the network-layer duplicate cache (per node).
-const DATA_CACHE_CAP: usize = 50_000;
 
 /// A protocol's wire message, as far as discovery is concerned: the core
 /// builds probes, queries and data, and hands everything else to the
@@ -256,8 +254,8 @@ pub struct Core<T> {
     /// (source, seq) delta timers already scheduled.
     delta_scheduled: BTreeSet<(NodeId, u32)>,
 
-    data_seen: BTreeSet<(NodeId, u32)>,
-    data_seen_order: VecDeque<(NodeId, u32)>,
+    /// First copies of data heard, for duplicate suppression.
+    data_seen: DupCache,
     data_seq: u32,
     refresh_seq: u32,
 
@@ -303,8 +301,7 @@ impl<T> Core<T> {
             timer_token: 0,
             query_state: BTreeMap::new(),
             delta_scheduled: BTreeSet::new(),
-            data_seen: BTreeSet::new(),
-            data_seen_order: VecDeque::new(),
+            data_seen: DupCache::default(),
             data_seq: 0,
             refresh_seq: 0,
             backoff_exp: vec![0; n_sources],
@@ -413,7 +410,6 @@ impl<T> Core<T> {
         self.query_state.clear();
         self.delta_scheduled.clear();
         self.data_seen.clear();
-        self.data_seen_order.clear();
         self.table = NeighborTable::new(self.cfg.estimator.clone());
         // Degraded-mode soft state is flushed with the rest: the fresh
         // table has no quarantined entries, backoff restarts at nominal.
@@ -792,8 +788,7 @@ impl<F: Forwarding> MulticastNode<F> {
         if d.source == core.me {
             return;
         }
-        let key = (d.source, d.seq);
-        if core.data_seen.contains(&key) {
+        if !core.data_seen.insert((d.source, d.seq)) {
             core.stats.duplicate_data += 1;
             ctx.trace_decision(Decision::SuppressDuplicate {
                 group: d.group.0,
@@ -801,13 +796,6 @@ impl<F: Forwarding> MulticastNode<F> {
                 pkt_seq: d.seq,
             });
             return;
-        }
-        core.data_seen.insert(key);
-        core.data_seen_order.push_back(key);
-        if core.data_seen_order.len() > DATA_CACHE_CAP {
-            if let Some(old) = core.data_seen_order.pop_front() {
-                core.data_seen.remove(&old);
-            }
         }
 
         let now = ctx.now();
@@ -851,7 +839,6 @@ impl<F: Forwarding> SnapshotState for MulticastNode<F> {
             query_state,
             delta_scheduled,
             data_seen,
-            data_seen_order,
             data_seq,
             refresh_seq,
             backoff_exp,
@@ -869,7 +856,6 @@ impl<F: Forwarding> SnapshotState for MulticastNode<F> {
         fwd.snapshot_state(w);
         delta_scheduled.snap(w);
         data_seen.snap(w);
-        data_seen_order.snap(w);
         data_seq.snap(w);
         refresh_seq.snap(w);
         backoff_exp.snap(w);
@@ -895,7 +881,6 @@ impl<F: Forwarding> SnapshotState for MulticastNode<F> {
         self.fwd.restore_state(r)?;
         c.delta_scheduled = Snap::unsnap(r)?;
         c.data_seen = Snap::unsnap(r)?;
-        c.data_seen_order = Snap::unsnap(r)?;
         c.data_seq = r.u32()?;
         c.refresh_seq = r.u32()?;
         let backoff_exp: Vec<u32> = Snap::unsnap(r)?;

@@ -50,6 +50,7 @@
 
 mod config;
 pub mod discovery;
+mod dup_cache;
 pub mod invariants;
 pub mod messages;
 mod node;
