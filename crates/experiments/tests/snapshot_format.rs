@@ -1,11 +1,12 @@
 //! Golden snapshot-format fixture and writer pins (DESIGN.md §14).
 //!
-//! `fixtures/checkpoint-v3.bin` is a committed checkpoint taken from a
+//! `fixtures/checkpoint-v<N>.bin`, `N` the current
+//! [`SNAPSHOT_FORMAT_VERSION`], is a committed checkpoint taken from a
 //! pinned scenario (faults + mobility + metrics recorder active, so the
-//! widest slice of the wire format is exercised). It must keep
-//! deserializing forever under the current [`SNAPSHOT_FORMAT_VERSION`]; a
-//! wire-format change is made by bumping the version **and** regenerating
-//! the fixture in the same commit:
+//! widest slice of the wire format is exercised), and the only one there.
+//! It must keep deserializing under the current version; a wire-format
+//! change is made by bumping the version, regenerating the fixture and
+//! deleting the old one in the same commit:
 //!
 //! ```text
 //! REGEN_SNAPSHOT_FIXTURE=1 cargo test -p experiments --test snapshot_format
@@ -28,7 +29,7 @@
 //! either. Replay one mutant by its name:
 //!
 //! ```text
-//! SNAPSHOT_MUTANT='flip 20480.3' cargo test -p experiments --test snapshot_format \
+//! SNAPSHOT_MUTANT='flip 2735.3' cargo test -p experiments --test snapshot_format \
 //!     muta -- --include-ignored --nocapture
 //! ```
 
@@ -124,6 +125,27 @@ fn golden_fixture_header_matches_current_version() {
         version, SNAPSHOT_FORMAT_VERSION,
         "fixture written by format v{version}, crate is v{SNAPSHOT_FORMAT_VERSION}: \
          regenerate the fixture in the same PR as the version bump"
+    );
+}
+
+/// `tests/fixtures/` holds exactly one checkpoint, the one named for the
+/// current [`SNAPSHOT_FORMAT_VERSION`]: a version bump that regenerates
+/// the fixture must delete the old one.
+#[test]
+fn only_the_current_version_has_a_fixture() {
+    let dir = fixture_path().parent().expect("fixture dir").to_path_buf();
+    let mut checkpoints: Vec<String> = std::fs::read_dir(&dir)
+        .expect("read fixture dir")
+        .map(|e| e.expect("fixture dir entry").file_name())
+        .filter_map(|name| name.into_string().ok())
+        .filter(|name| name.starts_with("checkpoint-v") && name.ends_with(".bin"))
+        .collect();
+    checkpoints.sort();
+    assert_eq!(
+        checkpoints,
+        [format!("checkpoint-v{SNAPSHOT_FORMAT_VERSION}.bin")],
+        "stale checkpoint fixtures in {}",
+        dir.display()
     );
 }
 
@@ -229,21 +251,21 @@ fn tree_and_testbed_snapshots_are_pinned() {
     );
     assert_eq!(
         payload_pin(&tree),
-        (491_590, 0x158c_8e5a_6f61_be9d),
+        (488_326, 0x6dcd_a16d_88b1_978b),
         "tree-quick MAODV snapshot"
     );
     assert_eq!(
         payload_pin(&testbed),
-        (59_784, 0xce45_287d_2ed0_1c31),
+        (58_864, 0xe058_e0c1_d7b7_fefd),
         "testbed-quick ODMRP snapshot"
     );
 }
 
 /// Restore `mutant` into a fresh fixture simulator, trusting its own
 /// header fingerprint so that flipped fingerprint bits still reach the
-/// body. With `oracles` the simulator checks the world and ODMRP oracles
-/// every refresh interval, as supervised runs do, and its restore refuses
-/// a state they find broken.
+/// body. Restore always refuses a state the world oracles find broken;
+/// with `oracles` the simulator also registers the ODMRP oracle and checks
+/// both every refresh interval, as supervised runs do.
 fn restore_mutant(
     w: &WorkloadScenario,
     mutant: &[u8],
@@ -262,6 +284,35 @@ fn restore_mutant(
     }
     sim.restore(mutant, fp)?;
     Ok((sim, fp))
+}
+
+/// Restore runs the world oracles whether or not an invariant interval is
+/// set, so a simulator without one refuses a checkpoint whose counters no
+/// longer balance (one planned data arrival more than the resolved ones)
+/// instead of resuming and reporting them.
+#[test]
+fn unsupervised_restore_refuses_unbalanced_counters() {
+    let bytes = load_fixture();
+    let w = fixture_workload();
+    let (sim, _) = restore_mutant(&w, &bytes, false).expect("the fixture restores");
+    let encode = |c: &Counters| {
+        let mut out = SnapWriter::new();
+        c.snap(&mut out);
+        out.into_bytes()
+    };
+    let mut bumped = sim.counters().clone();
+    bumped.planned_rx_data += 1;
+    let (old, new) = (encode(sim.counters()), encode(&bumped));
+    let at = bytes
+        .windows(old.len())
+        .position(|b| b == old)
+        .expect("the world's counters in the fixture");
+    let mut mutant = bytes.clone();
+    mutant[at..at + old.len()].copy_from_slice(&new);
+    assert_eq!(
+        restore_mutant(&w, &mutant, false).err(),
+        Some(SnapError::StateMismatch("invariant oracles"))
+    );
 }
 
 /// Every 16th truncation of the fixture, then 2 000 single-bit flips at
@@ -326,18 +377,21 @@ fn mutated_checkpoints_fail_typed_or_restore_canonically() {
 }
 
 /// Canonical is not enough: a restored index can still name a node, slot
-/// or cell that does not exist and panic steps later. These three flips
+/// or cell that does not exist and panic steps later. Flips of these fields
 /// once restored canonically and then panicked on the way to the
-/// scenario's end, on a cached fan-out superset, the frame slab's free
-/// list and a queued fault's node; restore refuses each.
+/// scenario's end: a cached fan-out superset node, a frame-slab free-list
+/// slot, a queued `NodeRecover` fault's node, and the source index of an
+/// ODMRP node's pending refresh and CBR timers. Restore refuses each.
 #[test]
 fn mutants_that_panicked_later_fail_typed() {
     let bytes = load_fixture();
     let w = fixture_workload();
     for (at, bit, field) in [
-        (5711, 5, "fan-out cache entry"),
-        (2024, 7, "frame slab free list"),
-        (9836, 3, "fault plan node"),
+        (5695, 5, "fan-out cache entry"),
+        (2016, 7, "frame slab free list"),
+        (9220, 3, "fault plan node"),
+        (9623, 0, "multicast node timer source"),
+        (9643, 2, "multicast node timer source"),
     ] {
         let mut mutant = bytes.clone();
         mutant[at] ^= 1 << bit;

@@ -114,7 +114,6 @@ impl Trees {
         let expiry = now + core.config().fg_timeout;
         let slot = tree.children.entry(from).or_insert(expiry);
         *slot = (*slot).max(expiry);
-        core.stats_mut().fg_refreshes += 1;
         ctx.trace_decision(Decision::TreeJoin {
             group: g.group.0,
             child: from,

@@ -1,9 +1,14 @@
 //! End-to-end tests of the tree-multicast protocol.
 
+use std::collections::BTreeSet;
+
 use maodv::MaodvNode;
 use mcast_metrics::MetricKind;
+use mesh_sim::ids::FrameId;
 use mesh_sim::prelude::*;
-use odmrp::{MulticastApp, NodeRole, OdmrpConfig, Variant};
+use mesh_sim::trace::TraceEventKind;
+use odmrp::messages::JoinQuery;
+use odmrp::{MulticastApp, NodeRole, OdmrpConfig, OdmrpNode, Variant};
 
 const GROUP: GroupId = GroupId(0);
 
@@ -258,4 +263,72 @@ fn unicast_etx_probes_carry_reverse_reports() {
         unicast_etx > etx,
         "reverse reports missing: UnicastETX {unicast_etx} B vs ETX {etx} B"
     );
+}
+
+/// Run one `JOIN QUERY` round on a diamond whose member, node 3, hears the
+/// source, node 0, only through relays 1 and 2 (which hear each other).
+/// Returns the relays node 3 decoded the round's query from and node 3's
+/// `replies_sent`.
+fn diamond_round<P: Protocol + MulticastApp>(node: impl Fn(NodeRole) -> P) -> (Vec<u32>, u64) {
+    let mut medium = LinkTableMedium::new();
+    for (a, b) in [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)] {
+        medium.add_link(NodeId::new(a), NodeId::new(b), 0.0);
+    }
+    // The source's window closes before its second refresh: one round.
+    let start = SimTime::from_secs(10);
+    let roles = [
+        NodeRole::source(GROUP, start, start + SimDuration::from_millis(1)),
+        NodeRole::forwarder(),
+        NodeRole::forwarder(),
+        NodeRole::member(GROUP),
+    ];
+    let mut sim = Simulator::new(
+        mesh_sim::topology::chain(4, 50.0),
+        Box::new(medium),
+        WorldConfig::default(),
+        roles.into_iter().map(node).collect(),
+    );
+    sim.world_mut().set_trace(Box::new(RingTrace::new(1 << 16)));
+    sim.run_until(start + SimDuration::from_secs(2));
+    let sink = sim.world_mut().take_trace().expect("trace attached");
+    let ring: &RingTrace = sink.as_any().downcast_ref().expect("RingTrace");
+    let queries: BTreeSet<FrameId> = ring
+        .events()
+        .filter(|e| matches!(e.kind, TraceEventKind::TxStart { bytes, .. } if bytes == JoinQuery::BYTES))
+        .filter_map(|e| e.frame)
+        .collect();
+    let heard_from: BTreeSet<u32> = ring
+        .events()
+        .filter(|e| e.node == Some(NodeId::new(3)))
+        .filter(|e| e.frame.is_some_and(|f| queries.contains(&f)))
+        .filter_map(|e| match e.kind {
+            TraceEventKind::Delivered { src, .. } => Some(src.as_u32()),
+            _ => None,
+        })
+        .collect();
+    let replies = sim.protocols()[3].node_stats().replies_sent;
+    (heard_from.into_iter().collect(), replies)
+}
+
+/// A member that hears one query round over two upstreams arms one δ timer
+/// and answers once: one `JOIN REPLY` on ODMRP, one graft on the tree
+/// protocol, under first-copy and metric route selection alike.
+#[test]
+fn one_delta_per_round_over_two_upstreams() {
+    for variant in [Variant::Original, Variant::Metric(MetricKind::Spp)] {
+        let cfg = OdmrpConfig {
+            variant,
+            ..OdmrpConfig::default()
+        };
+        assert_eq!(
+            diamond_round(|r| OdmrpNode::new(cfg.clone(), r)),
+            (vec![1, 2], 1),
+            "OdmrpNode, {variant}"
+        );
+        assert_eq!(
+            diamond_round(|r| MaodvNode::new(cfg.clone(), r)),
+            (vec![1, 2], 1),
+            "MaodvNode, {variant}"
+        );
+    }
 }

@@ -99,35 +99,6 @@ impl Counters {
         self.rx_data.iter().map(|c| c.bytes).sum()
     }
 
-    /// Merge another counter set into this one (used by parallel runners).
-    pub fn merge(&mut self, other: &Counters) {
-        for i in 0..=MAX_CLASSES {
-            self.tx_data[i].frames += other.tx_data[i].frames;
-            self.tx_data[i].bytes += other.tx_data[i].bytes;
-            self.rx_data[i].frames += other.rx_data[i].frames;
-            self.rx_data[i].bytes += other.rx_data[i].bytes;
-        }
-        self.tx_ctrl_frames += other.tx_ctrl_frames;
-        self.tx_ctrl_bytes += other.tx_ctrl_bytes;
-        self.collisions += other.collisions;
-        self.capture_losses += other.capture_losses;
-        self.below_rx_threshold += other.below_rx_threshold;
-        self.rx_while_tx += other.rx_while_tx;
-        self.queue_drops += other.queue_drops;
-        self.unicast_failures += other.unicast_failures;
-        self.retries += other.retries;
-        self.duplicate_rx_suppressed += other.duplicate_rx_suppressed;
-        self.events += other.events;
-        self.planned_rx_data += other.planned_rx_data;
-        self.rx_lost_data += other.rx_lost_data;
-        self.rx_corrupted_data += other.rx_corrupted_data;
-        self.rx_aborted_data += other.rx_aborted_data;
-        self.unicast_overheard += other.unicast_overheard;
-        self.fault_rx_dropped += other.fault_rx_dropped;
-        self.fault_tx_purged += other.fault_tx_purged;
-        self.fault_events += other.fault_events;
-    }
-
     pub(crate) fn record_tx_data(&mut self, class: u8, bytes: u64) {
         let c = &mut self.tx_data[class_slot(class)];
         c.frames += 1;
@@ -139,23 +110,6 @@ impl Counters {
         c.frames += 1;
         c.bytes += bytes;
     }
-}
-
-/// Per-node tallies (coarser than [`Counters`]; one per node in the world).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeCounters {
-    /// Data frames this node transmitted (any class).
-    pub tx_data_frames: u64,
-    /// Payload bytes this node transmitted.
-    pub tx_data_bytes: u64,
-    /// Data frames delivered to this node's protocol.
-    pub rx_data_frames: u64,
-    /// Control frames (RTS/CTS/ACK) this node transmitted.
-    pub tx_ctrl_frames: u64,
-    /// Receptions at this node destroyed by collisions.
-    pub collisions: u64,
-    /// Approximate airtime this node occupied, in nanoseconds.
-    pub airtime_ns: u64,
 }
 
 crate::snap_struct!(ClassCounts { frames, bytes });
@@ -184,25 +138,9 @@ crate::snap_struct!(Counters {
     fault_events,
 });
 
-crate::snap_struct!(NodeCounters {
-    tx_data_frames,
-    tx_data_bytes,
-    rx_data_frames,
-    tx_ctrl_frames,
-    collisions,
-    airtime_ns,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn node_counters_default_zero() {
-        let n = NodeCounters::default();
-        assert_eq!(n.tx_data_frames, 0);
-        assert_eq!(n.airtime_ns, 0);
-    }
 
     #[test]
     fn totals_sum_classes() {
@@ -214,21 +152,6 @@ mod tests {
         assert_eq!(c.rx_data_bytes_total(), 50);
         assert_eq!(c.tx_data[0].frames, 1);
         assert_eq!(c.tx_data[3].frames, 1);
-    }
-
-    #[test]
-    fn merge_adds_fields() {
-        let mut a = Counters::default();
-        a.record_tx_data(1, 10);
-        a.collisions = 2;
-        let mut b = Counters::default();
-        b.record_tx_data(1, 5);
-        b.collisions = 3;
-        b.retries = 7;
-        a.merge(&b);
-        assert_eq!(a.tx_data[1].bytes, 15);
-        assert_eq!(a.collisions, 5);
-        assert_eq!(a.retries, 7);
     }
 
     #[test]

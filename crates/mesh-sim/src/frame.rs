@@ -27,10 +27,10 @@ pub(crate) enum FrameBody<M> {
         msg: Arc<M>,
         /// Protocol-defined traffic class for byte accounting.
         class: u8,
+        /// The sender's transmit handle. Its number is also the MAC-level
+        /// sequence number for receive-side duplicate detection (constant
+        /// across retransmissions of the same frame).
         handle: TxHandle,
-        /// MAC-level sequence number for receive-side duplicate detection
-        /// (constant across retransmissions of the same frame).
-        mac_seq: u64,
     },
 }
 
@@ -67,7 +67,6 @@ pub(crate) struct FrameSlab<M> {
     free: Vec<u32>,
     /// Generation counters make stale `FrameId`s detectable.
     gens: Vec<u32>,
-    live: usize,
 }
 
 impl<M> Default for FrameSlab<M> {
@@ -76,7 +75,6 @@ impl<M> Default for FrameSlab<M> {
             slots: Vec::new(),
             free: Vec::new(),
             gens: Vec::new(),
-            live: 0,
         }
     }
 }
@@ -88,7 +86,6 @@ impl<M> FrameSlab<M> {
 
     /// Insert a frame with an initial reference count.
     pub fn insert(&mut self, frame: Frame<M>) -> FrameId {
-        self.live += 1;
         if let Some(slot) = self.free.pop() {
             self.slots[slot as usize] = Some(frame);
             FrameId(encode(slot, self.gens[slot as usize]))
@@ -131,7 +128,6 @@ impl<M> FrameSlab<M> {
             let f = self.slots[slot as usize].take();
             self.gens[slot as usize] = self.gens[slot as usize].wrapping_add(1);
             self.free.push(slot);
-            self.live -= 1;
             f
         } else {
             None
@@ -140,12 +136,12 @@ impl<M> FrameSlab<M> {
 
     /// Number of live frames (for leak assertions in tests).
     pub fn live(&self) -> usize {
-        self.live
+        self.slots.iter().filter(|s| s.is_some()).count()
     }
 
     /// Check a restored slab's bookkeeping, which a later insert or release
-    /// would index by or count down: one generation per slot, a free list
-    /// of distinct empty slots, and `live` counting the occupied ones.
+    /// would index by: one generation per slot and a free list of distinct
+    /// empty slots.
     pub fn check(&self) -> Result<(), SnapError> {
         if self.gens.len() != self.slots.len() {
             return Err(SnapError::StateMismatch("frame slab generations"));
@@ -157,9 +153,6 @@ impl<M> FrameSlab<M> {
                 return Err(SnapError::StateMismatch("frame slab free list"));
             }
             listed[i] = true;
-        }
-        if self.slots.iter().filter(|s| s.is_some()).count() != self.live {
-            return Err(SnapError::StateMismatch("frame slab live count"));
         }
         Ok(())
     }
@@ -187,14 +180,12 @@ impl<M: Snap> Snap for FrameBody<M> {
                 msg,
                 class,
                 handle,
-                mac_seq,
             } => {
                 w.put_u8(3);
                 dst.snap(w);
                 msg.snap(w);
                 w.put_u8(*class);
                 handle.snap(w);
-                w.put_u64(*mac_seq);
             }
         }
     }
@@ -217,7 +208,6 @@ impl<M: Snap> Snap for FrameBody<M> {
                 msg: Snap::unsnap(r)?,
                 class: r.u8()?,
                 handle: Snap::unsnap(r)?,
-                mac_seq: r.u64()?,
             },
             t => return Err(SnapError::BadTag(t as u32)),
         })
@@ -229,7 +219,7 @@ crate::snap_struct!(Frame<M> { src, body, bytes, duration, refs });
 // The slab is serialized structurally (slots, free list, generations) so
 // restored `FrameId`s — which encode `(slot, generation)` and are referenced
 // from the event queue — keep resolving to the same frames.
-crate::snap_struct!(FrameSlab<M> { slots, free, gens, live });
+crate::snap_struct!(FrameSlab<M> { slots, free, gens });
 
 fn encode(slot: u32, gen: u32) -> u64 {
     ((gen as u64) << 32) | slot as u64
@@ -251,7 +241,6 @@ mod tests {
                 msg: Arc::new(7),
                 class: 0,
                 handle: TxHandle(1),
-                mac_seq: 0,
             },
             bytes: 100,
             duration: SimDuration::from_micros(400),
@@ -312,14 +301,13 @@ mod tests {
         };
         assert_eq!(slab().check(), Ok(()));
         type Defect = fn(&mut FrameSlab<u32>);
-        let defects: [(&str, Defect); 5] = [
+        let defects: [(&str, Defect); 4] = [
             ("frame slab free list", |s| s.free.push(7)),
             ("frame slab free list", |s| s.free.push(1)),
             ("frame slab free list", |s| s.free.push(0)),
             ("frame slab generations", |s| {
                 s.gens.pop();
             }),
-            ("frame slab live count", |s| s.live = 2),
         ];
         for (field, defect) in defects {
             let mut s = slab();

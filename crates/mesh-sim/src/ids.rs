@@ -66,7 +66,10 @@ impl fmt::Display for TxHandle {
     }
 }
 
-/// Identifier of a protocol timer, used for cancellation.
+/// Identifier of a protocol timer: returned by
+/// [`crate::world::Ctx::set_timer`] and echoed back to
+/// [`crate::protocol::Protocol::handle_timer`] when it fires. Timers cannot
+/// be cancelled; a protocol that needs to ignore one keeps its own token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(pub(crate) u64);
 

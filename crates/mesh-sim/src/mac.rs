@@ -153,9 +153,9 @@ pub(crate) struct OutFrame<M> {
     pub bytes: u32,
     /// Protocol-defined traffic class for accounting.
     pub class: u8,
+    /// The protocol's transmit handle; its number doubles as the MAC
+    /// sequence number (stable across retries).
     pub handle: TxHandle,
-    /// MAC sequence number (stable across retries).
-    pub mac_seq: u64,
 }
 
 /// DCF state machine states.
@@ -209,10 +209,11 @@ pub(crate) struct Mac<M> {
     pub ctrl_gen: u64,
     /// Pending SIFS-spaced response.
     pub pending_ctrl: Option<CtrlResponse>,
-    /// Receive-side duplicate detection for unicast data: last MAC seq
-    /// accepted from each source. A `BTreeMap` so snapshots can serialize
-    /// it in canonical key order (mesh-lint R1 forbids `HashMap` iteration).
-    pub rx_dedup: BTreeMap<NodeId, u64>,
+    /// Receive-side duplicate detection for unicast data: the last
+    /// transmit handle accepted from each source. A `BTreeMap` so snapshots
+    /// can serialize it in canonical key order (mesh-lint R1 forbids
+    /// `HashMap` iteration).
+    pub rx_dedup: BTreeMap<NodeId, TxHandle>,
 }
 
 impl<M> Default for Mac<M> {
@@ -253,7 +254,7 @@ impl<M> Mac<M> {
     }
 }
 
-crate::snap_struct!(OutFrame<M> { dst, msg, bytes, class, handle, mac_seq });
+crate::snap_struct!(OutFrame<M> { dst, msg, bytes, class, handle });
 
 impl Snap for MacState {
     fn snap(&self, w: &mut SnapWriter) {

@@ -822,11 +822,6 @@ impl PhysicalMedium {
         self
     }
 
-    /// Whether the spatial index is enabled.
-    pub fn indexing(&self) -> bool {
-        self.indexed
-    }
-
     fn fan_out_scan(&self, tx: NodeId, positions: &[Pos], rng: &mut SimRng, out: &mut Vec<RxPlan>) {
         let src = positions[tx.index()];
         for (i, &pos) in positions.iter().enumerate() {

@@ -4,9 +4,9 @@
 //! makes link-quality routing metrics pay off. ODMRP itself, however, was
 //! designed for mobile ad-hoc networks, and the natural robustness question
 //! is how the metrics behave when nodes move. This module provides the
-//! classic random-waypoint model (and a static no-op) behind the
-//! [`Mobility`] trait; attach one with
-//! [`Simulator::set_mobility`](crate::simulator::Simulator::set_mobility).
+//! classic random-waypoint model behind the [`Mobility`] trait; attach one
+//! with [`Simulator::set_mobility`](crate::simulator::Simulator::set_mobility).
+//! A static mesh attaches no model.
 
 use crate::geometry::{Area, Pos};
 use crate::rng::SimRng;
@@ -22,29 +22,13 @@ pub trait Mobility: std::fmt::Debug {
     fn step(&mut self, now: SimTime, positions: &mut [Pos], rng: &mut SimRng) -> Option<SimTime>;
 
     /// Write the model's mutable state into a checkpoint (DESIGN.md §14).
-    /// Stateless models keep the no-op default.
-    fn snapshot_state(&self, _w: &mut SnapWriter) {}
+    /// There is no default: a model with state must not be able to forget
+    /// it.
+    fn snapshot_state(&self, w: &mut SnapWriter);
 
     /// Restore the model's mutable state from a checkpoint. The model is
     /// assumed to be freshly constructed from the same scenario config.
-    fn restore_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Ok(())
-    }
-}
-
-/// No movement (the mesh-network assumption).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Static;
-
-impl Mobility for Static {
-    fn step(
-        &mut self,
-        _now: SimTime,
-        _positions: &mut [Pos],
-        _rng: &mut SimRng,
-    ) -> Option<SimTime> {
-        None
-    }
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -228,15 +212,6 @@ impl Snap for WaypointState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn static_model_never_reschedules() {
-        let mut m = Static;
-        let mut ps = vec![Pos::new(1.0, 2.0)];
-        let mut rng = SimRng::seed_from(1);
-        assert_eq!(m.step(SimTime::ZERO, &mut ps, &mut rng), None);
-        assert_eq!(ps[0], Pos::new(1.0, 2.0));
-    }
 
     #[test]
     fn waypoint_moves_nodes_within_area() {

@@ -388,11 +388,13 @@ where
     ///
     /// Returns a [`SnapError`] if the checkpoint is malformed, truncated,
     /// from an unsupported format version, or stamped with a different
-    /// configuration fingerprint. A simulator with an invariant interval
-    /// (see [`Simulator::set_invariant_interval`]) also refuses, as
-    /// [`SnapError::StateMismatch`], a state that its oracles find broken:
-    /// its first check would panic on it. The simulator may be partially
-    /// overwritten on error and must be discarded.
+    /// configuration fingerprint. It also refuses, as
+    /// [`SnapError::StateMismatch`], a state that the world oracles or the
+    /// registered ones (see [`Simulator::add_oracle`]) find broken, whether
+    /// or not an invariant interval is set: a supervised run's first check
+    /// would panic on it, and an unsupervised one would report it. The
+    /// simulator may be partially overwritten on error and must be
+    /// discarded.
     pub fn restore(&mut self, bytes: &[u8], fingerprint: u64) -> Result<(), SnapError> {
         let mut r = SnapReader::with_header(bytes, fingerprint)?;
         self.started = r.bool()?;
@@ -404,7 +406,7 @@ where
             p.restore_state(&mut r)?;
         }
         r.finish()?;
-        if self.check_interval.is_some() && !self.violations().is_empty() {
+        if !self.violations().is_empty() {
             return Err(SnapError::StateMismatch("invariant oracles"));
         }
         Ok(())

@@ -5,9 +5,7 @@
 //! interacts with it through [`Ctx`], and the world talks back through
 //! internal upcalls that the [`crate::simulator::Simulator`] routes to protocols.
 
-use std::collections::BTreeSet;
-
-use crate::counters::{class_slot, Counters, NodeCounters, MAX_CLASSES};
+use crate::counters::{class_slot, Counters, MAX_CLASSES};
 use crate::event::{fold_schedule_hash, EventKind, EventQueue, SCHEDULE_HASH_SEED};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::frame::{Frame, FrameBody, FrameSlab};
@@ -104,13 +102,10 @@ pub struct World<M> {
     pub(crate) params: MacParams,
     rng: SimRng,
     counters: Counters,
-    node_counters: Vec<NodeCounters>,
-    /// Cancelled-but-not-yet-fired protocol timers. A `BTreeSet` because
-    /// checkpointing serializes it in iteration order (mesh-lint rule R1).
-    cancelled_timers: BTreeSet<u64>,
     timer_seq: u64,
+    /// Last [`TxHandle`] drawn; its number is also the frame's MAC
+    /// sequence number.
     handle_seq: u64,
-    mac_seq: u64,
     fan_buf: Vec<RxPlan>,
     trace: Option<Box<dyn TraceSink>>,
     metrics: Option<MetricsRecorder>,
@@ -180,11 +175,8 @@ impl<M: Clone + std::fmt::Debug> World<M> {
             params: config.mac,
             rng: SimRng::seed_from(config.seed),
             counters: Counters::default(),
-            node_counters: vec![NodeCounters::default(); n],
-            cancelled_timers: BTreeSet::new(),
             timer_seq: 0,
             handle_seq: 0,
-            mac_seq: 0,
             fan_buf: Vec::new(),
             trace: None,
             metrics: None,
@@ -284,12 +276,13 @@ impl<M: Clone + std::fmt::Debug> World<M> {
         }
     }
 
-    /// `(class, mac_seq, src)` of a frame, if it is a live data frame.
+    /// `(class, seq, src)` of a frame, if it is a live data frame; `seq` is
+    /// its transmit handle's number.
     fn frame_trace_meta(&self, frame: FrameId) -> (Option<u8>, Option<u64>, Option<NodeId>) {
         match self.frames.get(frame) {
             Some(f) => match &f.body {
-                FrameBody::Data { class, mac_seq, .. } => {
-                    (Some(*class), Some(*mac_seq), Some(f.src))
+                FrameBody::Data { class, handle, .. } => {
+                    (Some(*class), Some(handle.0), Some(f.src))
                 }
                 _ => (None, None, Some(f.src)),
             },
@@ -342,7 +335,7 @@ impl<M: Clone + std::fmt::Debug> World<M> {
         let mac = &self.macs[node.index()];
         let attempt = mac.short_retries + mac.long_retries + 1;
         let (class, seq) = match mac.queue.front() {
-            Some(f) => (Some(f.class), Some(f.mac_seq)),
+            Some(f) => (Some(f.class), Some(f.handle.0)),
             None => (None, None),
         };
         self.emit(TraceEvent {
@@ -382,11 +375,6 @@ impl<M: Clone + std::fmt::Debug> World<M> {
     /// Run statistics so far.
     pub fn counters(&self) -> &Counters {
         &self.counters
-    }
-
-    /// Per-node statistics so far (indexed by node id).
-    pub fn node_counters(&self) -> &[NodeCounters] {
-        &self.node_counters
     }
 
     /// Number of frames currently on the medium (test/leak hook).
@@ -446,10 +434,9 @@ impl<M: Clone + std::fmt::Debug> World<M> {
                 power_w,
             } => self.on_rx_end(node, frame, power_w, upcalls),
             EventKind::ProtoTimer { node, timer, kind } => {
-                let cancelled = self.cancelled_timers.remove(&timer.0);
                 // Timers of a crashed node are swallowed, not deferred; its
                 // protocol re-arms what it needs in `handle_restart`.
-                if !cancelled && !self.down[node.index()] {
+                if !self.down[node.index()] {
                     upcalls.push(Upcall::Timer { node, timer, kind });
                 }
             }
@@ -654,10 +641,6 @@ impl<M: Clone + std::fmt::Debug> World<M> {
         id
     }
 
-    pub(crate) fn cancel_timer(&mut self, timer: TimerId) {
-        self.cancelled_timers.insert(timer.0);
-    }
-
     pub(crate) fn send_data(
         &mut self,
         node: NodeId,
@@ -678,7 +661,7 @@ impl<M: Clone + std::fmt::Debug> World<M> {
         if self.macs[node.index()].queue.len() >= self.params.queue_cap {
             self.counters.queue_drops += 1;
             if self.trace.is_some() {
-                // No mac_seq yet: the frame is dropped before one is drawn.
+                // No seq yet: the frame is dropped before a handle is drawn.
                 self.emit(TraceEvent {
                     at: self.now,
                     node: Some(node),
@@ -691,10 +674,8 @@ impl<M: Clone + std::fmt::Debug> World<M> {
             return Err(SendError::QueueFull);
         }
         self.handle_seq += 1;
-        self.mac_seq += 1;
         let handle = TxHandle(self.handle_seq);
         let was_empty = self.macs[node.index()].queue.is_empty();
-        let mac_seq = self.mac_seq;
         self.macs[node.index()].queue.push_back(OutFrame {
             dst,
             // The payload is boxed once here; every transmission, retry and
@@ -703,7 +684,6 @@ impl<M: Clone + std::fmt::Debug> World<M> {
             bytes,
             class,
             handle,
-            mac_seq,
         });
         if was_empty && self.macs[node.index()].state == MacState::Idle {
             self.new_head(node);
@@ -853,7 +833,6 @@ impl<M: Clone + std::fmt::Debug> World<M> {
             let rts_bytes = self.params.rts_bytes;
             self.counters.tx_ctrl_frames += 1;
             self.counters.tx_ctrl_bytes += rts_bytes as u64;
-            self.node_counters[node.index()].tx_ctrl_frames += 1;
             self.transmit_frame(
                 node,
                 FrameBody::Rts { dst, nav },
@@ -875,7 +854,6 @@ impl<M: Clone + std::fmt::Debug> World<M> {
                     msg: std::sync::Arc::clone(&f.msg),
                     class: f.class,
                     handle: f.handle,
-                    mac_seq: f.mac_seq,
                 },
                 f.bytes,
                 f.class,
@@ -884,9 +862,6 @@ impl<M: Clone + std::fmt::Debug> World<M> {
         self.macs[node.index()].state = MacState::TxData;
         self.counters.record_tx_data(class, bytes as u64);
         let air = self.params.data_airtime(bytes);
-        let nc = &mut self.node_counters[node.index()];
-        nc.tx_data_frames += 1;
-        nc.tx_data_bytes += bytes as u64;
         self.transmit_frame(node, body, bytes, air);
     }
 
@@ -900,7 +875,6 @@ impl<M: Clone + std::fmt::Debug> World<M> {
             None
         };
         let end = self.now + air;
-        self.node_counters[node.index()].airtime_ns += air.as_nanos();
         // Half-duplex: starting our own transmission aborts any reception.
         if let Some(rx) = self.radios[node.index()].rx {
             if self.frame_is_data(rx.frame) {
@@ -1123,7 +1097,6 @@ impl<M: Clone + std::fmt::Debug> World<M> {
             }
             ArrivalOutcome::Collision => {
                 self.counters.collisions += 1;
-                self.node_counters[i].collisions += 1;
                 // The ongoing frame is corrupted too; it resolves as
                 // `rx_corrupted_data` at its own RxEnd.
                 if is_data {
@@ -1262,7 +1235,7 @@ impl<M: Clone + std::fmt::Debug> World<M> {
                 dst,
                 msg,
                 class,
-                mac_seq,
+                handle,
                 ..
             } => {
                 let bytes = self.frames.get(frame).map(|f| f.bytes).unwrap_or(0);
@@ -1277,7 +1250,6 @@ impl<M: Clone + std::fmt::Debug> World<M> {
                             return;
                         }
                         self.counters.record_rx_data(class, bytes as u64);
-                        self.node_counters[i].rx_data_frames += 1;
                         self.emit_data_delivered(node, frame, src);
                         upcalls.push(Upcall::Deliver {
                             node,
@@ -1297,14 +1269,13 @@ impl<M: Clone + std::fmt::Debug> World<M> {
                             self.now + self.params.sifs,
                             EventKind::CtrlTimer { node, gen },
                         );
-                        let dup = self.macs[i].rx_dedup.get(&src) == Some(&mac_seq);
+                        let dup = self.macs[i].rx_dedup.get(&src) == Some(&handle);
                         if dup {
                             self.counters.duplicate_rx_suppressed += 1;
                             self.emit_rx_drop(node, frame, DropReason::Duplicate);
                         } else {
-                            self.macs[i].rx_dedup.insert(src, mac_seq);
+                            self.macs[i].rx_dedup.insert(src, handle);
                             self.counters.record_rx_data(class, bytes as u64);
-                            self.node_counters[i].rx_data_frames += 1;
                             self.emit_data_delivered(node, frame, src);
                             upcalls.push(Upcall::Deliver {
                                 node,
@@ -1345,7 +1316,6 @@ impl<M: Clone + std::fmt::Debug> World<M> {
                 let bytes = self.params.cts_bytes;
                 self.counters.tx_ctrl_frames += 1;
                 self.counters.tx_ctrl_bytes += bytes as u64;
-                self.node_counters[i].tx_ctrl_frames += 1;
                 self.transmit_frame(
                     node,
                     FrameBody::Cts { dst, nav },
@@ -1357,7 +1327,6 @@ impl<M: Clone + std::fmt::Debug> World<M> {
                 let bytes = self.params.ack_bytes;
                 self.counters.tx_ctrl_frames += 1;
                 self.counters.tx_ctrl_bytes += bytes as u64;
-                self.node_counters[i].tx_ctrl_frames += 1;
                 self.transmit_frame(
                     node,
                     FrameBody::Ack { dst },
@@ -1387,11 +1356,8 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
             params: _, // scenario configuration
             rng,
             counters,
-            node_counters,
-            cancelled_timers,
             timer_seq,
             handle_seq,
-            mac_seq,
             fan_buf: _, // scratch
             trace: _,   // an observer, attached per run
             metrics,
@@ -1415,11 +1381,8 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
         medium.snapshot_state(w);
         rng.snap(w);
         counters.snap(w);
-        node_counters.snap(w);
-        cancelled_timers.snap(w);
         timer_seq.snap(w);
         handle_seq.snap(w);
-        mac_seq.snap(w);
         metrics.snap(w);
         match mobility {
             Some(model) => {
@@ -1467,11 +1430,8 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
         self.medium.check_positions(&self.positions)?;
         self.rng = Snap::unsnap(r)?;
         self.counters = Snap::unsnap(r)?;
-        self.node_counters = unsnap_per_node(r, n, "node_counters")?;
-        self.cancelled_timers = Snap::unsnap(r)?;
         self.timer_seq = r.u64()?;
         self.handle_seq = r.u64()?;
-        self.mac_seq = r.u64()?;
         self.metrics = Snap::unsnap(r)?;
         if let Some(m) = &self.metrics {
             m.check(&self.counters, self.medium.index_stats())?;
@@ -1627,11 +1587,6 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
         self.world.set_timer(self.node, delay, kind)
     }
 
-    /// Cancel a timer set earlier (no-op if it already fired).
-    pub fn cancel_timer(&mut self, timer: TimerId) {
-        self.world.cancel_timer(timer)
-    }
-
     /// Current MAC transmit queue length of this node.
     pub fn mac_queue_len(&self) -> usize {
         self.world.macs[self.node.index()].queue.len()
@@ -1735,13 +1690,10 @@ mod tests {
     #[test]
     fn restore_rejects_per_node_state_of_another_length() {
         type Defect = fn(&mut World<u32>);
-        let defects: [(&str, Defect); 5] = [
+        let defects: [(&str, Defect); 4] = [
             ("radios", |w| w.radios.push(Radio::default())),
             ("macs", |w| {
                 w.macs.pop();
-            }),
-            ("node_counters", |w| {
-                w.node_counters.push(NodeCounters::default())
             }),
             ("down", |w| w.down.push(false)),
             ("tx_orphaned", |w| w.tx_orphaned.clear()),

@@ -361,38 +361,3 @@ fn rayleigh_fading_causes_partial_loss_on_long_links() {
     assert!(got > 50, "received only {got}/200");
     assert!(got < 200, "no loss at all under Rayleigh fading?");
 }
-
-#[test]
-fn per_node_counters_sum_to_globals() {
-    let positions = vec![
-        Pos::new(0.0, 0.0),
-        Pos::new(150.0, 0.0),
-        Pos::new(300.0, 0.0),
-    ];
-    let mut protos = vec![Probe::default(); 3];
-    protos[0].sends.push((None, 1, 512));
-    protos[1].sends.push((Some(NodeId::new(0)), 2, 512));
-    protos[2].sends.push((None, 3, 256));
-    let mut sim = sim_with(positions, protos, 77);
-    sim.run_until(SimTime::from_secs(2));
-
-    let per_node = sim.world().node_counters();
-    let global = sim.counters();
-    let tx_frames: u64 = per_node.iter().map(|n| n.tx_data_frames).sum();
-    let tx_bytes: u64 = per_node.iter().map(|n| n.tx_data_bytes).sum();
-    let rx_frames: u64 = per_node.iter().map(|n| n.rx_data_frames).sum();
-    let ctrl: u64 = per_node.iter().map(|n| n.tx_ctrl_frames).sum();
-    assert_eq!(
-        tx_frames,
-        global.tx_data.iter().map(|c| c.frames).sum::<u64>()
-    );
-    assert_eq!(tx_bytes, global.tx_data_bytes_total());
-    assert_eq!(
-        rx_frames,
-        global.rx_data.iter().map(|c| c.frames).sum::<u64>()
-    );
-    assert_eq!(ctrl, global.tx_ctrl_frames);
-    // Airtime was attributed to the transmitters.
-    assert!(per_node[0].airtime_ns > 0);
-    assert!(per_node[1].airtime_ns > 0);
-}

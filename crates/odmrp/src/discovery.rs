@@ -250,9 +250,9 @@ pub struct Core<T> {
     timers: BTreeMap<u64, Timer<T>>,
     timer_token: u64,
 
+    /// Never pruned: a round's entry lives until a crash clears it, so a
+    /// member arms its one δ timer exactly when the round's key is new.
     query_state: BTreeMap<(NodeId, u32), QueryState>,
-    /// (source, seq) delta timers already scheduled.
-    delta_scheduled: BTreeSet<(NodeId, u32)>,
 
     /// First copies of data heard, for duplicate suppression.
     data_seen: DupCache,
@@ -300,7 +300,6 @@ impl<T> Core<T> {
             timers: BTreeMap::new(),
             timer_token: 0,
             query_state: BTreeMap::new(),
-            delta_scheduled: BTreeSet::new(),
             data_seen: DupCache::default(),
             data_seq: 0,
             refresh_seq: 0,
@@ -408,7 +407,6 @@ impl<T> Core<T> {
     fn clear_soft_state(&mut self) {
         self.timers.clear();
         self.query_state.clear();
-        self.delta_scheduled.clear();
         self.data_seen.clear();
         self.table = NeighborTable::new(self.cfg.estimator.clone());
         // Degraded-mode soft state is flushed with the rest: the fresh
@@ -590,7 +588,7 @@ impl<T> Core<T> {
                 );
                 let j = self.jitter(ctx);
                 self.set(ctx, j, Timer::ForwardQuery(q.source, q.seq));
-                if is_member && self.delta_scheduled.insert(key) {
+                if is_member {
                     let j = self.jitter(ctx);
                     self.set(ctx, j, Timer::Delta(q.source, q.seq));
                 }
@@ -643,7 +641,7 @@ impl<T> Core<T> {
                         );
                         let j = self.jitter(ctx);
                         self.set(ctx, j, Timer::ForwardQuery(q.source, q.seq));
-                        if is_member && self.delta_scheduled.insert(key) {
+                        if is_member {
                             self.set(ctx, self.cfg.delta, Timer::Delta(q.source, q.seq));
                         }
                     }
@@ -698,7 +696,6 @@ impl<T> Core<T> {
             .send_broadcast(M::query(q), JoinQuery::BYTES, class::CONTROL)
             .is_ok()
         {
-            self.stats.queries_forwarded += 1;
             ctx.trace_decision(Decision::ForwardQuery {
                 source,
                 pkt_seq: seq,
@@ -789,7 +786,6 @@ impl<F: Forwarding> MulticastNode<F> {
             return;
         }
         if !core.data_seen.insert((d.source, d.seq)) {
-            core.stats.duplicate_data += 1;
             ctx.trace_decision(Decision::SuppressDuplicate {
                 group: d.group.0,
                 source: d.source,
@@ -837,7 +833,6 @@ impl<F: Forwarding> SnapshotState for MulticastNode<F> {
             timers,
             timer_token,
             query_state,
-            delta_scheduled,
             data_seen,
             data_seq,
             refresh_seq,
@@ -854,7 +849,6 @@ impl<F: Forwarding> SnapshotState for MulticastNode<F> {
         timer_token.snap(w);
         query_state.snap(w);
         fwd.snapshot_state(w);
-        delta_scheduled.snap(w);
         data_seen.snap(w);
         data_seq.snap(w);
         refresh_seq.snap(w);
@@ -876,10 +870,17 @@ impl<F: Forwarding> SnapshotState for MulticastNode<F> {
         let c = &mut self.core;
         c.me = Snap::unsnap(r)?;
         c.timers = Snap::unsnap(r)?;
+        // A CBR or refresh timer indexes the role's sources when it fires.
+        let sources = c.role.sources.len();
+        if c.timers.values().any(|t| match t {
+            Timer::Cbr(i) | Timer::Refresh(i) => *i >= sources,
+            _ => false,
+        }) {
+            return Err(SnapError::StateMismatch("multicast node timer source"));
+        }
         c.timer_token = r.u64()?;
         c.query_state = Snap::unsnap(r)?;
         self.fwd.restore_state(r)?;
-        c.delta_scheduled = Snap::unsnap(r)?;
         c.data_seen = Snap::unsnap(r)?;
         c.data_seq = r.u32()?;
         c.refresh_seq = r.u32()?;

@@ -100,10 +100,8 @@ impl ForwardingGroup {
             let expiry = now + core.config().fg_timeout;
             let slot = self.fg.entry(r.group).or_insert(expiry);
             *slot = (*slot).max(expiry);
-            let stats = core.stats_mut();
-            stats.fg_refreshes += 1;
             ctx.trace_decision(Decision::FgJoin { group: r.group.0 });
-            let sel = stats.fg_selected.entry(r.group).or_insert(now);
+            let sel = core.stats_mut().fg_selected.entry(r.group).or_insert(now);
             *sel = (*sel).max(now);
 
             if e.source == me {

@@ -42,8 +42,6 @@ pub struct NodeStats {
     pub data_forwards: u64,
     /// `JOIN QUERY` packets originated (as a source).
     pub queries_sent: u64,
-    /// `JOIN QUERY` packets rebroadcast (including improving duplicates).
-    pub queries_forwarded: u64,
     /// `JOIN REPLY` packets broadcast (as member or forwarder).
     pub replies_sent: u64,
     /// Probe packets broadcast.
@@ -51,11 +49,6 @@ pub struct NodeStats {
     /// Tree edges selected in `JOIN REPLY`s: `(upstream, this node)` counted
     /// once per refresh round the edge was chosen; used for Fig. 5.
     pub tree_edges: BTreeMap<(NodeId, NodeId), u64>,
-    /// Times this node became (or refreshed membership in) the forwarding
-    /// group of some group.
-    pub fg_refreshes: u64,
-    /// Duplicate data receptions suppressed by the network-layer cache.
-    pub duplicate_data: u64,
     /// Times this node rebooted after a fault-injected crash.
     pub restarts: u64,
     /// Last time a `JOIN REPLY` selected this node into the forwarding
@@ -80,12 +73,9 @@ mesh_sim::snap_struct!(NodeStats {
     delivered,
     data_forwards,
     queries_sent,
-    queries_forwarded,
     replies_sent,
     probes_sent,
     tree_edges,
-    fg_refreshes,
-    duplicate_data,
     restarts,
     fg_selected,
     quarantines,
