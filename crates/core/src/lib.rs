@@ -31,11 +31,10 @@
 //! [`WcettLb`] (load-aware ETT with a queue/retry congestion term and σ/δ
 //! switching thresholds).
 //!
-//! Metrics are *registered plugins*: the [`MetricRegistry`] resolves
-//! deck/CLI names (case-insensitively, aliases included) to builders, and
-//! every comparison table and sweep axis enumerates the registry, so adding
-//! a metric is one new file plus one registration — see
-//! [`metrics::registry`].
+//! [`MetricKind`] is the one list of metrics: [`MetricKind::from_name`]
+//! resolves deck/CLI names (case-insensitively, aliases included), and every
+//! comparison table and sweep axis walks [`MetricKind::ALL`]. Adding a metric
+//! is one new file plus one variant with its arms in `metrics/mod.rs`.
 //!
 //! ## Example: why SPP beats ETX on the paper's Figure 3 network
 //!
@@ -75,8 +74,8 @@ pub mod window;
 pub use cost::{LinkCost, PathCost};
 pub use estimator::{EstimatorConfig, LinkEstimate, LinkObservation};
 pub use metrics::{
-    AnyMetric, ChannelHop, Ett, Etx, HopCount, InvEtx, Metric, MetricKind, MetricPlugin,
-    MetricRegistry, Metx, Pp, Spp, UnicastEtx, Wcett, WcettLb,
+    AnyMetric, ChannelHop, Ett, Etx, HopCount, InvEtx, Metric, MetricKind, Metx, Pp, Spp,
+    UnicastEtx, Wcett, WcettLb,
 };
 pub use neighbor_table::NeighborTable;
 pub use path::{choose_path, figure1_candidates, figure3_candidates, CandidatePath, PathChoice};

@@ -12,23 +12,11 @@ use crate::cost::{LinkCost, PathCost};
 use crate::estimator::LinkObservation;
 use crate::probe::ProbePlan;
 
-use super::registry::MetricPlugin;
-use super::{AnyMetric, Metric, MetricKind};
+use super::{Metric, MetricKind};
 
 /// Nominal data packet size used to scale ETT, in bytes (the paper's CBR
 /// payload).
 pub const DEFAULT_DATA_BYTES: u32 = 512;
-
-/// Registry entry for ETT.
-pub(super) const PLUGIN: MetricPlugin = MetricPlugin {
-    name: "ETT",
-    kind: MetricKind::Ett,
-    aliases: &[],
-    paper: true,
-    comparison: true,
-    summary: "expected transmission time (ETX * S/B from packet pairs, additive)",
-    build: |rate| AnyMetric::Ett(Ett::with_rate(rate)),
-};
 
 /// The ETT metric.
 ///

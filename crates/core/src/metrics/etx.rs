@@ -9,19 +9,7 @@ use crate::cost::{LinkCost, PathCost};
 use crate::estimator::LinkObservation;
 use crate::probe::ProbePlan;
 
-use super::registry::MetricPlugin;
-use super::{AnyMetric, Metric, MetricKind};
-
-/// Registry entry for ETX.
-pub(super) const PLUGIN: MetricPlugin = MetricPlugin {
-    name: "ETX",
-    kind: MetricKind::Etx,
-    aliases: &[],
-    paper: true,
-    comparison: true,
-    summary: "expected transmissions, forward-only (1/df, additive)",
-    build: |rate| AnyMetric::Etx(Etx::with_rate(rate)),
-};
+use super::{Metric, MetricKind};
 
 /// The forward-only ETX metric.
 ///

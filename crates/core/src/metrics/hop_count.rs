@@ -10,21 +10,7 @@ use crate::cost::{LinkCost, PathCost};
 use crate::estimator::LinkObservation;
 use crate::probe::ProbePlan;
 
-use super::registry::MetricPlugin;
-use super::{AnyMetric, Metric, MetricKind};
-
-/// Registry entry for hop count. Selectable by name but not part of the
-/// comparison tables: the experiments' baseline is *original* ODMRP
-/// (first-query arrival), which already approximates minimum hops.
-pub(super) const PLUGIN: MetricPlugin = MetricPlugin {
-    name: "HOP",
-    kind: MetricKind::HopCount,
-    aliases: &["HOPCOUNT", "HOP_COUNT"],
-    paper: false,
-    comparison: false,
-    summary: "hop count: every link costs 1, no probing",
-    build: |_rate| AnyMetric::HopCount(HopCount),
-};
+use super::{Metric, MetricKind};
 
 /// The hop-count metric.
 ///

@@ -20,19 +20,7 @@ use crate::cost::{LinkCost, PathCost};
 use crate::estimator::LinkObservation;
 use crate::probe::ProbePlan;
 
-use super::registry::MetricPlugin;
-use super::{AnyMetric, Metric, MetricKind};
-
-/// Registry entry for InvETX.
-pub(super) const PLUGIN: MetricPlugin = MetricPlugin {
-    name: "InvETX",
-    kind: MetricKind::InvEtx,
-    aliases: &["INV_ETX"],
-    paper: false,
-    comparison: true,
-    summary: "inverted ETX quality score (df, harmonic combination, higher wins)",
-    build: |rate| AnyMetric::InvEtx(InvEtx::with_rate(rate)),
-};
+use super::{Metric, MetricKind};
 
 /// The inverted-ETX quality metric.
 ///

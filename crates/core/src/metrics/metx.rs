@@ -14,19 +14,7 @@ use crate::cost::{LinkCost, PathCost};
 use crate::estimator::LinkObservation;
 use crate::probe::ProbePlan;
 
-use super::registry::MetricPlugin;
-use super::{AnyMetric, Metric, MetricKind};
-
-/// Registry entry for METX.
-pub(super) const PLUGIN: MetricPlugin = MetricPlugin {
-    name: "METX",
-    kind: MetricKind::Metx,
-    aliases: &[],
-    paper: true,
-    comparison: true,
-    summary: "multicast ETX: total expected transmissions, METX' = (METX+1)/df",
-    build: |rate| AnyMetric::Metx(Metx::with_rate(rate)),
-};
+use super::{Metric, MetricKind};
 
 /// The METX metric.
 ///

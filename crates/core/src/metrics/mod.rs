@@ -12,11 +12,11 @@
 //!    every metric except SPP and InvETX, where the value is a success
 //!    probability / quality score and higher wins.
 //!
-//! A metric is a *registered plugin*: the [`MetricRegistry`] maps deck/CLI
-//! names to builders, and everything that enumerates metrics (comparison
-//! tables, sweep variant axes, the metric-matrix CI smoke) walks the
-//! registry rather than a hard-coded list. See [`registry`] for the
-//! add-a-metric recipe.
+//! [`MetricKind`] is the one list of metrics. Its exhaustive `match`es give
+//! each kind's deck/CLI name, aliases, comparison-table membership and
+//! constructor, so a new variant without those arms does not compile.
+//! Everything that enumerates metrics (comparison tables, sweep variant
+//! axes, the metric-matrix CI smoke) walks [`MetricKind::ALL`].
 
 use crate::cost::{LinkCost, PathCost};
 use crate::estimator::LinkObservation;
@@ -28,7 +28,6 @@ mod hop_count;
 mod inv_etx;
 mod metx;
 mod pp;
-pub mod registry;
 mod spp;
 mod unicast_etx;
 mod wcett;
@@ -40,7 +39,6 @@ pub use hop_count::HopCount;
 pub use inv_etx::InvEtx;
 pub use metx::{metx_closed_form, Metx};
 pub use pp::Pp;
-pub use registry::{MetricPlugin, MetricRegistry};
 pub use spp::Spp;
 pub use unicast_etx::UnicastEtx;
 pub use wcett::{ChannelHop, Wcett};
@@ -82,8 +80,10 @@ impl MetricKind {
         MetricKind::Spp,
     ];
 
-    /// Every kind, in registry registration order. Kept in sync with the
-    /// registry by `every_kind_has_a_plugin_that_builds_it`.
+    /// Every kind, in the order comparison tables, deck error messages and
+    /// the law-check suites list them: the paper five in figure order, then
+    /// the baseline and the ablation, then the post-paper entrants. Iterate
+    /// this, never the derived `Ord`, which follows declaration order.
     pub const ALL: [MetricKind; 9] = [
         MetricKind::Ett,
         MetricKind::Etx,
@@ -101,16 +101,85 @@ impl MetricKind {
         self.build_with_rate(1.0)
     }
 
-    /// Build the metric with probe intervals divided by `rate`, through the
-    /// registry. Never panics: invalid rates saturate the probe interval
-    /// (see [`ProbePlan::single_at_rate`]).
+    /// Build the metric with probe intervals divided by `rate`. Never
+    /// panics: invalid rates saturate the probe interval (see
+    /// [`ProbePlan::single_at_rate`]).
     pub fn build_with_rate(self, rate: f64) -> AnyMetric {
-        MetricRegistry::global().plugin_of(self).instantiate(rate)
+        match self {
+            MetricKind::HopCount => AnyMetric::HopCount(HopCount),
+            MetricKind::Etx => AnyMetric::Etx(Etx::with_rate(rate)),
+            MetricKind::Ett => AnyMetric::Ett(Ett::with_rate(rate)),
+            MetricKind::Pp => AnyMetric::Pp(Pp::with_rate(rate)),
+            MetricKind::Metx => AnyMetric::Metx(Metx::with_rate(rate)),
+            MetricKind::Spp => AnyMetric::Spp(Spp::with_rate(rate)),
+            MetricKind::UnicastEtx => AnyMetric::UnicastEtx(UnicastEtx::with_rate(rate)),
+            MetricKind::InvEtx => AnyMetric::InvEtx(InvEtx::with_rate(rate)),
+            MetricKind::WcettLb => AnyMetric::WcettLb(WcettLb::with_rate(rate)),
+        }
     }
 
-    /// The paper's name for the metric (the registry's canonical name).
+    /// The paper's name for the metric, and its canonical deck/CLI name.
     pub fn name(self) -> &'static str {
-        MetricRegistry::global().plugin_of(self).name
+        match self {
+            MetricKind::HopCount => "HOP",
+            MetricKind::Etx => "ETX",
+            MetricKind::Ett => "ETT",
+            MetricKind::Pp => "PP",
+            MetricKind::Metx => "METX",
+            MetricKind::Spp => "SPP",
+            MetricKind::UnicastEtx => "ETX-bidir",
+            MetricKind::InvEtx => "InvETX",
+            MetricKind::WcettLb => "WCETT-LB",
+        }
+    }
+
+    /// Further deck/CLI spellings [`MetricKind::from_name`] accepts.
+    pub fn aliases(self) -> &'static [&'static str] {
+        match self {
+            MetricKind::HopCount => &["HOPCOUNT", "HOP_COUNT"],
+            MetricKind::UnicastEtx => &["ETX_BIDIR", "UNICAST_ETX", "UNICASTETX"],
+            MetricKind::InvEtx => &["INV_ETX"],
+            MetricKind::WcettLb => &["WCETT_LB", "WCETTLB"],
+            MetricKind::Etx
+            | MetricKind::Ett
+            | MetricKind::Pp
+            | MetricKind::Metx
+            | MetricKind::Spp => &[],
+        }
+    }
+
+    /// Whether the fig2/table1 comparison tables list the metric. The
+    /// baseline (`HOP`: the experiments compare against original ODMRP,
+    /// whose first-query arrival already approximates minimum hops) and the
+    /// §2.1 ablation (`ETX-bidir`) stay selectable by name but out of the
+    /// tables.
+    pub fn in_comparison(self) -> bool {
+        match self {
+            MetricKind::Ett
+            | MetricKind::Etx
+            | MetricKind::Metx
+            | MetricKind::Pp
+            | MetricKind::Spp
+            | MetricKind::InvEtx
+            | MetricKind::WcettLb => true,
+            MetricKind::HopCount | MetricKind::UnicastEtx => false,
+        }
+    }
+
+    /// The kinds the comparison tables list, in [`MetricKind::ALL`] order.
+    pub fn comparison_kinds() -> impl Iterator<Item = MetricKind> {
+        MetricKind::ALL.into_iter().filter(|k| k.in_comparison())
+    }
+
+    /// The kind a deck/CLI `name` selects: its canonical name or an alias,
+    /// compared ASCII-case-insensitively.
+    pub fn from_name(name: &str) -> Option<MetricKind> {
+        MetricKind::ALL.into_iter().find(|k| k.is_called(name))
+    }
+
+    fn is_called(self, name: &str) -> bool {
+        self.name().eq_ignore_ascii_case(name)
+            || self.aliases().iter().any(|a| a.eq_ignore_ascii_case(name))
     }
 }
 
@@ -135,7 +204,7 @@ impl std::fmt::Display for MetricKind {
 ///   irreflexive, asymmetric, and monotone).
 ///
 /// These laws are checked by property tests in this crate, over every
-/// registered metric.
+/// [`MetricKind`].
 pub trait Metric {
     /// Which metric this is.
     fn kind(&self) -> MetricKind;
@@ -260,8 +329,8 @@ mod tests {
 
     #[test]
     fn all_is_exhaustive() {
-        // A new MetricKind variant fails this match until it is added to
-        // ALL (and, via the registry coverage test, to the registry).
+        // A new MetricKind variant fails this match until it is handled
+        // here; add it to ALL in the same edit.
         for kind in MetricKind::ALL {
             match kind {
                 MetricKind::HopCount
@@ -308,6 +377,70 @@ mod tests {
             let p = m.path_cost([m.link_cost(&obs(0.5)), m.link_cost(&obs(0.8))]);
             assert!(m.better(p, m.worst()), "{kind}: real path beats worst()");
         }
+    }
+
+    #[test]
+    fn from_name_accepts_names_and_aliases_in_any_case() {
+        for kind in MetricKind::ALL {
+            for spelling in std::iter::once(kind.name()).chain(kind.aliases().iter().copied()) {
+                let mixed: String = spelling
+                    .chars()
+                    .enumerate()
+                    .map(|(i, c)| {
+                        if i % 2 == 0 {
+                            c.to_ascii_lowercase()
+                        } else {
+                            c.to_ascii_uppercase()
+                        }
+                    })
+                    .collect();
+                for s in [
+                    spelling.to_string(),
+                    spelling.to_ascii_lowercase(),
+                    spelling.to_ascii_uppercase(),
+                    mixed,
+                ] {
+                    assert_eq!(MetricKind::from_name(&s), Some(kind), "{s:?}");
+                }
+            }
+        }
+        assert_eq!(
+            MetricKind::from_name("etx-bidir"),
+            Some(MetricKind::UnicastEtx)
+        );
+        assert_eq!(MetricKind::from_name("WAT"), None);
+        assert_eq!(MetricKind::from_name(""), None);
+    }
+
+    #[test]
+    fn no_spelling_selects_two_kinds() {
+        for kind in MetricKind::ALL {
+            for spelling in std::iter::once(kind.name()).chain(kind.aliases().iter().copied()) {
+                let hits: Vec<MetricKind> = MetricKind::ALL
+                    .into_iter()
+                    .filter(|k| k.is_called(spelling))
+                    .collect();
+                assert_eq!(hits, [kind], "{spelling:?} selects {hits:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn comparison_set_is_paper_five_plus_new_entrants() {
+        let kinds: Vec<MetricKind> = MetricKind::comparison_kinds().collect();
+        assert_eq!(
+            kinds,
+            [
+                MetricKind::Ett,
+                MetricKind::Etx,
+                MetricKind::Metx,
+                MetricKind::Pp,
+                MetricKind::Spp,
+                MetricKind::InvEtx,
+                MetricKind::WcettLb,
+            ]
+        );
+        assert_eq!(kinds[..MetricKind::PAPER_SET.len()], MetricKind::PAPER_SET);
     }
 
     #[test]

@@ -16,22 +16,10 @@ use crate::cost::{LinkCost, PathCost};
 use crate::estimator::LinkObservation;
 use crate::probe::ProbePlan;
 
-use super::registry::MetricPlugin;
-use super::{AnyMetric, Metric, MetricKind};
+use super::{Metric, MetricKind};
 
 /// Delay assumed (in seconds) for links whose delay was never measured.
 pub const DEFAULT_DELAY_S: f64 = 0.005;
-
-/// Registry entry for PP.
-pub(super) const PLUGIN: MetricPlugin = MetricPlugin {
-    name: "PP",
-    kind: MetricKind::Pp,
-    aliases: &[],
-    paper: true,
-    comparison: true,
-    summary: "packet-pair delay EWMA with 20% loss penalty (additive)",
-    build: |rate| AnyMetric::Pp(Pp::with_rate(rate)),
-};
 
 /// The packet-pair delay metric.
 ///

@@ -12,19 +12,7 @@ use crate::cost::{LinkCost, PathCost};
 use crate::estimator::LinkObservation;
 use crate::probe::ProbePlan;
 
-use super::registry::MetricPlugin;
-use super::{AnyMetric, Metric, MetricKind};
-
-/// Registry entry for SPP.
-pub(super) const PLUGIN: MetricPlugin = MetricPlugin {
-    name: "SPP",
-    kind: MetricKind::Spp,
-    aliases: &[],
-    paper: true,
-    comparison: true,
-    summary: "success probability product (df product, higher wins)",
-    build: |rate| AnyMetric::Spp(Spp::with_rate(rate)),
-};
+use super::{Metric, MetricKind};
 
 /// The success-probability-product metric.
 ///

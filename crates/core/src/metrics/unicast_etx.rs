@@ -15,21 +15,7 @@ use crate::cost::{LinkCost, PathCost};
 use crate::estimator::LinkObservation;
 use crate::probe::ProbePlan;
 
-use super::registry::MetricPlugin;
-use super::{AnyMetric, Metric, MetricKind};
-
-/// Registry entry for the bidirectional-ETX ablation. Selectable by name
-/// (decks use it for the §2.1 distortion experiment) but kept out of the
-/// paper-figure comparison tables.
-pub(super) const PLUGIN: MetricPlugin = MetricPlugin {
-    name: "ETX-bidir",
-    kind: MetricKind::UnicastEtx,
-    aliases: &["ETX_BIDIR", "UNICAST_ETX", "UNICASTETX"],
-    paper: false,
-    comparison: false,
-    summary: "ablation: unicast-style 1/(df*dr) ETX (reverse term distorts)",
-    build: |rate| AnyMetric::UnicastEtx(UnicastEtx::with_rate(rate)),
-};
+use super::{Metric, MetricKind};
 
 /// The deliberately-bidirectional ETX ablation metric.
 #[derive(Debug, Clone, PartialEq)]

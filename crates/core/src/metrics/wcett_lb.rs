@@ -28,25 +28,13 @@ use crate::cost::{LinkCost, PathCost};
 use crate::estimator::LinkObservation;
 use crate::probe::ProbePlan;
 
-use super::registry::MetricPlugin;
 use super::wcett::Wcett;
-use super::{AnyMetric, Metric, MetricKind};
+use super::{Metric, MetricKind};
 
 /// Default load weight σ (half the raw ETT at full congestion).
 pub const DEFAULT_SIGMA: f64 = 0.5;
 /// Default path-switching hysteresis δ (a challenger must be 10 % cheaper).
 pub const DEFAULT_DELTA: f64 = 0.1;
-
-/// Registry entry for WCETT-LB.
-pub(super) const PLUGIN: MetricPlugin = MetricPlugin {
-    name: "WCETT-LB",
-    kind: MetricKind::WcettLb,
-    aliases: &["WCETT_LB", "WCETTLB"],
-    paper: false,
-    comparison: true,
-    summary: "load-aware ETT (queue/retry congestion term, sigma/delta switching)",
-    build: |rate| AnyMetric::WcettLb(WcettLb::with_rate(rate)),
-};
 
 /// The load-aware WCETT routing metric.
 ///

@@ -5,19 +5,15 @@
 //! decayed to the floor.
 
 use mcast_metrics::{
-    AnyMetric, EstimatorConfig, Freshness, LinkEstimate, LinkObservation, Metric, MetricRegistry,
+    AnyMetric, EstimatorConfig, Freshness, LinkEstimate, LinkObservation, Metric, MetricKind,
 };
 use mesh_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 fn paper_metrics() -> Vec<AnyMetric> {
-    // Historically the paper five; now every registered metric, so a new
-    // plugin inherits the degraded-input obligations automatically.
-    MetricRegistry::global()
-        .plugins()
-        .iter()
-        .map(|p| p.instantiate(1.0))
-        .collect()
+    // Historically the paper five; now every kind, so a new metric
+    // inherits the degraded-input obligations automatically.
+    MetricKind::ALL.map(MetricKind::build).to_vec()
 }
 
 /// Cost the observation as a `hops`-long uniform path and check every value

@@ -3,8 +3,8 @@
 use mcast_metrics::metrics::metx_closed_form;
 use mcast_metrics::window::SeqWindow;
 use mcast_metrics::{
-    choose_path, CandidatePath, EstimatorConfig, LinkEstimate, LinkObservation, Metric,
-    MetricRegistry, Metx, Spp,
+    choose_path, CandidatePath, EstimatorConfig, LinkEstimate, LinkObservation, Metric, MetricKind,
+    Metx, Spp,
 };
 use mesh_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -28,12 +28,8 @@ fn obs(df: f64) -> LinkObservation {
 }
 
 fn all_metrics() -> Vec<mcast_metrics::AnyMetric> {
-    // Every registered metric — new plugins are law-checked automatically.
-    MetricRegistry::global()
-        .plugins()
-        .iter()
-        .map(|p| p.instantiate(1.0))
-        .collect()
+    // Every kind — a new metric is law-checked automatically.
+    MetricKind::ALL.map(MetricKind::build).to_vec()
 }
 
 proptest! {

@@ -11,7 +11,7 @@ use experiments::stats::{jain_fairness, percentile, render_table, Summary};
 use experiments::trees::{heavy_edges, tree_usage, EdgeUse};
 use experiments::{paper, report, run, RunMeasurement, RunSpec, VariantSummary};
 use mcast_metrics::{choose_path, figure1_candidates, figure3_candidates, Etx, Metric, Metx};
-use mcast_metrics::{MetricKind, MetricRegistry, Spp};
+use mcast_metrics::{MetricKind, Spp};
 use mesh_sim::ids::NodeId;
 use mesh_sim::medium::LinkTableMedium;
 use mesh_sim::time::SimDuration;
@@ -150,7 +150,7 @@ pub const FIGURES: [Figure; 18] = [
     simulated("receiver-fairness", MESH, 5, receiver_fairness),
     simulated("fault-sweep", MESH, 5, fault_intensity),
     simulated("recovery-sweep", MESH, 5, time_to_recover),
-    simulated("metric-matrix", MESH, 2, registry_matrix),
+    simulated("metric-matrix", MESH, 2, metric_matrix),
 ];
 
 /// Run `variants × seeds` on `w`, in parallel across jobs.
@@ -947,12 +947,12 @@ fn recovery_row(w: &WorkloadScenario, m: &RunMeasurement, degraded: bool) -> Str
     )
 }
 
-/// Registry smoke matrix: the baseline plus *every* registered metric —
-/// including the ones that opt out of the comparison tables (HOP,
-/// ETX-bidir). Fails if a metric is missing from the output or produced a
-/// non-finite measurement, so a metric that registers but crashes, hangs
-/// or yields NaN shows up long before anyone runs the full figure matrix.
-fn registry_matrix(r: &Run) -> bool {
+/// Metric smoke matrix: the baseline plus *every* [`MetricKind`] —
+/// including the ones the comparison tables leave out (HOP, ETX-bidir).
+/// Fails if a metric is missing from the output or produced a non-finite
+/// measurement, so a metric that builds but crashes, hangs or yields NaN
+/// shows up long before anyone runs the full figure matrix.
+fn metric_matrix(r: &Run) -> bool {
     let mut variants = vec![Variant::Original];
     variants.extend(MetricKind::ALL.map(Variant::Metric));
     let summaries = summaries(&r.scenario, &variants, &r.seeds);
@@ -987,7 +987,7 @@ fn registry_matrix(r: &Run) -> bool {
         }
     }
     // Every comparison-set metric must have made it into the rendered table.
-    for kind in MetricRegistry::global().comparison_kinds() {
+    for kind in MetricKind::comparison_kinds() {
         let label = Variant::Metric(kind).label();
         if !throughput.contains(&label) {
             fails.push(format!("{label} missing from the throughput table"));

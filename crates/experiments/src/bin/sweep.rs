@@ -626,8 +626,8 @@ fn run(args: &Args) -> Result<(), String> {
             .as_deref()
             .ok_or("--check needs a scenario file")?;
         let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-        // The same static audit mesh-lint's R9 drives: compile, cap
-        // validation, full expansion — nothing runs.
+        // The same static check the tests run on every committed deck:
+        // compile, cap validation, full expansion — nothing runs.
         let report = check(&src).map_err(|e| format!("{file}: {e}"))?;
         println!(
             "{}: ok — {} jobs over {} config(s), cap {}",

@@ -1,7 +1,7 @@
 //! Paper-style report rendering: our measurements next to the paper's
 //! numbers, plus the qualitative "shape" checks DESIGN.md commits to.
 
-use mcast_metrics::{MetricKind, MetricRegistry};
+use mcast_metrics::MetricKind;
 use mesh_sim::metrics::TimeSeries;
 use odmrp::Variant;
 
@@ -28,7 +28,7 @@ pub fn throughput_table(summaries: &[VariantSummary], paper_col: &[(MetricKind, 
             "1.000".to_string(),
         ]);
     }
-    for kind in MetricRegistry::global().comparison_kinds() {
+    for kind in MetricKind::comparison_kinds() {
         if let Some(s) = metric_row(summaries, kind) {
             rows.push(vec![
                 s.variant.label(),
@@ -60,7 +60,7 @@ pub fn delay_table(summaries: &[VariantSummary]) -> String {
             "1.000".to_string(),
         ]);
     }
-    for kind in MetricRegistry::global().comparison_kinds() {
+    for kind in MetricKind::comparison_kinds() {
         if let Some(s) = metric_row(summaries, kind) {
             rows.push(vec![
                 s.variant.label(),
@@ -81,7 +81,7 @@ pub fn delay_table(summaries: &[VariantSummary]) -> String {
 /// Render the probing-overhead comparison (Table 1).
 pub fn overhead_table(summaries: &[VariantSummary]) -> String {
     let mut rows = Vec::new();
-    for kind in MetricRegistry::global().comparison_kinds() {
+    for kind in MetricKind::comparison_kinds() {
         if let Some(s) = metric_row(summaries, kind) {
             rows.push(vec![
                 kind.name().to_string(),
@@ -238,7 +238,7 @@ pub fn throughput_bars(summaries: &[VariantSummary], paper_col: &[(MetricKind, f
         .fold(1.0f64, f64::max)
         * 1.05;
     let scale = |v: f64| ((v / max_v) * width as f64).round() as usize;
-    for kind in MetricRegistry::global().comparison_kinds() {
+    for kind in MetricKind::comparison_kinds() {
         let Some(s) = metric_row(summaries, kind) else {
             continue;
         };

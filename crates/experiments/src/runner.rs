@@ -29,17 +29,14 @@ pub fn paper_variants() -> Vec<Variant> {
     v
 }
 
-/// Baseline plus every registry metric flagged for comparison tables: the
-/// paper five and the post-paper entrants (InvETX, WCETT-LB). A newly
-/// registered metric with `comparison: true` appears here — and therefore
-/// in every fig2/table1 runner — without touching any runner code.
+/// Baseline plus every metric the comparison tables list: the paper five
+/// and the post-paper entrants (InvETX, WCETT-LB). A new metric whose
+/// [`MetricKind::in_comparison`](mcast_metrics::MetricKind::in_comparison)
+/// arm says `true` appears here — and therefore in every fig2/table1
+/// runner — without touching any runner code.
 pub fn comparison_variants() -> Vec<Variant> {
     let mut v = vec![Variant::Original];
-    v.extend(
-        mcast_metrics::MetricRegistry::global()
-            .comparison_kinds()
-            .map(Variant::Metric),
-    );
+    v.extend(mcast_metrics::MetricKind::comparison_kinds().map(Variant::Metric));
     v
 }
 

@@ -7,6 +7,7 @@
 //! errors carrying the 1-based line number of the offending construct —
 //! a scenario file either compiles to exactly one meaning or not at all.
 
+use mcast_metrics::MetricKind;
 use mesh_sim::time::{SimDuration, SimTime};
 use odmrp::Variant;
 
@@ -716,26 +717,24 @@ fn compile_faults(doc: &Doc) -> Result<FaultSpec, TomlError> {
     }
 }
 
-/// Parse a variant name: `ODMRP` is the baseline; any name registered in
-/// the [`MetricRegistry`](mcast_metrics::MetricRegistry) (canonical or
-/// alias, case-insensitive) selects that metric variant. The `ODMRP_` label
-/// prefix is accepted. Unknown names list every registered metric so the
-/// deck error is self-repairing.
+/// Parse a variant name: `ODMRP` is the baseline; any [`MetricKind`] name
+/// or alias (case-insensitive, see [`MetricKind::from_name`]) selects that
+/// metric variant. The `ODMRP_` label prefix is accepted in any case.
+/// Unknown names list every metric so the deck error is self-repairing.
 pub fn parse_variant(s: &str) -> Result<Variant, String> {
-    let core = s.strip_prefix("ODMRP_").unwrap_or(s);
+    let core = match s.get(..6) {
+        Some(prefix) if prefix.eq_ignore_ascii_case("ODMRP_") => &s[6..],
+        _ => s,
+    };
     if core.eq_ignore_ascii_case("ODMRP") {
         return Ok(Variant::Original);
     }
-    let registry = mcast_metrics::MetricRegistry::global();
-    match registry.lookup(core) {
-        Some(plugin) => Ok(Variant::Metric(plugin.kind)),
-        None => {
-            let names: Vec<&str> = registry.names().collect();
-            Err(format!(
-                "unknown variant \"{core}\" (expected ODMRP or a registered metric: {})",
-                names.join(", ")
-            ))
-        }
+    match MetricKind::from_name(core) {
+        Some(kind) => Ok(Variant::Metric(kind)),
+        None => Err(format!(
+            "unknown variant \"{core}\" (expected ODMRP or a registered metric: {})",
+            MetricKind::ALL.map(MetricKind::name).join(", ")
+        )),
     }
 }
 
@@ -813,7 +812,6 @@ fn compile_sweep(doc: &Doc, scenario: &WorkloadScenario) -> Result<SweepSpec, To
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcast_metrics::MetricKind;
 
     const MINIMAL: &str = "name = \"t\"\n[topology]\nfamily = \"random\"\nnodes = 30\n";
 
@@ -924,9 +922,10 @@ mod tests {
         let err = compile(&format!("{MINIMAL}[sweep]\nvariants = [\"WAT\"]\n")).unwrap_err();
         assert_eq!(err.line, 6);
         assert!(err.msg.contains("unknown variant"), "{}", err.msg);
-        // The rejection names every registered metric, so a deck author can
-        // fix the typo without opening the source.
-        for name in mcast_metrics::MetricRegistry::global().names() {
+        // The rejection names every metric, so a deck author can fix the
+        // typo without opening the source.
+        for kind in MetricKind::ALL {
+            let name = kind.name();
             assert!(err.msg.contains(name), "error omits {name}: {}", err.msg);
         }
         for v in crate::runner::paper_variants() {
@@ -935,33 +934,30 @@ mod tests {
     }
 
     #[test]
-    fn every_registered_metric_is_deck_selectable() {
-        // Tentpole acceptance: names come from the registry, so UnicastEtx
-        // (never listed in the old hand-written match) and the new entrants
-        // are all reachable from decks, prefix and case included.
-        for p in mcast_metrics::MetricRegistry::global().plugins() {
-            assert_eq!(
-                parse_variant(p.name).unwrap(),
-                Variant::Metric(p.kind),
-                "{}",
-                p.name
-            );
-            assert_eq!(
-                parse_variant(&format!("ODMRP_{}", p.name)).unwrap(),
-                Variant::Metric(p.kind)
-            );
-            assert_eq!(
-                parse_variant(&p.name.to_ascii_lowercase()).unwrap(),
-                Variant::Metric(p.kind)
-            );
-            for alias in p.aliases {
-                assert_eq!(parse_variant(alias).unwrap(), Variant::Metric(p.kind));
+    fn every_metric_is_deck_selectable() {
+        // Names and aliases in any case, bare or behind the `ODMRP_` label
+        // prefix in any case.
+        for kind in MetricKind::ALL {
+            for spelling in std::iter::once(kind.name()).chain(kind.aliases().iter().copied()) {
+                for prefix in ["", "ODMRP_", "odmrp_", "Odmrp_"] {
+                    for name in [spelling.to_string(), spelling.to_ascii_lowercase()] {
+                        let s = format!("{prefix}{name}");
+                        assert_eq!(parse_variant(&s), Ok(Variant::Metric(kind)), "{s:?}");
+                    }
+                }
             }
         }
         assert_eq!(
             parse_variant("ETX-bidir").unwrap(),
             Variant::Metric(MetricKind::UnicastEtx)
         );
+        for baseline in ["ODMRP", "odmrp", "ODMRP_ODMRP", "odmrp_Odmrp"] {
+            assert_eq!(parse_variant(baseline), Ok(Variant::Original), "{baseline}");
+        }
+        // The prefix is stripped once, and a multi-byte character where it
+        // would end is no prefix.
+        assert!(parse_variant("ODMRP_ODMRP_SPP").is_err());
+        assert!(parse_variant("ODMRPé").is_err());
     }
 
     #[test]

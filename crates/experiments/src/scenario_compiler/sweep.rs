@@ -243,9 +243,9 @@ pub struct CheckReport {
 }
 
 /// Statically validate scenario source: compile it, enforce the expansion
-/// cap, and expand the full job list — without running anything. This is
-/// the entry point mesh-lint's R9 scenario audit drives, so schema drift in
-/// committed `scenarios/*.toml` fails `--deny` before any sweep runs.
+/// cap, and expand the full job list — without running anything.
+/// `tests/committed_decks.rs` runs it over every committed deck, so schema
+/// drift in `scenarios/*.toml` fails the tests before any sweep runs.
 ///
 /// Expansion and cap errors arise from axis values rather than a single
 /// TOML construct, so they carry line 0.

@@ -15,7 +15,7 @@ use mesh_sim::ids::{GroupId, NodeId};
 use mesh_sim::mac::MacParams;
 use mesh_sim::medium::{Medium, PhysicalMedium};
 use mesh_sim::mobility::RandomWaypoint;
-use mesh_sim::propagation::{FadingModel, PathLossModel, PhyParams};
+use mesh_sim::propagation::{FadingModel, PhyParams};
 use mesh_sim::protocol::Protocol;
 use mesh_sim::rng::SimRng;
 use mesh_sim::simulator::Simulator;
@@ -810,7 +810,6 @@ impl WorkloadScenario {
             } else {
                 FadingModel::None
             },
-            path_loss: PathLossModel::TwoRayGround,
             ..PhyParams::default()
         };
         Box::new(PhysicalMedium::new(phy).with_indexing(self.mesh.indexed_medium))

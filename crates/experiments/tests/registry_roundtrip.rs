@@ -1,16 +1,15 @@
-//! Registry ↔ deck ↔ report round-trips: the metric plugin registry is the
-//! single source of truth for which metrics exist, so every registered name
-//! must (a) be selectable from a TOML deck, (b) round-trip through the
-//! variant parser, (c) show up in the comparison tables, and (d) be
-//! documented in EXPERIMENTS.md. A metric you can register but not select,
-//! render, or read about is a half-added metric — this suite makes that a
-//! test failure instead of a code-review hope.
+//! `MetricKind` ↔ deck ↔ report round-trips: `MetricKind::ALL` is the
+//! single list of metrics, so every kind must (a) be selectable from a TOML
+//! deck, (b) round-trip through the variant parser, (c) show up in the
+//! comparison tables, and (d) be documented in EXPERIMENTS.md. A metric you
+//! can build but not select, render, or read about is a half-added metric —
+//! this suite makes that a test failure instead of a code-review hope.
 
 use experiments::report;
 use experiments::runner::{comparison_variants, paper_variants, VariantSummary};
 use experiments::scenario_compiler::{compile, parse_variant, variant_name};
 use experiments::stats::Summary;
-use mcast_metrics::{MetricKind, MetricRegistry};
+use mcast_metrics::MetricKind;
 use odmrp::Variant;
 
 /// A minimal deck selecting `names` on the sweep variants axis.
@@ -24,21 +23,24 @@ fn deck_with_variants(names: &[&str]) -> String {
 }
 
 #[test]
-fn every_registered_name_compiles_from_a_deck() {
-    for plugin in MetricRegistry::global().plugins() {
-        // Canonical name, with and without the ODMRP_ label prefix, plus
-        // every alias, in arbitrary case.
-        let prefixed = format!("ODMRP_{}", plugin.name);
-        let lower = plugin.name.to_ascii_lowercase();
-        let mut spellings = vec![plugin.name.to_string(), prefixed, lower];
-        spellings.extend(plugin.aliases.iter().map(|a| a.to_string()));
+fn every_metric_name_compiles_from_a_deck() {
+    for kind in MetricKind::ALL {
+        // Canonical name and every alias, bare and lowercased, with and
+        // without the ODMRP_ label prefix in any case.
+        let mut spellings = Vec::new();
+        for name in std::iter::once(kind.name()).chain(kind.aliases().iter().copied()) {
+            for prefix in ["", "ODMRP_", "odmrp_", "Odmrp_"] {
+                spellings.push(format!("{prefix}{name}"));
+                spellings.push(format!("{prefix}{}", name.to_ascii_lowercase()));
+            }
+        }
         for spelling in spellings {
             let deck = deck_with_variants(&[&spelling]);
             let compiled = compile(&deck)
                 .unwrap_or_else(|e| panic!("deck with variant {spelling:?} rejected: {e}"));
             assert_eq!(
                 compiled.sweep.variants,
-                vec![Variant::Metric(plugin.kind)],
+                vec![Variant::Metric(kind)],
                 "spelling {spelling:?}"
             );
         }
@@ -57,10 +59,11 @@ fn variant_names_round_trip_through_the_parser() {
 }
 
 #[test]
-fn unknown_variant_rejection_names_every_registered_metric() {
+fn unknown_variant_rejection_names_every_metric() {
     let err = compile(&deck_with_variants(&["WAT"])).unwrap_err();
     assert!(err.msg.contains("unknown variant \"WAT\""), "{}", err.msg);
-    for name in MetricRegistry::global().names() {
+    for kind in MetricKind::ALL {
+        let name = kind.name();
         assert!(err.msg.contains(name), "error omits {name}: {}", err.msg);
     }
 }
@@ -90,7 +93,7 @@ fn comparison_tables_render_every_comparison_metric() {
     let delay = report::delay_table(&summaries);
     let overhead = report::overhead_table(&summaries);
     let bars = report::throughput_bars(&summaries, &[]);
-    for kind in MetricRegistry::global().comparison_kinds() {
+    for kind in MetricKind::comparison_kinds() {
         let label = Variant::Metric(kind).label();
         // Throughput/delay rows carry the full variant label; overhead and
         // the bar chart use the bare metric name.
@@ -121,16 +124,16 @@ fn comparison_set_extends_the_frozen_paper_set() {
 }
 
 #[test]
-fn experiments_doc_lists_every_registered_name() {
+fn experiments_doc_lists_every_metric_name() {
     let doc = std::fs::read_to_string(
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md"),
     )
     .expect("EXPERIMENTS.md at the repo root");
-    for plugin in MetricRegistry::global().plugins() {
+    for kind in MetricKind::ALL {
         assert!(
-            doc.contains(plugin.name),
-            "EXPERIMENTS.md does not mention registered metric {}",
-            plugin.name
+            doc.contains(kind.name()),
+            "EXPERIMENTS.md does not mention metric {}",
+            kind.name()
         );
     }
 }

@@ -24,7 +24,7 @@ pub struct Config {
     /// Path substrings excluded from workspace discovery (still scanned when
     /// named explicitly on the command line, e.g. the bad-fixture set).
     pub skip_paths: Vec<String>,
-    /// Per-rule scopes, keyed by rule id (`R1`..`R9`).
+    /// Per-rule scopes, keyed by rule id (`R1`..`R8`).
     pub rules: BTreeMap<String, RuleScope>,
 }
 
@@ -40,7 +40,7 @@ impl Config {
     /// `unscoped` (the CLI's `--unscoped`) ignores crate confinement and
     /// allowlists — used to exercise every rule on the fixture set. Note
     /// this is distinct from `--all-rules`, which enables the extended
-    /// families R6–R9 but still honours this scoping.
+    /// families R6–R8 but still honours this scoping.
     pub fn applies(&self, rule: &str, path: &str, crate_dir: &str, unscoped: bool) -> bool {
         if unscoped {
             return true;
@@ -160,7 +160,7 @@ mod tests {
         assert_eq!(cfg.skip_paths.len(), 2);
         assert_eq!(cfg.scope("R1").crates, ["mesh-sim", "core"]);
         assert_eq!(cfg.scope("R2").allow_paths, ["crates/experiments/src/bin/"]);
-        assert!(cfg.scope("R9").crates.is_empty());
+        assert!(cfg.scope("R8").crates.is_empty());
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! On top of the original determinism family, `--all-rules` enables three
 //! further per-file families built on a lightweight token-tree pass
 //! ([`scopes`]) — R6 panic-freedom, R7 unit-suffix safety, R8 hot-path
-//! allocation hygiene (all in [`extended`]) — plus the R9 scenario audit,
-//! which drives the scenario compiler check-only over committed
-//! `scenarios/*.toml` decks. A committed [`baseline`] turns `--deny` into a
-//! ratchet: only new findings (or stale baseline entries) fail CI.
+//! allocation hygiene (all in [`extended`]). A committed [`baseline`] turns
+//! `--deny` into a ratchet: only new findings (or stale baseline entries)
+//! fail CI.
 //!
 //! Run it with `cargo run -p mesh-lint -- --deny --all-rules` from the
 //! workspace root.
@@ -60,29 +59,9 @@ pub fn lint_source(rel_path: &str, src: &str, cfg: &Config, opts: LintOpts) -> V
         .collect()
 }
 
-/// R9 scenario audit: run one scenario TOML source through the scenario
-/// compiler's check-only entry point (compile, cap validation, full axis
-/// expansion — nothing executes). A deck that no longer compiles or
-/// expands is one R9 finding at the offending line (line 0 for whole-sweep
-/// errors such as a blown expansion cap).
-pub fn audit_scenario_source(rel_path: &str, src: &str) -> Vec<FileFinding> {
-    match experiments::scenario_compiler::check(src) {
-        Ok(_) => Vec::new(),
-        Err(e) => vec![FileFinding {
-            path: rel_path.to_string(),
-            finding: Finding {
-                rule: "R9".into(),
-                line: e.line as u32,
-                message: format!("scenario fails static audit: {}", e.msg),
-            },
-        }],
-    }
-}
-
-/// Recursively collect lintable files under `path` — `.rs` sources plus
-/// `.toml` scenario decks — sorted, so diagnostics are stable. `skip`
-/// substrings filter workspace discovery; pass `&[]` when the caller named
-/// the path explicitly.
+/// Recursively collect lintable `.rs` files under `path`, sorted, so
+/// diagnostics are stable. `skip` substrings filter workspace discovery;
+/// pass `&[]` when the caller named the path explicitly.
 pub fn collect_lintable_files(
     root: &Path,
     path: &Path,
@@ -105,7 +84,7 @@ fn collect_into(
         return Ok(());
     }
     if path.is_file() {
-        if path.extension().is_some_and(|e| e == "rs" || e == "toml") {
+        if path.extension().is_some_and(|e| e == "rs") {
             out.push(path.to_path_buf());
         }
         return Ok(());
@@ -138,10 +117,6 @@ pub fn rel_str(root: &Path, path: &Path) -> String {
 
 /// Lint files on disk. `explicit` disables the config's `skip_paths`
 /// (used when the caller names e.g. the fixture directory).
-///
-/// `.toml` files participate only when `opts.all_families` is on (R9): a
-/// workspace scan audits decks whose path contains `scenarios/`, while a
-/// `.toml` file named directly on the command line is always audited.
 pub fn lint_paths(
     root: &Path,
     paths: &[PathBuf],
@@ -154,21 +129,8 @@ pub fn lint_paths(
     let mut findings = Vec::new();
     let mut scanned = 0usize;
     for path in paths {
-        let named_toml = path.is_file() && path.extension().is_some_and(|e| e == "toml");
         for file in collect_lintable_files(root, path, skip)? {
             let rel = rel_str(root, &file);
-            if file.extension().is_some_and(|e| e == "toml") {
-                if !opts.all_families
-                    || !(named_toml || rel.contains("scenarios/"))
-                    || !cfg.applies("R9", &rel, crate_dir_of(&rel), opts.unscoped)
-                {
-                    continue;
-                }
-                let src = std::fs::read_to_string(&file)?;
-                scanned += 1;
-                findings.extend(audit_scenario_source(&rel, &src));
-                continue;
-            }
             let src = std::fs::read_to_string(&file)?;
             scanned += 1;
             findings.extend(lint_source(&rel, &src, cfg, opts));

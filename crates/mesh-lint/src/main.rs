@@ -31,12 +31,11 @@ fn usage() -> String {
     "usage: mesh-lint [--deny] [--json] [--all-rules] [--unscoped] [--baseline FILE]\n\
      \x20                [--write-baseline FILE] [--root DIR] [--config FILE] [PATH...]\n\
      \n\
-     Statically audits the workspace (rules R1-R9, see DESIGN.md §10). The\n\
-     default run enforces the determinism family R1-R5; --all-rules adds\n\
-     panic-freedom (R6), unit-safety (R7), hot-path allocation (R8) and the\n\
-     scenario-deck audit (R9). With no PATH, scans the whole workspace minus\n\
-     the config's skip_paths; explicit PATHs are scanned unconditionally,\n\
-     and an explicitly named .toml file is always audited under R9.\n\
+     Statically audits the workspace's Rust sources (rules R1-R8, see\n\
+     DESIGN.md §10). The default run enforces the determinism family R1-R5;\n\
+     --all-rules adds panic-freedom (R6), unit-safety (R7) and hot-path\n\
+     allocation (R8). With no PATH, scans the whole workspace minus the\n\
+     config's skip_paths; explicit PATHs are scanned unconditionally.\n\
      \n\
      --deny             exit 1 if any finding is reported (CI mode)\n\
      --json             machine-readable output (includes rule family)\n\

@@ -12,7 +12,7 @@ use crate::lexer::{lex, Token};
 /// One violation (or suppression misuse) in one file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id: `R1`..`R9`, or `SUPPRESS` for malformed suppressions.
+    /// Rule id: `R1`..`R8`, or `SUPPRESS` for malformed suppressions.
     pub rule: String,
     /// 1-based line.
     pub line: u32,
@@ -27,7 +27,6 @@ pub fn family_of(rule: &str) -> &'static str {
         "R6" => "panic-freedom",
         "R7" => "unit-safety",
         "R8" => "hot-path",
-        "R9" => "scenario-audit",
         _ => "suppression",
     }
 }
@@ -35,8 +34,8 @@ pub fn family_of(rule: &str) -> &'static str {
 /// How one lint run is configured (beyond the config file).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LintOpts {
-    /// Run every rule family (R6–R8 per file, R9 scenario audit in the
-    /// CLI), not just the original determinism family R1–R5.
+    /// Run every rule family (R6–R8), not just the original determinism
+    /// family R1–R5.
     pub all_families: bool,
     /// Ignore crate confinement and `allow_paths` — the fixture self-test
     /// mode, where known-bad files must trip every rule wherever they sit.

@@ -1,10 +1,8 @@
 //! Property test for the suppression contract on the extended families:
 //! across every reason-less `allow(...)` spelling and every rule R6–R8, the
-//! finding survives AND the bogus suppression is itself reported. R9 has no
-//! comment channel at all — a reason-less allow written as a deck-side `#`
-//! comment never reaches the audit.
+//! finding survives AND the bogus suppression is itself reported.
 
-use mesh_lint::{audit_scenario_source, lint_source, Config, LintOpts};
+use mesh_lint::{lint_source, Config, LintOpts};
 use proptest::prelude::*;
 
 /// Known-bad one-liners, one per extended per-file rule.
@@ -64,17 +62,5 @@ proptest! {
             fired.iter().any(|r| r == "SUPPRESS"),
             "reason-less allow must itself be reported: {src:?} -> {fired:?}"
         );
-    }
-
-    #[test]
-    fn deck_comments_never_silence_r9(form in 0usize..6) {
-        let deck = format!(
-            "name = \"p\"\n\n[topology]\nfamily = \"random\"\nnodes = 30\n\
-             # mesh-lint: allow(R9{})\nrage = 1.0\n",
-            BOGUS_FORMS[form]
-        );
-        let findings = audit_scenario_source("scenarios/p.toml", &deck);
-        prop_assert_eq!(findings.len(), 1, "R9 must fire through deck comments");
-        prop_assert_eq!(findings[0].finding.rule.as_str(), "R9");
     }
 }

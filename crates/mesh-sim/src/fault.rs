@@ -12,8 +12,8 @@
 //!   purged and the protocol instance is rebooted on recovery (see
 //!   [`crate::protocol::Protocol::handle_restart`]);
 //! * **link blackout / degradation** — per-directed-link [`LinkEffect`]
-//!   overrides applied by the medium (extra Bernoulli loss, power
-//!   attenuation, or total blackout);
+//!   overrides applied by the medium (extra Bernoulli loss or total
+//!   blackout);
 //! * **regional partition** — every link crossing a vertical boundary is
 //!   blacked out (snapshot of positions at fault time);
 //! * **class loss bursts** — broadcast frames of one traffic class (e.g.

@@ -6,10 +6,10 @@
 //!
 //! * a **discrete-event engine** with deterministic, seeded randomness
 //!   ([`simulator::Simulator`], [`world::World`]);
-//! * **radio propagation**: Friis and TwoRay ground-reflection path loss with
-//!   Rayleigh/Ricean fading and optional log-normal shadowing
-//!   ([`propagation`]), or fully custom media via the [`medium::Medium`]
-//!   trait (the `testbed` crate uses this for trace-driven link loss);
+//! * **radio propagation**: the paper's two-ray ground-reflection path loss
+//!   with Rayleigh fading on or off ([`propagation`]), or fully custom media
+//!   via the [`medium::Medium`] trait (the `testbed` crate uses this for
+//!   trace-driven link loss);
 //! * a **threshold/capture PHY** reception model (the `radio` module);
 //! * an **802.11 DCF MAC** ([`mac`]) in which — crucially for the paper —
 //!   *unicast* frames get RTS/CTS, ACKs and retransmissions while *broadcast*

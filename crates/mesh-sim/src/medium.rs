@@ -12,7 +12,7 @@
 use crate::geometry::Pos;
 use crate::ids::NodeId;
 use crate::neighbor_index::NeighborIndex;
-use crate::propagation::{FadingModel, MeanPowerEval, PhyParams};
+use crate::propagation::{MeanPowerEval, PhyParams};
 use crate::rng::SimRng;
 use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::{SimDuration, SimTime};
@@ -72,10 +72,6 @@ pub enum LinkEffect {
     /// a frame that would have been received is independently dropped with
     /// this probability.
     ExtraLoss(f64),
-    /// Multiply the received power by this factor (`< 1.0` attenuates). On a
-    /// [`PhysicalMedium`] this models an obstruction; on threshold-based
-    /// media a factor below the decode margin silences the link.
-    Attenuate(f64),
     /// The link carries nothing at all (not even channel-busying energy).
     Blackout,
 }
@@ -87,10 +83,8 @@ impl Snap for LinkEffect {
                 w.put_u8(0);
                 w.put_f64(p);
             }
-            LinkEffect::Attenuate(k) => {
-                w.put_u8(1);
-                w.put_f64(k);
-            }
+            // Tag 1 stays unused, so the tags in existing checkpoints keep
+            // their meaning and restore rejects a 1.
             LinkEffect::Blackout => w.put_u8(2),
         }
     }
@@ -98,7 +92,6 @@ impl Snap for LinkEffect {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(match r.u8()? {
             0 => LinkEffect::ExtraLoss(r.f64()?),
-            1 => LinkEffect::Attenuate(r.f64()?),
             2 => LinkEffect::Blackout,
             t => return Err(SnapError::BadTag(t as u32)),
         })
@@ -110,7 +103,7 @@ impl Snap for LinkEffect {
 pub struct RxPlan {
     /// The receiving node.
     pub node: NodeId,
-    /// Received power in watts (already includes fading/shadowing).
+    /// Received power in watts (already includes fading).
     pub power_w: f64,
     /// Propagation delay from transmitter to this receiver.
     pub delay: SimDuration,
@@ -510,8 +503,12 @@ impl FanOutCache {
                 mean_w,
                 dist_m: d,
             };
-            entry.list.push(c);
+            // Visit before the push: copying `c` into the list first and
+            // then handing the out-of-line visitor a pointer to the spilled
+            // copy stalls store forwarding, measured at about 30% of a
+            // mobile fan-out.
             visit(&c);
+            entry.list.push(c);
         }
     }
 
@@ -802,7 +799,6 @@ impl PhysicalMedium {
         match faults.get(&(tx, rx)) {
             None => Some(power),
             Some(LinkEffect::Blackout) => None,
-            Some(LinkEffect::Attenuate(k)) => Some(power * k),
             Some(LinkEffect::ExtraLoss(p)) => {
                 if rng.chance(*p) {
                     None
@@ -891,9 +887,8 @@ impl Medium for PhysicalMedium {
             "positions changed without Medium::positions_changed()"
         );
         let floor_w = *floor_w;
-        // Common tail of both sampling variants below: fault resolution,
-        // floor cut, and plan emission (delay computed lazily, only here).
-        let mut emit = |c: &Candidate, mut power: f64, rng: &mut SimRng| {
+        cache.plan_with(tx, floor_w, stats, |c| {
+            let mut power = phy.sample_from_mean_w(c.mean_w, rng);
             if !faults.is_empty() {
                 match Self::apply_fault(faults, tx, c.node, power, rng) {
                     Some(p) => power = p,
@@ -903,30 +898,13 @@ impl Medium for PhysicalMedium {
             if power < floor_w {
                 return;
             }
+            // The delay is computed only here, for plans that are emitted.
             out.push(RxPlan {
                 node: c.node,
                 power_w: power,
                 delay: phy.propagation_delay(c.dist_m),
             });
-        };
-        // `sample_from_mean_w` re-dispatches on the shadowing and fading
-        // configuration per candidate; hoist the dispatch out of the loop
-        // for the default (Rayleigh, no shadowing), where the sample is
-        // exactly `mean * rayleigh_power_gain()` — the same operation on the
-        // same RNG draw, so the specialization is bit-identical.
-        let plain_rayleigh =
-            phy.shadowing_sigma_db <= 0.0 && matches!(phy.fading, FadingModel::Rayleigh);
-        if plain_rayleigh {
-            cache.plan_with(tx, floor_w, stats, |c| {
-                let power = c.mean_w * rng.rayleigh_power_gain();
-                emit(c, power, rng);
-            });
-        } else {
-            cache.plan_with(tx, floor_w, stats, |c| {
-                let power = phy.sample_from_mean_w(c.mean_w, rng);
-                emit(c, power, rng);
-            });
-        }
+        });
     }
     // mesh-lint: end-hot
 
@@ -1169,15 +1147,12 @@ impl Medium for LinkTableMedium {
                 _ => loss,
             };
             let decodable = !rng.chance(eff_loss);
-            let mut power = if decodable {
+            let power = if decodable {
                 self.phy.rx_threshold_w * 10.0
             } else {
                 // Below decode, above carrier sense: busies the channel.
                 self.phy.cs_threshold_w * 2.0
             };
-            if let Some(LinkEffect::Attenuate(k)) = fault {
-                power *= k;
-            }
             out.push(RxPlan {
                 node,
                 power_w: power,
@@ -1475,25 +1450,7 @@ mod tests {
     }
 
     #[test]
-    fn link_table_attenuation_kills_decode_but_keeps_energy() {
-        let mut m = LinkTableMedium::new();
-        m.add_link(NodeId::new(0), NodeId::new(1), 0.0);
-        m.set_link_fault(NodeId::new(0), NodeId::new(1), LinkEffect::Attenuate(0.01));
-        let mut rng = SimRng::seed_from(10);
-        let mut out = Vec::new();
-        m.fan_out(
-            NodeId::new(0),
-            &positions(),
-            SimTime::ZERO,
-            &mut rng,
-            &mut out,
-        );
-        assert_eq!(out.len(), 1);
-        assert!(out[0].power_w < m.phy().rx_threshold_w);
-    }
-
-    #[test]
-    fn physical_blackout_and_attenuation() {
+    fn physical_blackout_silences_until_cleared() {
         let phy = PhyParams {
             fading: crate::propagation::FadingModel::None,
             ..PhyParams::default()
@@ -1525,22 +1482,6 @@ mod tests {
         );
         assert!(out.iter().all(|p| p.node != NodeId::new(1)));
 
-        m.set_link_fault(NodeId::new(0), NodeId::new(1), LinkEffect::Attenuate(0.5));
-        out.clear();
-        m.fan_out(
-            NodeId::new(0),
-            &positions(),
-            SimTime::ZERO,
-            &mut rng,
-            &mut out,
-        );
-        let attenuated = out
-            .iter()
-            .find(|p| p.node == NodeId::new(1))
-            .expect("attenuated but audible")
-            .power_w;
-        assert!((attenuated - clean_power * 0.5).abs() < clean_power * 1e-9);
-
         m.clear_link_fault(NodeId::new(0), NodeId::new(1));
         out.clear();
         m.fan_out(
@@ -1550,7 +1491,26 @@ mod tests {
             &mut rng,
             &mut out,
         );
-        assert!(out.iter().any(|p| p.node == NodeId::new(1)));
+        let restored = out.iter().find(|p| p.node == NodeId::new(1));
+        assert_eq!(restored.map(|p| p.power_w), Some(clean_power));
+    }
+
+    #[test]
+    fn link_effect_tag_1_is_rejected() {
+        for effect in [LinkEffect::ExtraLoss(0.25), LinkEffect::Blackout] {
+            let mut w = SnapWriter::new();
+            effect.snap(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(LinkEffect::unsnap(&mut SnapReader::new(&bytes)), Ok(effect));
+        }
+        let mut w = SnapWriter::new();
+        w.put_u8(1);
+        w.put_f64(0.5);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            LinkEffect::unsnap(&mut SnapReader::new(&bytes)),
+            Err(SnapError::BadTag(1))
+        );
     }
 
     /// A cache whose grid indexes fewer nodes than it has positions was

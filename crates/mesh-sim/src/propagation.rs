@@ -1,35 +1,24 @@
-//! Radio propagation models.
+//! Radio propagation: the paper's model.
 //!
-//! The paper's simulations use the TwoRay ground-reflection model with
-//! Rayleigh fading (GloMoSim defaults); this module provides Friis free-space,
-//! TwoRay, optional log-normal shadowing, and per-frame Rayleigh fading, with
-//! the classic constants that yield a 250 m nominal communication range and a
-//! 550 m carrier-sense range at 2 Mbps.
+//! The paper's simulations use GloMoSim's two-ray ground-reflection path
+//! loss with per-frame Rayleigh fading. This module provides exactly that,
+//! with fading on or off, and the classic constants that yield a 250 m
+//! nominal communication range and a 550 m carrier-sense range at 2 Mbps.
 
 use crate::rng::SimRng;
 
 /// Speed of light in m/s.
 pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
 
-/// Deterministic large-scale path-loss models.
+/// Deterministic large-scale path-loss models. Two-ray ground is the only
+/// one, since every deck, figure and benchmark workload runs it; the type
+/// stays because the `bench_e2e` harness names the model it selects.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PathLossModel {
-    /// Friis free-space model (`1/d^2`).
-    FreeSpace,
     /// Two-ray ground reflection: Friis below the crossover distance, `1/d^4`
     /// beyond. This is the model the paper names.
     #[default]
     TwoRayGround,
-    /// Log-distance: Friis up to a reference distance `d0`, then
-    /// `1/d^exponent`. Exponents of 3-5 approximate obstructed indoor
-    /// environments like the paper's testbed floor (an alternative to the
-    /// table-driven testbed medium when physics-based variation is wanted).
-    LogDistance {
-        /// Path-loss exponent (free space = 2; indoor obstructed 3-5).
-        exponent: f64,
-        /// Reference distance in meters where Friis hands over.
-        reference_m: f64,
-    },
 }
 
 /// Stochastic small-scale fading applied per frame per link.
@@ -43,12 +32,6 @@ pub enum FadingModel {
     /// stated choice.
     #[default]
     Rayleigh,
-    /// Ricean fading with K-factor (ratio of line-of-sight to scattered
-    /// power). `K = 0` degenerates to Rayleigh.
-    Ricean {
-        /// Linear (not dB) K-factor.
-        k: f64,
-    },
 }
 
 /// Radio/PHY parameters shared by every node.
@@ -77,12 +60,11 @@ pub struct PhyParams {
     /// Capture ratio: a frame is decodable during interference if it is this
     /// factor (linear) stronger than the interferer.
     pub capture_ratio: f64,
-    /// Large-scale path loss model.
+    /// Large-scale path loss model (two-ray ground is the only one; the
+    /// field stays because the `bench_e2e` harness sets it).
     pub path_loss: PathLossModel,
     /// Small-scale fading model.
     pub fading: FadingModel,
-    /// Log-normal shadowing standard deviation in dB (0 disables).
-    pub shadowing_sigma_db: f64,
 }
 
 impl Default for PhyParams {
@@ -99,7 +81,6 @@ impl Default for PhyParams {
             capture_ratio: 10.0,
             path_loss: PathLossModel::TwoRayGround,
             fading: FadingModel::Rayleigh,
-            shadowing_sigma_db: 0.0,
         }
     }
 }
@@ -117,7 +98,8 @@ impl PhyParams {
             / self.wavelength_m()
     }
 
-    /// Mean (unfaded) received power in watts at distance `d` meters.
+    /// Mean (unfaded) two-ray ground received power in watts at distance
+    /// `d` meters: Friis up to the crossover distance, `1/d^4` beyond.
     ///
     /// # Panics
     ///
@@ -127,67 +109,32 @@ impl PhyParams {
         // Clamp tiny distances: co-located antennas receive at the reference
         // distance of one wavelength rather than infinite power.
         let d = d.max(self.wavelength_m());
-        let friis = |d: f64| {
+        if d <= self.crossover_distance_m() {
             let lambda = self.wavelength_m();
             self.tx_power_w * self.tx_gain * self.rx_gain * lambda * lambda
                 / (16.0 * std::f64::consts::PI * std::f64::consts::PI * d * d * self.system_loss)
-        };
-        match self.path_loss {
-            PathLossModel::FreeSpace => friis(d),
-            PathLossModel::TwoRayGround => {
-                let dc = self.crossover_distance_m();
-                if d <= dc {
-                    friis(d)
-                } else {
-                    let h2 = self.antenna_height_m * self.antenna_height_m;
-                    self.tx_power_w * self.tx_gain * self.rx_gain * h2 * h2
-                        / (d * d * d * d * self.system_loss)
-                }
-            }
-            PathLossModel::LogDistance {
-                exponent,
-                reference_m,
-            } => {
-                let d0 = reference_m.max(self.wavelength_m());
-                if d <= d0 {
-                    friis(d)
-                } else {
-                    friis(d0) * (d0 / d).powf(exponent)
-                }
-            }
+        } else {
+            let h2 = self.antenna_height_m * self.antenna_height_m;
+            self.tx_power_w * self.tx_gain * self.rx_gain * h2 * h2
+                / (d * d * d * d * self.system_loss)
         }
     }
 
     /// Sample the actual received power in watts for one frame at distance
-    /// `d`, applying shadowing and fading.
+    /// `d`, applying fading.
     pub fn sample_rx_power_w(&self, d: f64, rng: &mut SimRng) -> f64 {
         self.sample_from_mean_w(self.mean_rx_power_w(d), rng)
     }
 
     /// Sample one frame's received power from a precomputed mean power
-    /// (as returned by [`PhyParams::mean_rx_power_w`]), applying shadowing
-    /// and fading. Draws the exact same RNG sequence as
+    /// (as returned by [`PhyParams::mean_rx_power_w`]), applying fading.
+    /// Draws the exact same RNG sequence as
     /// [`PhyParams::sample_rx_power_w`], so media may cache mean powers per
     /// link without perturbing determinism.
     pub fn sample_from_mean_w(&self, mean_w: f64, rng: &mut SimRng) -> f64 {
-        let mut p = mean_w;
-        if self.shadowing_sigma_db > 0.0 {
-            let db = rng.normal_db(self.shadowing_sigma_db);
-            p *= 10f64.powf(db / 10.0);
-        }
         match self.fading {
-            FadingModel::None => p,
-            FadingModel::Rayleigh => p * rng.rayleigh_power_gain(),
-            FadingModel::Ricean { k } => {
-                // Power gain of a Ricean channel: |sqrt(K/(K+1)) + X/sqrt(K+1)|^2
-                // with X complex normal; sampled via two gaussians.
-                let k = k.max(0.0);
-                let s = (k / (k + 1.0)).sqrt();
-                let sigma = (1.0 / (2.0 * (k + 1.0))).sqrt();
-                let re = s + sigma * rng.normal_db(1.0);
-                let im = sigma * rng.normal_db(1.0);
-                p * (re * re + im * im)
-            }
+            FadingModel::None => mean_w,
+            FadingModel::Rayleigh => mean_w * rng.rayleigh_power_gain(),
         }
     }
 
@@ -203,8 +150,8 @@ impl PhyParams {
     }
 
     /// The largest distance at which the *mean* received power still reaches
-    /// `thresh` watts, found by bisection (mean power is monotone
-    /// non-increasing in distance for every supported path-loss model).
+    /// `thresh` watts, found by bisection (two-ray mean power is monotone
+    /// non-increasing in distance).
     /// Capped at 100 km. Spatial indexes use this to bound their search
     /// radius for a given power floor.
     pub fn range_for_mean_power(&self, thresh: f64) -> f64 {
@@ -246,36 +193,21 @@ impl PhyParams {
 /// hoists every distance-independent subexpression at construction while
 /// performing the remaining per-call floating-point operations in *exactly*
 /// the order `mean_rx_power_w` performs them, so for every non-negative
-/// distance `eval(d)` returns the bit-identical `f64` (asserted by unit
-/// tests across all path-loss models). Cached evaluators must be rebuilt if
-/// the [`PhyParams`] they were derived from change.
+/// distance `eval(d)` returns the bit-identical `f64` (asserted by a unit
+/// test). Cached evaluators must be rebuilt if the [`PhyParams`] they were
+/// derived from change.
 #[derive(Debug, Clone, Copy)]
 pub struct MeanPowerEval {
     /// Wavelength, the clamp floor for tiny distances.
     lambda: f64,
-    model: EvalModel,
-}
-
-/// Per-model precomputed constants of [`MeanPowerEval`].
-#[derive(Debug, Clone, Copy)]
-enum EvalModel {
-    /// Friis everywhere: `num / (C16PI2·d·d·L)`.
-    FreeSpace { num: f64, loss: f64 },
-    /// Friis below `dc`, `num4 / (d⁴·L)` beyond.
-    TwoRay {
-        num: f64,
-        num4: f64,
-        dc: f64,
-        loss: f64,
-    },
-    /// Friis below `d0`, `at_d0·(d0/d)^exponent` beyond.
-    LogDistance {
-        num: f64,
-        loss: f64,
-        d0: f64,
-        at_d0: f64,
-        exponent: f64,
-    },
+    /// Friis numerator `((((tx·g_tx)·g_rx)·λ)·λ)`.
+    num: f64,
+    /// Far-field numerator `((((tx·g_tx)·g_rx)·h²)·h²)`.
+    num4: f64,
+    /// Crossover distance: Friis at or below, `1/d⁴` beyond.
+    dc: f64,
+    /// System loss factor.
+    loss: f64,
 }
 
 /// `16π²`, folded with the same operation order `mean_rx_power_w` uses
@@ -286,37 +218,14 @@ impl MeanPowerEval {
     /// Precompute the evaluator for `phy`.
     pub fn new(phy: &PhyParams) -> Self {
         let lambda = phy.wavelength_m();
-        // Same association order as the `friis` closure's numerator:
-        // ((((tx·g_tx)·g_rx)·λ)·λ).
-        let num = phy.tx_power_w * phy.tx_gain * phy.rx_gain * lambda * lambda;
-        let loss = phy.system_loss;
-        let model = match phy.path_loss {
-            PathLossModel::FreeSpace => EvalModel::FreeSpace { num, loss },
-            PathLossModel::TwoRayGround => {
-                let h2 = phy.antenna_height_m * phy.antenna_height_m;
-                EvalModel::TwoRay {
-                    num,
-                    // ((((tx·g_tx)·g_rx)·h²)·h²), as in the far-field branch.
-                    num4: phy.tx_power_w * phy.tx_gain * phy.rx_gain * h2 * h2,
-                    dc: phy.crossover_distance_m(),
-                    loss,
-                }
-            }
-            PathLossModel::LogDistance {
-                exponent,
-                reference_m,
-            } => {
-                let d0 = reference_m.max(lambda);
-                EvalModel::LogDistance {
-                    num,
-                    loss,
-                    d0,
-                    at_d0: num / (C16PI2 * d0 * d0 * loss),
-                    exponent,
-                }
-            }
-        };
-        MeanPowerEval { lambda, model }
+        let h2 = phy.antenna_height_m * phy.antenna_height_m;
+        MeanPowerEval {
+            lambda,
+            num: phy.tx_power_w * phy.tx_gain * phy.rx_gain * lambda * lambda,
+            num4: phy.tx_power_w * phy.tx_gain * phy.rx_gain * h2 * h2,
+            dc: phy.crossover_distance_m(),
+            loss: phy.system_loss,
+        }
     }
 
     // mesh-lint: hot(mean-power-eval)
@@ -331,33 +240,10 @@ impl MeanPowerEval {
         let d = d.max(self.lambda);
         // Denominators keep `mean_rx_power_w`'s association order:
         // Friis `(((C16PI2·d)·d)·L)`, far-field `((((d·d)·d)·d)·L)`.
-        match self.model {
-            EvalModel::FreeSpace { num, loss } => num / (C16PI2 * d * d * loss),
-            EvalModel::TwoRay {
-                num,
-                num4,
-                dc,
-                loss,
-            } => {
-                if d <= dc {
-                    num / (C16PI2 * d * d * loss)
-                } else {
-                    num4 / (d * d * d * d * loss)
-                }
-            }
-            EvalModel::LogDistance {
-                num,
-                loss,
-                d0,
-                at_d0,
-                exponent,
-            } => {
-                if d <= d0 {
-                    num / (C16PI2 * d * d * loss)
-                } else {
-                    at_d0 * (d0 / d).powf(exponent)
-                }
-            }
+        if d <= self.dc {
+            self.num / (C16PI2 * d * d * self.loss)
+        } else {
+            self.num4 / (d * d * d * d * self.loss)
         }
     }
     // mesh-lint: end-hot
@@ -397,12 +283,12 @@ mod tests {
 
     #[test]
     fn two_ray_matches_friis_below_crossover() {
-        let mut p = PhyParams::default();
-        let dc = p.crossover_distance_m();
-        let d = dc * 0.5;
+        let p = PhyParams::default();
+        let d = p.crossover_distance_m() * 0.5;
+        let lambda = SPEED_OF_LIGHT / p.frequency_hz;
+        let friis = p.tx_power_w * p.tx_gain * p.rx_gain * lambda * lambda
+            / ((4.0 * std::f64::consts::PI * d).powi(2) * p.system_loss);
         let two_ray = p.mean_rx_power_w(d);
-        p.path_loss = PathLossModel::FreeSpace;
-        let friis = p.mean_rx_power_w(d);
         assert!((two_ray - friis).abs() / friis < 1e-12);
     }
 
@@ -414,45 +300,6 @@ mod tests {
         let p1 = p.mean_rx_power_w(2.0 * dc);
         let p2 = p.mean_rx_power_w(4.0 * dc);
         assert!((p1 / p2 - 16.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn log_distance_matches_friis_at_reference() {
-        let ld = PhyParams {
-            path_loss: PathLossModel::LogDistance {
-                exponent: 3.5,
-                reference_m: 10.0,
-            },
-            ..PhyParams::default()
-        };
-        let fs = PhyParams {
-            path_loss: PathLossModel::FreeSpace,
-            ..PhyParams::default()
-        };
-        let at_ref = ld.mean_rx_power_w(10.0);
-        assert!((at_ref - fs.mean_rx_power_w(10.0)).abs() / at_ref < 1e-12);
-        // Beyond the reference, decay is steeper than free space.
-        assert!(ld.mean_rx_power_w(100.0) < fs.mean_rx_power_w(100.0));
-        // Exponent check: 10x distance past reference = 35 dB drop.
-        let ratio = ld.mean_rx_power_w(10.0) / ld.mean_rx_power_w(100.0);
-        assert!((ratio.log10() * 10.0 - 35.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn log_distance_monotone() {
-        let ld = PhyParams {
-            path_loss: PathLossModel::LogDistance {
-                exponent: 4.0,
-                reference_m: 5.0,
-            },
-            ..PhyParams::default()
-        };
-        let mut last = f64::INFINITY;
-        for d in [1.0, 4.0, 5.0, 6.0, 20.0, 100.0, 400.0] {
-            let p = ld.mean_rx_power_w(d);
-            assert!(p <= last * (1.0 + 1e-12), "at {d}");
-            last = p;
-        }
     }
 
     #[test]
@@ -494,32 +341,16 @@ mod tests {
     }
 
     #[test]
-    fn ricean_large_k_approaches_no_fading() {
-        let p = PhyParams {
-            fading: FadingModel::Ricean { k: 1e6 },
-            ..PhyParams::default()
-        };
-        let mut rng = SimRng::seed_from(17);
-        let d = 100.0;
-        let mean = p.mean_rx_power_w(d);
-        for _ in 0..100 {
-            let s = p.sample_rx_power_w(d, &mut rng);
-            assert!((s / mean - 1.0).abs() < 0.02);
-        }
-    }
-
-    #[test]
-    fn shadowing_varies_power() {
+    fn no_fading_samples_the_mean_without_drawing() {
         let p = PhyParams {
             fading: FadingModel::None,
-            shadowing_sigma_db: 6.0,
             ..PhyParams::default()
         };
         let mut rng = SimRng::seed_from(19);
+        let before = rng.clone().next_u64();
         let d = 100.0;
-        let a = p.sample_rx_power_w(d, &mut rng);
-        let b = p.sample_rx_power_w(d, &mut rng);
-        assert_ne!(a, b);
+        assert_eq!(p.sample_rx_power_w(d, &mut rng), p.mean_rx_power_w(d));
+        assert_eq!(rng.next_u64(), before, "no fading draws nothing");
     }
 
     #[test]
@@ -534,19 +365,10 @@ mod tests {
     fn mean_power_eval_bit_identical() {
         // The evaluator's whole contract is bitwise equality, so compare
         // `to_bits`, not approximate values, over a dense sweep that crosses
-        // every regime boundary (wavelength clamp, crossover, reference).
-        let models = [
-            PathLossModel::FreeSpace,
-            PathLossModel::TwoRayGround,
-            PathLossModel::LogDistance {
-                exponent: 3.5,
-                reference_m: 10.0,
-            },
-        ];
-        for model in models {
+        // every regime boundary (wavelength clamp, crossover).
+        for system_loss in [1.0, 1.3] {
             let p = PhyParams {
-                path_loss: model,
-                system_loss: 1.3,
+                system_loss,
                 ..PhyParams::default()
             };
             let eval = p.mean_power_eval();
@@ -570,7 +392,7 @@ mod tests {
                 assert_eq!(
                     eval.eval(d).to_bits(),
                     p.mean_rx_power_w(d).to_bits(),
-                    "model {model:?}, d={d}"
+                    "system_loss {system_loss}, d={d}"
                 );
             }
         }

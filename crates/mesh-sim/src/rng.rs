@@ -138,18 +138,6 @@ impl SimRng {
         // Inverse CDF; `1 - uniform()` is in (0, 1], so the log is finite.
         -(1.0 - self.uniform()).ln()
     }
-
-    /// Zero-mean normal sample with standard deviation `sigma_db` (used for
-    /// optional log-normal shadowing, in dB).
-    pub fn normal_db(&mut self, sigma_db: f64) -> f64 {
-        if sigma_db <= 0.0 {
-            return 0.0;
-        }
-        // Box-Muller; `1 - uniform()` keeps the log argument in (0, 1].
-        let r = (-2.0 * (1.0 - self.uniform()).ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * self.uniform();
-        r * theta.cos() * sigma_db
-    }
 }
 
 crate::snap_struct!(SimRng { s });
@@ -233,22 +221,5 @@ mod tests {
         let n = 50_000;
         let mean: f64 = (0..n).map(|_| rng.rayleigh_power_gain()).sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.03, "mean={mean}");
-    }
-
-    #[test]
-    fn normal_db_zero_sigma_is_zero() {
-        let mut rng = SimRng::seed_from(8);
-        assert_eq!(rng.normal_db(0.0), 0.0);
-    }
-
-    #[test]
-    fn normal_db_moments() {
-        let mut rng = SimRng::seed_from(12);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal_db(6.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.1, "mean={mean}");
-        assert!((var.sqrt() - 6.0).abs() < 0.1, "sd={}", var.sqrt());
     }
 }

@@ -25,18 +25,6 @@ use crate::trace::{
     TraceSink,
 };
 
-/// Error returned when a transmit queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueFullError;
-
-impl std::fmt::Display for QueueFullError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "MAC transmit queue is full")
-    }
-}
-
-impl std::error::Error for QueueFullError {}
-
 /// Error for invalid send targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendError {

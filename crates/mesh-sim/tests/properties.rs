@@ -45,19 +45,17 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// Mean received power is monotone non-increasing with distance for both
-    /// path-loss models.
+    /// Two-ray mean received power is monotone non-increasing with
+    /// distance.
     #[test]
     fn power_monotone_in_distance(mut ds in prop::collection::vec(1.0f64..5_000.0, 2..20)) {
         ds.sort_by(f64::total_cmp);
-        for model in [PathLossModel::FreeSpace, PathLossModel::TwoRayGround] {
-            let phy = PhyParams { path_loss: model, ..PhyParams::default() };
-            let mut last = f64::INFINITY;
-            for &d in &ds {
-                let p = phy.mean_rx_power_w(d);
-                prop_assert!(p <= last * (1.0 + 1e-12), "{model:?} at {d}");
-                last = p;
-            }
+        let phy = PhyParams::default();
+        let mut last = f64::INFINITY;
+        for &d in &ds {
+            let p = phy.mean_rx_power_w(d);
+            prop_assert!(p <= last * (1.0 + 1e-12), "at {d}");
+            last = p;
         }
     }
 
