@@ -1,8 +1,9 @@
 //! Scalability benchmark for `PhysicalMedium::fan_out`: the naive full scan
 //! vs the spatially-indexed cache with incremental epoch-based
 //! invalidation, across network sizes, densities and mobility patterns.
-//! Verifies both paths produce bit-identical `RxPlan` streams before timing
-//! them, and writes
+//! Verifies both paths produce bit-identical `RxPlan` streams and RNG
+//! positions before timing them, on the timed medium and on a faulted and
+//! a fading-off twin, and writes
 //! `results/BENCH_fanout.json` (then re-reads and validates it: missing
 //! fields or a NaN/inf anywhere fail the run).
 //!
@@ -24,9 +25,9 @@ use std::time::Instant;
 use experiments::cli::CliArgs;
 use mesh_sim::geometry::{Area, Pos};
 use mesh_sim::ids::NodeId;
-use mesh_sim::medium::{Medium, PhysicalMedium, PositionDelta, RxPlan};
+use mesh_sim::medium::{LinkEffect, Medium, PhysicalMedium, PositionDelta, RxPlan};
 use mesh_sim::mobility::{Mobility, RandomWaypoint};
-use mesh_sim::propagation::PhyParams;
+use mesh_sim::propagation::{FadingModel, PhyParams};
 use mesh_sim::rng::SimRng;
 use mesh_sim::time::{SimDuration, SimTime};
 use mesh_sim::topology;
@@ -59,8 +60,46 @@ enum Mode {
     Incremental,
 }
 
-fn medium(mode: Mode) -> PhysicalMedium {
-    PhysicalMedium::new(PhyParams::default()).with_indexing(mode == Mode::Incremental)
+/// The media the equivalence check runs both modes on. Only `Timed` is
+/// timed; with the other two, every branch of the indexed fan-out meets
+/// the naive scan.
+#[derive(Clone, Copy, Debug)]
+enum Setup {
+    /// The paper's radio: Rayleigh fading, no faults.
+    Timed,
+    /// A blackout or 50% extra loss on a tenth of the directed links
+    /// shorter than 1 km, so fault trials draw between fading draws.
+    Faulted,
+    /// No fading: nothing is drawn and every power is the mean.
+    NoFading,
+}
+
+fn medium(mode: Mode, setup: Setup, positions: &[Pos]) -> PhysicalMedium {
+    let fading = match setup {
+        Setup::NoFading => FadingModel::None,
+        Setup::Timed | Setup::Faulted => FadingModel::Rayleigh,
+    };
+    let phy = PhyParams {
+        fading,
+        ..PhyParams::default()
+    };
+    let mut m = PhysicalMedium::new(phy).with_indexing(mode == Mode::Incremental);
+    if let Setup::Faulted = setup {
+        let mut rng = SimRng::seed_from(0xFA17);
+        for (a, &pa) in positions.iter().enumerate() {
+            for (b, &pb) in positions.iter().enumerate() {
+                if a != b && pa.distance_to(pb) < 1000.0 && rng.chance(0.1) {
+                    let effect = if rng.chance(0.5) {
+                        LinkEffect::Blackout
+                    } else {
+                        LinkEffect::ExtraLoss(0.5)
+                    };
+                    m.set_link_fault(NodeId::new(a as u32), NodeId::new(b as u32), effect);
+                }
+            }
+        }
+    }
+    m
 }
 
 struct Config {
@@ -150,8 +189,9 @@ fn configs(quick: bool) -> Vec<Config> {
 /// Drive `frames` fan-out calls (round-robin transmitter) against `m`,
 /// evolving positions per `motion` and reporting every move through
 /// [`Medium::positions_changed`] — maintenance cost lands inside the timed
-/// region. Returns elapsed nanoseconds, and the concatenated plans when
-/// `record` is set (for the equivalence check).
+/// region. Returns elapsed nanoseconds, the concatenated plans when
+/// `record` is set (for the equivalence check), and the fading stream's
+/// next draw.
 fn drive(
     m: &mut PhysicalMedium,
     positions: &mut [Pos],
@@ -159,7 +199,7 @@ fn drive(
     frames: usize,
     motion: Motion,
     record: bool,
-) -> (f64, Vec<RxPlan>) {
+) -> (f64, Vec<RxPlan>, u64) {
     // Fixed seeds so all modes consume identical fading and movement
     // streams — required for the equivalence check and for fair timing.
     let mut rng = SimRng::seed_from(0xFA0);
@@ -229,7 +269,7 @@ fn drive(
             all.extend_from_slice(&out);
         }
     }
-    (t0.elapsed().as_nanos() as f64, all)
+    (t0.elapsed().as_nanos() as f64, all, rng.next_u64())
 }
 
 fn measure(config: Config, quick: bool) -> Measurement {
@@ -243,32 +283,35 @@ fn measure(config: Config, quick: bool) -> Measurement {
     let frames = (config.nodes * 40).clamp(20_000, 40_000) / if quick { 10 } else { 1 };
 
     // Equivalence first: both paths must emit bit-identical RxPlan
-    // streams under identical movement.
-    let run_plans = |mode: Mode| {
-        drive(
-            &mut medium(mode),
-            &mut positions.clone(),
-            area,
-            frames.min(2000),
-            config.motion,
-            true,
-        )
-        .1
-    };
-    let plans_naive = run_plans(Mode::Naive);
-    assert_eq!(
-        plans_naive,
-        run_plans(Mode::Incremental),
-        "{}: incremental fan-out diverged from the naive scan",
-        config.name
-    );
+    // streams and leave the RNG at the same draw under identical movement.
+    for setup in [Setup::Timed, Setup::Faulted, Setup::NoFading] {
+        let run_plans = |mode: Mode| {
+            let (_, plans, next_draw) = drive(
+                &mut medium(mode, setup, &positions),
+                &mut positions.clone(),
+                area,
+                frames.min(2000),
+                config.motion,
+                true,
+            );
+            (plans, next_draw)
+        };
+        let naive = run_plans(Mode::Naive);
+        assert!(!naive.0.is_empty(), "{} ({setup:?}): no plans", config.name);
+        assert_eq!(
+            naive,
+            run_plans(Mode::Incremental),
+            "{} ({setup:?}): incremental fan-out diverged from the naive scan",
+            config.name
+        );
+    }
 
     // Timing: best of three samples per mode, interleaved.
     let mut best = [f64::INFINITY; 2];
     for _ in 0..3 {
         for (slot, mode) in [Mode::Naive, Mode::Incremental].into_iter().enumerate() {
-            let (t, _) = drive(
-                &mut medium(mode),
+            let (t, _, _) = drive(
+                &mut medium(mode, Setup::Timed, &positions),
                 &mut positions.clone(),
                 area,
                 frames,

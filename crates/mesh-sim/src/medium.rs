@@ -449,17 +449,14 @@ impl FanOutCache {
     }
 
     /// Filter `entry.superset` through the exact floor predicate into
-    /// `entry.list`, invoking `visit` on each candidate as it is produced
-    /// (so a refresh feeds the caller in the same single pass that rebuilds
-    /// the list). Membership and order match the full naive scan: the
-    /// superset is NodeId-ascending and the predicate is the same, so the
-    /// visit sequence draws the same RNG stream as the full scan.
+    /// `entry.list`. Membership and order match the full naive scan: the
+    /// superset is NodeId-ascending and the predicate is the same, so
+    /// sampling the list draws the same RNG stream as the full scan.
     fn refilter(
         entry: &mut TxEntry,
         scratch: &mut Vec<(u32, f64)>,
         positions: &[Pos],
         p: RefilterParams,
-        mut visit: impl FnMut(&Candidate),
     ) {
         let RefilterParams {
             tx,
@@ -498,31 +495,18 @@ impl FanOutCache {
             if mean_w < floor {
                 continue;
             }
-            let c = Candidate {
+            entry.list.push(Candidate {
                 node: NodeId::new(i),
                 mean_w,
                 dist_m: d,
-            };
-            // Visit before the push: copying `c` into the list first and
-            // then handing the out-of-line visitor a pointer to the spilled
-            // copy stalls store forwarding, measured at about 30% of a
-            // mobile fan-out.
-            visit(&c);
-            entry.list.push(c);
+            });
         }
     }
 
-    /// Produce `tx`'s candidates in NodeId order, invoking `visit` once per
-    /// candidate. Serves from the cached list when nothing nearby moved;
-    /// otherwise patches/rebuilds the superset and re-filters, visiting each
-    /// candidate in the same pass that rebuilds the list.
-    fn plan_with(
-        &mut self,
-        tx: NodeId,
-        floor_w: f64,
-        stats: &mut IndexStats,
-        mut visit: impl FnMut(&Candidate),
-    ) {
+    /// `tx`'s candidates in NodeId order. Served from the cached list when
+    /// nothing nearby moved; otherwise the superset is patched or rebuilt
+    /// and re-filtered into the list first.
+    fn plan_with(&mut self, tx: NodeId, floor_w: f64, stats: &mut IndexStats) -> &[Candidate] {
         let params = RefilterParams {
             tx,
             candidate_range_m: self.candidate_range_m,
@@ -616,13 +600,8 @@ impl FanOutCache {
             entry.seen_membership = self.epoch;
             entry.seen_motion = self.epoch;
             entry.seen_seq = self.last_seq;
-            Self::refilter(
-                entry,
-                &mut self.near_scratch,
-                &self.positions,
-                params,
-                visit,
-            );
+            Self::refilter(entry, &mut self.near_scratch, &self.positions, params);
+            &entry.list
         } else {
             // mesh-lint: allow(R6, "stale_superset above is true whenever the slot is None, so this branch only runs on an occupied slot")
             let entry = slot.as_mut().expect("entry exists when not stale");
@@ -630,19 +609,11 @@ impl FanOutCache {
                 stats.cache_refreshes += 1;
                 entry.seen_motion = self.epoch;
                 entry.seen_seq = self.last_seq;
-                Self::refilter(
-                    entry,
-                    &mut self.near_scratch,
-                    &self.positions,
-                    params,
-                    visit,
-                );
+                Self::refilter(entry, &mut self.near_scratch, &self.positions, params);
             } else {
                 stats.cache_hits += 1;
-                for c in &entry.list {
-                    visit(c);
-                }
             }
+            &entry.list
         }
     }
     // mesh-lint: end-hot
@@ -707,15 +678,31 @@ impl FanOutCache {
         {
             return Err(SnapError::StateMismatch("fan-out cache patch node"));
         }
+        let member_floor_w = floor_w / 100.0;
         for (tx, entry) in per_tx.iter().enumerate() {
             let Some(e) = entry else { continue };
             if e.home_cell as usize >= cols * rows
                 || !e.superset.is_sorted_by(|a, b| a < b)
                 || e.superset.last().is_some_and(|&i| i as usize >= n)
                 || e.superset.binary_search(&(tx as u32)).is_ok()
-                || e.list.iter().any(|c| c.node.index() >= n)
             {
                 return Err(SnapError::StateMismatch("fan-out cache entry"));
+            }
+            for c in &e.list {
+                if c.node.index() >= n {
+                    return Err(SnapError::StateMismatch("fan-out cache entry"));
+                }
+                // What `refilter` writes: a finite mean at or above the
+                // membership floor, and a finite, non-negative distance.
+                // The fan-out does not depend on it (it treats any mean as
+                // the scan does); this only holds the cache to its contract.
+                let as_refiltered = c.mean_w.is_finite()
+                    && c.mean_w >= member_floor_w
+                    && c.dist_m.is_finite()
+                    && c.dist_m >= 0.0;
+                if !as_refiltered {
+                    return Err(SnapError::StateMismatch("fan-out cache candidate"));
+                }
             }
         }
         let candidate_range_m = phy.range_for_mean_power(floor_w / 100.0) * 1.001 + 1.0;
@@ -771,6 +758,9 @@ pub struct PhysicalMedium {
     /// stream they did before fault injection existed. A `BTreeMap` because
     /// checkpointing serializes it in iteration order (mesh-lint rule R1).
     faults: BTreeMap<(NodeId, NodeId), LinkEffect>,
+    /// Scratch for the indexed fan-out's first pass: `(list index, fading
+    /// draw)` of the candidates it keeps.
+    kept_scratch: Vec<(u32, f64)>,
 }
 
 impl PhysicalMedium {
@@ -784,28 +774,22 @@ impl PhysicalMedium {
             stats: IndexStats::default(),
             cache: None,
             faults: BTreeMap::new(),
+            kept_scratch: Vec::new(),
         }
     }
 
-    /// Resolve a fault override into a possibly-adjusted power; `None` means
-    /// the receiver hears nothing from this frame.
-    fn apply_fault(
-        faults: &BTreeMap<(NodeId, NodeId), LinkEffect>,
-        tx: NodeId,
-        rx: NodeId,
-        power: f64,
-        rng: &mut SimRng,
-    ) -> Option<f64> {
+    /// The probability that the fault override of the link `tx -> rx`
+    /// drops a frame: 1 for a blackout, `p` for extra loss, 0 without an
+    /// override. `SimRng::chance` draws only for a probability strictly
+    /// between 0 and 1, so a blackout and a link without a fault draw
+    /// nothing. Kept out of line and away from the RNG, so the fan-out
+    /// loop can hold the generator's state in registers.
+    #[inline(never)]
+    fn fault_loss(faults: &BTreeMap<(NodeId, NodeId), LinkEffect>, tx: NodeId, rx: NodeId) -> f64 {
         match faults.get(&(tx, rx)) {
-            None => Some(power),
-            Some(LinkEffect::Blackout) => None,
-            Some(LinkEffect::ExtraLoss(p)) => {
-                if rng.chance(*p) {
-                    None
-                } else {
-                    Some(power)
-                }
-            }
+            None => 0.0,
+            Some(LinkEffect::Blackout) => 1.0,
+            Some(LinkEffect::ExtraLoss(p)) => *p,
         }
     }
 
@@ -831,12 +815,11 @@ impl PhysicalMedium {
             if self.phy.mean_rx_power_w(d) < self.floor_w / 100.0 {
                 continue;
             }
-            let mut power = self.phy.sample_rx_power_w(d, rng);
-            if !self.faults.is_empty() {
-                match Self::apply_fault(&self.faults, tx, NodeId::new(i as u32), power, rng) {
-                    Some(p) => power = p,
-                    None => continue,
-                }
+            let power = self.phy.sample_rx_power_w(d, rng);
+            if !self.faults.is_empty()
+                && rng.chance(Self::fault_loss(&self.faults, tx, NodeId::new(i as u32)))
+            {
+                continue;
             }
             if power < self.floor_w {
                 continue;
@@ -876,6 +859,7 @@ impl Medium for PhysicalMedium {
             floor_w,
             faults,
             stats,
+            kept_scratch,
             ..
         } = self;
         let cache = match cache {
@@ -886,17 +870,37 @@ impl Medium for PhysicalMedium {
             cache.positions, positions,
             "positions changed without Medium::positions_changed()"
         );
-        let floor_w = *floor_w;
-        cache.plan_with(tx, floor_w, stats, |c| {
-            let mut power = phy.sample_from_mean_w(c.mean_w, rng);
-            if !faults.is_empty() {
-                match Self::apply_fault(faults, tx, c.node, power, rng) {
-                    Some(p) => power = p,
-                    None => return,
-                }
-            }
+        let (floor_w, fading, faulted) = (*floor_w, phy.fading, !faults.is_empty());
+        let list = cache.plan_with(tx, floor_w, stats);
+        // Pass 1 makes every RNG draw, in list order and in the scan's
+        // order per candidate (fading, then the fault's trial), and keeps a
+        // candidate unless its fault silences it or its draw surely puts
+        // it below the floor. The keep is an index bump, not a branch: the
+        // draws are random, so a branch on them mispredicts often.
+        // Grow-only: every slot up to `k` is written before it is read.
+        if kept_scratch.len() < list.len() {
+            kept_scratch.resize(list.len(), (0, 0.0));
+        }
+        let kept = &mut kept_scratch[..list.len()];
+        let mut k = 0usize;
+        for (i, c) in list.iter().enumerate() {
+            let y = fading.draw(rng);
+            let loss = if faulted {
+                Self::fault_loss(faults, tx, c.node)
+            } else {
+                0.0
+            };
+            let dropped = rng.chance(loss);
+            kept[k] = (i as u32, y);
+            k += usize::from(!dropped & !fading.surely_below(c.mean_w, y, floor_w));
+        }
+        // Pass 2 takes the logarithm only for the kept candidates and
+        // applies the scan's exact floor test to the power.
+        for &(i, y) in &kept[..k] {
+            let c = &list[i as usize];
+            let power = fading.power_w(c.mean_w, y);
             if power < floor_w {
-                return;
+                continue;
             }
             // The delay is computed only here, for plans that are emitted.
             out.push(RxPlan {
@@ -904,7 +908,7 @@ impl Medium for PhysicalMedium {
                 power_w: power,
                 delay: phy.propagation_delay(c.dist_m),
             });
-        });
+        }
     }
     // mesh-lint: end-hot
 
@@ -952,6 +956,7 @@ impl Medium for PhysicalMedium {
             stats,
             cache,
             faults,
+            kept_scratch: _, // scratch
         } = self;
         stats.snap(w);
         faults.snap(w);
@@ -1580,6 +1585,52 @@ mod tests {
             let mut m = built.clone();
             defect(m.cache.as_mut().expect("the fan-out built the cache"));
             assert_eq!(restore(&m), Err(SnapError::StateMismatch(field)));
+        }
+    }
+
+    /// A cached candidate must hold what `refilter` writes: a finite mean
+    /// at or above the membership floor (`floor_w / 100`) and a finite,
+    /// non-negative distance. Anything else restores as a
+    /// [`SnapError::StateMismatch`]; a mean at the floor at distance 0
+    /// restores.
+    #[test]
+    fn restore_rejects_candidates_refilter_cannot_produce() {
+        let p = positions();
+        let mut built = PhysicalMedium::default();
+        let mut rng = SimRng::seed_from(3);
+        built.fan_out(NodeId::new(0), &p, SimTime::ZERO, &mut rng, &mut Vec::new());
+        let member_floor_w = built.floor_w / 100.0;
+        let restore = |mean_w: f64, dist_m: f64| {
+            let mut m = built.clone();
+            let cache = m.cache.as_mut().expect("the fan-out built the cache");
+            let c = &mut cache.per_tx[0].as_mut().expect("node 0 sent").list[0];
+            (c.mean_w, c.dist_m) = (mean_w, dist_m);
+            let mut w = SnapWriter::new();
+            m.snapshot_state(&mut w);
+            PhysicalMedium::default().restore_state(&mut SnapReader::new(&w.into_bytes()))
+        };
+        assert_eq!(restore(member_floor_w, 0.0), Ok(()));
+        let bad = SnapError::StateMismatch("fan-out cache candidate");
+        for mean_w in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            0.0,
+            member_floor_w * (1.0 - 1e-15),
+        ] {
+            assert_eq!(
+                restore(mean_w, 100.0),
+                Err(bad.clone()),
+                "mean_w {mean_w:e}"
+            );
+        }
+        for dist_m in [f64::NAN, f64::INFINITY, -f64::MIN_POSITIVE, -1.0] {
+            assert_eq!(
+                restore(1.0e-9, dist_m),
+                Err(bad.clone()),
+                "dist_m {dist_m:e}"
+            );
         }
     }
 }

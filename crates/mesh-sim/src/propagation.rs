@@ -34,6 +34,55 @@ pub enum FadingModel {
     Rayleigh,
 }
 
+impl FadingModel {
+    /// One link's fading draw for one frame: `y = 1 − u` for one uniform
+    /// `u` in `[0, 1)` under Rayleigh fading (`y` is in `(0, 1]` and exact,
+    /// since `u` is a multiple of 2⁻⁵³), or 1 without fading, which draws
+    /// nothing. [`FadingModel::power_w`] turns it into a power.
+    #[inline]
+    pub(crate) fn draw(self, rng: &mut SimRng) -> f64 {
+        match self {
+            FadingModel::None => 1.0,
+            FadingModel::Rayleigh => 1.0 - rng.uniform(),
+        }
+    }
+
+    /// The received power of a link of mean power `mean_w` under the draw
+    /// `y` of [`FadingModel::draw`]. Rayleigh fading multiplies the mean by
+    /// a unit-mean exponential gain, `−ln y` by inverse CDF (finite, as
+    /// `y > 0`). Every faded power of every medium path is computed here,
+    /// so they agree to the bit.
+    #[inline]
+    pub(crate) fn power_w(self, mean_w: f64, y: f64) -> f64 {
+        match self {
+            FadingModel::None => mean_w,
+            FadingModel::Rayleigh => mean_w * -y.ln(),
+        }
+    }
+
+    /// True only if `power_w(mean_w, y) < floor_w` is certain, decided
+    /// without a logarithm; false decides nothing. With `u = 1 − y` and
+    /// `t = u / y`, `ln(1/y) = ln(1 + t) ≤ t(6 + t) / (6 + 4t)` for every
+    /// `t ≥ 0`, that is `ln(1/y) ≤ u(6y + u) / (y(6y + 4u))`, so a draw is
+    /// ruled out when the mean times that bound lies below
+    /// `floor_w · (1 − 1e-9)` (compared cross-multiplied, as `y > 0`). The
+    /// margin exceeds the roundings on both sides plus the ≤ 1-ULP error of
+    /// `ln` by about five orders of magnitude for any positive normal
+    /// `floor_w`. A NaN on either side compares false and rules nothing
+    /// out.
+    #[inline]
+    pub(crate) fn surely_below(self, mean_w: f64, y: f64, floor_w: f64) -> bool {
+        let cut_w = floor_w * (1.0 - 1e-9);
+        match self {
+            FadingModel::None => mean_w < cut_w,
+            FadingModel::Rayleigh => {
+                let u = 1.0 - y;
+                mean_w * (u * (6.0 * y + u)) < cut_w * (y * (6.0 * y + 4.0 * u))
+            }
+        }
+    }
+}
+
 /// Radio/PHY parameters shared by every node.
 ///
 /// Defaults are the classic ns-2/GloMoSim 914 MHz WaveLAN constants: 281.8 mW
@@ -132,10 +181,7 @@ impl PhyParams {
     /// [`PhyParams::sample_rx_power_w`], so media may cache mean powers per
     /// link without perturbing determinism.
     pub fn sample_from_mean_w(&self, mean_w: f64, rng: &mut SimRng) -> f64 {
-        match self.fading {
-            FadingModel::None => mean_w,
-            FadingModel::Rayleigh => mean_w * rng.rayleigh_power_gain(),
-        }
+        self.fading.power_w(mean_w, self.fading.draw(rng))
     }
 
     /// The deterministic (no-fading) communication range implied by the
@@ -163,15 +209,20 @@ impl PhyParams {
         if self.mean_rx_power_w(hi) >= thresh {
             return hi;
         }
-        for _ in 0..200 {
+        // Every step that does not return shrinks `[lo, hi]` between finite
+        // ends, so the midpoint reaches an end within about 73 halvings;
+        // once it has, no further halving would move it.
+        loop {
             let mid = 0.5 * (lo + hi);
+            if mid == lo || mid == hi {
+                return mid;
+            }
             if self.mean_rx_power_w(mid) >= thresh {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
-        0.5 * (lo + hi)
     }
 
     /// Propagation delay over `d` meters.
@@ -320,6 +371,20 @@ mod tests {
         );
     }
 
+    /// The Rayleigh draw alone, through the shared draw and power: the
+    /// gain `−ln y` has unit mean.
+    #[test]
+    fn rayleigh_gain_unit_mean() {
+        let mut rng = SimRng::seed_from(6);
+        let n = 50_000;
+        let fading = FadingModel::Rayleigh;
+        let mean: f64 = (0..n)
+            .map(|_| fading.power_w(1.0, fading.draw(&mut rng)))
+            .sum::<f64>()
+            / n as f64;
+        assert!((mean - 1.0).abs() < 0.03, "mean={mean}");
+    }
+
     #[test]
     fn rayleigh_makes_long_links_lossy_but_not_dead() {
         // At 200m (within nominal range) fading should cause some loss;
@@ -395,6 +460,116 @@ mod tests {
                     "system_loss {system_loss}, d={d}"
                 );
             }
+        }
+    }
+
+    /// The reference: the same bisection, always running all 200 steps.
+    fn range_by_200_halvings(p: &PhyParams, thresh: f64) -> f64 {
+        let (mut lo, mut hi) = (0.1, 1.0e5);
+        if p.mean_rx_power_w(hi) >= thresh {
+            return hi;
+        }
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if p.mean_rx_power_w(mid) >= thresh {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn range_bisection_matches_200_halvings_to_the_bit() {
+        for tx_power_w in [0.001, 0.2818, 1.0] {
+            for antenna_height_m in [0.5, 1.5, 10.0] {
+                for frequency_hz in [914e6, 2.4e9, 5.8e9] {
+                    for system_loss in [1.0, 1.3] {
+                        let p = PhyParams {
+                            tx_power_w,
+                            antenna_height_m,
+                            frequency_hz,
+                            system_loss,
+                            ..PhyParams::default()
+                        };
+                        // Thresholds from far above the power at 0.1 m to
+                        // far below the power at 100 km, plus the powers
+                        // at both ends, at the crossover and the defaults.
+                        let mut thresholds: Vec<f64> = (0..=120)
+                            .map(|i| 10f64.powf(-30.0 + 0.25 * i as f64))
+                            .collect();
+                        thresholds.extend([
+                            p.mean_rx_power_w(0.1),
+                            p.mean_rx_power_w(1.0e5),
+                            p.mean_rx_power_w(p.crossover_distance_m()),
+                            p.rx_threshold_w,
+                            p.cs_threshold_w,
+                            p.cs_threshold_w / 100.0,
+                        ]);
+                        for thresh in thresholds {
+                            assert_eq!(
+                                p.range_for_mean_power(thresh).to_bits(),
+                                range_by_200_halvings(&p, thresh).to_bits(),
+                                "{p:?} at threshold {thresh:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every draw [`FadingModel::surely_below`] rules out is a draw whose
+    /// exact faded power is below the floor, over a fixed grid of draws
+    /// (both ends of the uniform's range, seeded values and the draws just
+    /// either side of each mean's exact threshold) and of means from 1e-2
+    /// to 1e4 times the floor; and the bound rules out most exact drops.
+    #[test]
+    fn surely_below_rules_out_only_exact_drops() {
+        let ulp = 2f64.powi(-53);
+        // The uniform draws are multiples of 2⁻⁵³ in [0, 1).
+        let on_grid = |u: f64| (u.clamp(0.0, 1.0 - ulp) / ulp).floor() * ulp;
+        let mut rng = SimRng::seed_from(0xD20B);
+        let seeded: Vec<f64> = (0..4000).map(|_| rng.uniform()).collect();
+        let ratios: Vec<f64> = (0..=60)
+            .map(|i| 10f64.powf(-2.0 + 0.1 * i as f64))
+            .collect();
+        for fading in [FadingModel::Rayleigh, FadingModel::None] {
+            let (mut exact_drops, mut ruled_out) = (0u64, 0u64);
+            for floor_w in [PhyParams::default().cs_threshold_w, 1.0e-3, 1.0] {
+                for &ratio in &ratios {
+                    let mean_w = floor_w * ratio;
+                    // The exact threshold: the gain `−ln(1 − u)` equals
+                    // `1 / ratio` at `u = 1 − exp(−1 / ratio)`.
+                    let at = 1.0 - (-1.0 / ratio).exp();
+                    let mut us = vec![0.0, ulp, 1.0 - ulp];
+                    for rel in [0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6] {
+                        us.extend([on_grid(at * (1.0 - rel)), on_grid(at * (1.0 + rel))]);
+                    }
+                    us.extend(&seeded);
+                    for u in us {
+                        let y = match fading {
+                            FadingModel::None => 1.0,
+                            FadingModel::Rayleigh => 1.0 - u,
+                        };
+                        let power_w = fading.power_w(mean_w, y);
+                        if fading.surely_below(mean_w, y, floor_w) {
+                            assert!(
+                                power_w < floor_w,
+                                "{fading:?}: u={u:e} mean/floor={ratio:e} floor={floor_w:e} \
+                                 ruled out a power of {power_w:e}"
+                            );
+                            ruled_out += 1;
+                        }
+                        exact_drops += u64::from(power_w < floor_w);
+                    }
+                }
+            }
+            assert!(
+                ruled_out as f64 >= 0.9 * exact_drops as f64,
+                "{fading:?}: the bound rules out {ruled_out} of {exact_drops} drops"
+            );
         }
     }
 

@@ -132,12 +132,6 @@ impl SimRng {
             self.uniform() < p
         }
     }
-
-    /// Unit-mean exponential sample, the power gain of a Rayleigh-faded link.
-    pub fn rayleigh_power_gain(&mut self) -> f64 {
-        // Inverse CDF; `1 - uniform()` is in (0, 1], so the log is finite.
-        -(1.0 - self.uniform()).ln()
-    }
 }
 
 crate::snap_struct!(SimRng { s });
@@ -213,13 +207,5 @@ mod tests {
         let hits = (0..20_000).filter(|_| rng.chance(0.3)).count();
         let freq = hits as f64 / 20_000.0;
         assert!((freq - 0.3).abs() < 0.02, "freq={freq}");
-    }
-
-    #[test]
-    fn rayleigh_gain_unit_mean() {
-        let mut rng = SimRng::seed_from(6);
-        let n = 50_000;
-        let mean: f64 = (0..n).map(|_| rng.rayleigh_power_gain()).sum::<f64>() / n as f64;
-        assert!((mean - 1.0).abs() < 0.03, "mean={mean}");
     }
 }

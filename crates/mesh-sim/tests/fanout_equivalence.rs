@@ -1,13 +1,16 @@
 //! The indexed fan-out paths must be *bit-identical* to the naive reference
 //! scans — same receiver sets, same powers (same RNG draw order), same
-//! delays — across random topologies, after position changes, and in full
-//! simulations under mobility.
+//! delays — across random topologies, after position changes, with link
+//! faults, without fading, and in full simulations under mobility.
 
 use mesh_sim::geometry::{Area, Pos};
 use mesh_sim::ids::NodeId;
-use mesh_sim::medium::{LinkTableMedium, Medium, PhysicalMedium, PositionDelta, RxPlan};
+use mesh_sim::medium::{
+    LinkEffect, LinkTableMedium, Medium, PhysicalMedium, PositionDelta, RxPlan,
+};
 use mesh_sim::mobility::RandomWaypoint;
 use mesh_sim::prelude::*;
+use mesh_sim::propagation::{FadingModel, PhyParams};
 use mesh_sim::rng::SimRng;
 use mesh_sim::time::{SimDuration, SimTime};
 use mesh_sim::topology;
@@ -114,6 +117,100 @@ proptest! {
             }
             naive.positions_changed(&moves, &positions);
             incremental.positions_changed(&moves, &positions);
+        }
+    }
+
+    /// With link faults on random directed links — blackouts and extra
+    /// loss, so the fault trial draws between fading draws — the indexed
+    /// fan-out still emits the naive scan's plans and leaves the RNG where
+    /// the scan leaves it. Faults are set, replaced and cleared between
+    /// rounds while nodes move.
+    #[test]
+    fn faulted_indexed_matches_naive(
+        n in 2usize..60,
+        seed in any::<u64>(),
+        side in 100.0f64..2000.0,
+        faulted_links in 1usize..80,
+    ) {
+        let mut layout_rng = SimRng::seed_from(seed);
+        let mut positions =
+            topology::random_placement(n, Area::square(side), &mut layout_rng);
+        let mut naive = PhysicalMedium::default().with_indexing(false);
+        let mut indexed = PhysicalMedium::default();
+        let mut fault_rng = SimRng::seed_from(seed ^ 0xFA_17);
+        for round in 0..3u64 {
+            for _ in 0..faulted_links {
+                let from = NodeId::new(fault_rng.uniform_u32(n as u32));
+                let to = NodeId::new(fault_rng.uniform_u32(n as u32));
+                let effect = match fault_rng.uniform_u32(4) {
+                    0 => LinkEffect::Blackout,
+                    1 => LinkEffect::ExtraLoss(1.0),
+                    _ => LinkEffect::ExtraLoss(fault_rng.uniform()),
+                };
+                naive.set_link_fault(from, to, effect);
+                indexed.set_link_fault(from, to, effect);
+            }
+            for tx in 0..n {
+                let mut rng_n = SimRng::seed_from(seed ^ (round << 8) ^ tx as u64);
+                let mut rng_i = rng_n.clone();
+                let p_n = plans(&mut naive, tx, &positions, &mut rng_n);
+                let p_i = plans(&mut indexed, tx, &positions, &mut rng_i);
+                prop_assert_eq!(p_n, p_i, "round {} tx {}", round, tx);
+                prop_assert_eq!(rng_n.next_u64(), rng_i.next_u64());
+            }
+            for _ in 0..faulted_links / 2 {
+                let from = NodeId::new(fault_rng.uniform_u32(n as u32));
+                let to = NodeId::new(fault_rng.uniform_u32(n as u32));
+                naive.clear_link_fault(from, to);
+                indexed.clear_link_fault(from, to);
+            }
+            for p in &mut positions {
+                p.x += layout_rng.uniform_range(-50.0, 50.0);
+                p.y += layout_rng.uniform_range(-50.0, 50.0);
+            }
+            naive.invalidate_positions();
+            indexed.invalidate_positions();
+        }
+    }
+
+    /// Without fading nothing is drawn and the power is the mean: the
+    /// indexed fan-out emits the naive scan's plans, draws nothing either,
+    /// and stays equal while nodes move by random per-tick deltas.
+    #[test]
+    fn no_fading_indexed_matches_naive(
+        n in 2usize..60,
+        seed in any::<u64>(),
+        side in 100.0f64..4000.0,
+    ) {
+        let phy = PhyParams {
+            fading: FadingModel::None,
+            ..PhyParams::default()
+        };
+        let mut layout_rng = SimRng::seed_from(seed);
+        let mut positions =
+            topology::random_placement(n, Area::square(side), &mut layout_rng);
+        let mut naive = PhysicalMedium::new(phy.clone()).with_indexing(false);
+        let mut indexed = PhysicalMedium::new(phy);
+        for round in 0..3u64 {
+            for tx in 0..n {
+                let mut rng_n = SimRng::seed_from(seed ^ (round << 8) ^ tx as u64);
+                let mut rng_i = rng_n.clone();
+                let untouched = rng_n.clone().next_u64();
+                let p_n = plans(&mut naive, tx, &positions, &mut rng_n);
+                let p_i = plans(&mut indexed, tx, &positions, &mut rng_i);
+                prop_assert_eq!(p_n, p_i, "round {} tx {}", round, tx);
+                prop_assert_eq!(rng_n.next_u64(), untouched);
+                prop_assert_eq!(rng_i.next_u64(), untouched);
+            }
+            let mut moves = Vec::new();
+            for (i, p) in positions.iter_mut().enumerate() {
+                let from = *p;
+                p.x += layout_rng.uniform_range(-80.0, 80.0);
+                p.y += layout_rng.uniform_range(-80.0, 80.0);
+                moves.push(PositionDelta { node: NodeId::new(i as u32), from, to: *p });
+            }
+            naive.positions_changed(&moves, &positions);
+            indexed.positions_changed(&moves, &positions);
         }
     }
 
