@@ -100,11 +100,8 @@ pub fn overhead_table(summaries: &[VariantSummary]) -> String {
 
 /// Render a per-bucket view of one run's metrics timeseries: throughput,
 /// deliveries and mean delay over time (the "when", next to the end-of-run
-/// tables' "how much"), plus the spatial index's maintenance activity
-/// (re-buckets, epoch bumps, and the cache hit / miss split, where a miss
-/// is a refresh or a rebuild). Buckets with no deliveries render delay as
-/// `-` rather than a bogus zero; runs without an index render the index
-/// columns as all zeroes.
+/// tables' "how much"). Buckets with no deliveries render delay as `-`
+/// rather than a bogus zero.
 pub fn timeseries_table(ts: &TimeSeries) -> String {
     let rows: Vec<Vec<String>> = ts
         .buckets
@@ -123,10 +120,6 @@ pub fn timeseries_table(ts: &TimeSeries) -> String {
                 },
                 (b.collisions + b.rx_lost_data + b.rx_corrupted_data).to_string(),
                 (b.queue_drops + b.fault_rx_dropped).to_string(),
-                b.index_rebuckets.to_string(),
-                b.index_epoch_bumps.to_string(),
-                b.index_cache_hits.to_string(),
-                (b.index_cache_refreshes + b.index_cache_rebuilds).to_string(),
             ]
         })
         .collect();
@@ -140,10 +133,6 @@ pub fn timeseries_table(ts: &TimeSeries) -> String {
             "delay ms",
             "phy loss",
             "drops",
-            "rebucket",
-            "epoch",
-            "ix hit",
-            "ix miss",
         ],
         &rows,
     )
@@ -333,11 +322,6 @@ mod tests {
                     rx_data_bytes: 125_000,
                     deliveries: 4,
                     delay_sum_s: 0.08,
-                    index_rebuckets: 7,
-                    index_epoch_bumps: 31,
-                    index_cache_hits: 90,
-                    index_cache_refreshes: 8,
-                    index_cache_rebuilds: 2,
                     ..MetricsBucket::default()
                 },
                 // An all-idle bucket must not produce NaN anywhere.
@@ -352,12 +336,6 @@ mod tests {
         assert!(t.contains("100.0"), "throughput kbit/s missing:\n{t}");
         assert!(t.contains("20.0"), "delay ms missing:\n{t}");
         assert!(!t.contains("NaN"), "NaN leaked into report:\n{t}");
-        // Index maintenance columns: hits, and misses = refreshes + rebuilds.
-        for col in ["rebucket", "epoch", "ix hit", "ix miss"] {
-            assert!(t.contains(col), "missing column {col} in:\n{t}");
-        }
-        assert!(t.contains("90"), "index hits missing:\n{t}");
-        assert!(t.contains("10"), "index misses (8+2) missing:\n{t}");
         assert_eq!(t.lines().count(), 4);
     }
 

@@ -312,15 +312,13 @@ fn drop_histogram_matches_loss_counters() {
     );
 }
 
-/// Spatial-index maintenance statistics flow into the metrics timeseries on
-/// a mobile, incrementally-indexed run: the per-bucket deltas sum to the
-/// medium's cumulative `index_stats()`, they are visibly non-trivial (the
-/// run re-buckets nodes and answers fan-outs from the cache), the rendered
-/// `timeseries_table` carries them, and — the observer-effect contract —
-/// attaching the recorder leaves `schedule_hash` bit-identical.
+/// A mobile, incrementally-indexed run exercises all of the medium's
+/// index maintenance, as its cumulative `index_stats()` show (the run
+/// re-buckets nodes and answers fan-outs from the cache), and — the
+/// observer-effect contract — attaching the metrics recorder leaves both
+/// `schedule_hash` and those stats bit-identical.
 #[test]
-fn index_stats_flow_into_timeseries_without_perturbation() {
-    use experiments::report::timeseries_table;
+fn metrics_recorder_perturbs_neither_the_schedule_nor_the_index_stats() {
     use mesh_sim::geometry::Area;
     use mesh_sim::mobility::RandomWaypoint;
     use mesh_sim::prelude::*;
@@ -384,7 +382,10 @@ fn index_stats_flow_into_timeseries_without_perturbation() {
     );
     assert_eq!(stats_plain, stats);
     assert!(ts_plain.is_none());
-    let ts = ts.expect("timeseries recorded");
+    assert!(
+        ts.is_some_and(|ts| !ts.buckets.is_empty()),
+        "no timeseries recorded"
+    );
 
     // The run actually exercised incremental maintenance — all of it:
     // crossings, epoch stamps, hits, and misses.
@@ -402,21 +403,4 @@ fn index_stats_flow_into_timeseries_without_perturbation() {
         "no fan-out rebuilt/refreshed: {stats:?}"
     );
     assert_eq!(stats.full_invalidations, 0, "incremental mode fell back");
-
-    // Bucket deltas partition the cumulative stats exactly.
-    let sum =
-        |f: fn(&mesh_sim::metrics::MetricsBucket) -> u64| -> u64 { ts.buckets.iter().map(f).sum() };
-    assert_eq!(sum(|b| b.index_rebuckets), stats.rebuckets);
-    assert_eq!(sum(|b| b.index_epoch_bumps), stats.epoch_bumps);
-    assert_eq!(sum(|b| b.index_cache_hits), stats.cache_hits);
-    assert_eq!(
-        sum(|b| b.index_cache_refreshes + b.index_cache_rebuilds),
-        stats.cache_refreshes + stats.cache_rebuilds
-    );
-
-    // And the rendered table exposes them.
-    let table = timeseries_table(&ts);
-    for col in ["rebucket", "epoch", "ix hit", "ix miss"] {
-        assert!(table.contains(col), "missing column {col}:\n{table}");
-    }
 }

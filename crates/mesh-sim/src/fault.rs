@@ -23,7 +23,6 @@
 use crate::ids::NodeId;
 use crate::medium::LinkEffect;
 use crate::rng::SimRng;
-use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
 
 /// One injectable fault.
@@ -90,7 +89,9 @@ impl FaultKind {
 ///
 /// Build one with the chained helpers and attach it via
 /// [`crate::simulator::Simulator::set_fault_plan`] (or
-/// [`crate::world::World::set_fault_plan`]) before the run starts.
+/// [`crate::world::World::set_fault_plan`]) before the run starts. A plan
+/// is scenario configuration: a checkpoint does not hold it, and a restore
+/// keeps the plan of the simulator it restores into.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<(SimTime, FaultKind)>,
@@ -296,74 +297,6 @@ impl FaultPlan {
         plan
     }
 }
-
-impl Snap for FaultKind {
-    fn snap(&self, w: &mut SnapWriter) {
-        match *self {
-            FaultKind::NodeCrash(n) => {
-                w.put_u8(0);
-                n.snap(w);
-            }
-            FaultKind::NodeRecover(n) => {
-                w.put_u8(1);
-                n.snap(w);
-            }
-            FaultKind::LinkFault { from, to, effect } => {
-                w.put_u8(2);
-                from.snap(w);
-                to.snap(w);
-                effect.snap(w);
-            }
-            FaultKind::LinkRestore { from, to } => {
-                w.put_u8(3);
-                from.snap(w);
-                to.snap(w);
-            }
-            FaultKind::Partition { boundary_x_m } => {
-                w.put_u8(4);
-                w.put_f64(boundary_x_m);
-            }
-            FaultKind::HealPartition => w.put_u8(5),
-            FaultKind::ClassLossBurst { class, drop } => {
-                w.put_u8(6);
-                w.put_u8(class);
-                w.put_f64(drop);
-            }
-            FaultKind::ClassLossClear { class } => {
-                w.put_u8(7);
-                w.put_u8(class);
-            }
-        }
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => FaultKind::NodeCrash(Snap::unsnap(r)?),
-            1 => FaultKind::NodeRecover(Snap::unsnap(r)?),
-            2 => FaultKind::LinkFault {
-                from: Snap::unsnap(r)?,
-                to: Snap::unsnap(r)?,
-                effect: Snap::unsnap(r)?,
-            },
-            3 => FaultKind::LinkRestore {
-                from: Snap::unsnap(r)?,
-                to: Snap::unsnap(r)?,
-            },
-            4 => FaultKind::Partition {
-                boundary_x_m: r.f64()?,
-            },
-            5 => FaultKind::HealPartition,
-            6 => FaultKind::ClassLossBurst {
-                class: r.u8()?,
-                drop: r.f64()?,
-            },
-            7 => FaultKind::ClassLossClear { class: r.u8()? },
-            t => return Err(SnapError::BadTag(t as u32)),
-        })
-    }
-}
-
-crate::snap_struct!(FaultPlan { events });
 
 /// Parameters for [`FaultPlan::random`]. `intensity` in `[0, 1]` scales the
 /// number and severity of injected faults; `0.0` yields an empty plan.

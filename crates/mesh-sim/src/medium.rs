@@ -33,7 +33,9 @@ pub struct PositionDelta {
 /// Maintenance statistics of an incrementally-maintained spatial index
 /// (see [`PhysicalMedium`]). Purely observational: deliberately kept out of
 /// [`crate::counters::Counters`] so indexed and naive runs still compare
-/// equal counter-for-counter.
+/// equal counter-for-counter. They count this medium's work since it was
+/// built and are not checkpointed: a restored medium rebuilds its cache and
+/// counts that work again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexStats {
     /// Nodes moved between grid cells by `update_position`.
@@ -53,15 +55,6 @@ pub struct IndexStats {
     /// [`Medium::invalidate_positions`] calls while indexed).
     pub full_invalidations: u64,
 }
-
-crate::snap_struct!(IndexStats {
-    rebuckets,
-    epoch_bumps,
-    cache_hits,
-    cache_refreshes,
-    cache_rebuilds,
-    full_invalidations,
-});
 
 /// A fault-injected override applied to one directed link (see
 /// [`crate::fault`]). Effects replace each other: setting a second effect on
@@ -176,15 +169,6 @@ pub trait Medium {
     /// Restore the medium's mutable state from a checkpoint. The medium is
     /// assumed to be freshly constructed from the same scenario config.
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
-
-    /// Check a restored medium against the world's restored node
-    /// `positions`: a medium that keeps its own copy of them must hold the
-    /// same ones ([`SnapError::StateMismatch`] otherwise). The default
-    /// accepts, for media that keep none.
-    fn check_positions(&self, positions: &[Pos]) -> Result<(), SnapError> {
-        let _ = positions;
-        Ok(())
-    }
 }
 
 /// A potential receiver of one transmitter, with its geometry-derived
@@ -202,12 +186,6 @@ struct Candidate {
     mean_w: f64,
     dist_m: f64,
 }
-
-crate::snap_struct!(Candidate {
-    node,
-    mean_w,
-    dist_m
-});
 
 /// The distance-independent inputs of one [`FanOutCache::refilter`] pass,
 /// bundled so both call sites in `plan_with` hand over one value.
@@ -232,8 +210,6 @@ struct MembershipPatch {
     added: bool,
 }
 
-crate::snap_struct!(MembershipPatch { seq, node, added });
-
 /// Per-cell epoch pair, kept adjacent so the hot block scan in
 /// [`FanOutCache::plan_with`] touches one slot per cell instead of two
 /// parallel arrays.
@@ -244,8 +220,6 @@ struct CellEpochs {
     /// Epoch of the last movement of any node bucketed in the cell.
     motion: u64,
 }
-
-crate::snap_struct!(CellEpochs { membership, motion });
 
 /// Bounded log of recent [`MembershipPatch`]es for one grid cell, oldest
 /// first. Patching a cached superset is valid only while every patch newer
@@ -280,11 +254,6 @@ impl CellLog {
     }
 }
 
-crate::snap_struct!(CellLog {
-    patches,
-    retained_from
-});
-
 /// One transmitter's cached fan-out state (see [`FanOutCache`]).
 #[derive(Debug, Clone)]
 struct TxEntry {
@@ -307,15 +276,6 @@ struct TxEntry {
     /// geometry-derived quantities precomputed.
     list: Vec<Candidate>,
 }
-
-crate::snap_struct!(TxEntry {
-    home_cell,
-    seen_membership,
-    seen_motion,
-    seen_seq,
-    superset,
-    list,
-});
 
 /// Geometry caches for [`PhysicalMedium`], maintained incrementally across
 /// position changes.
@@ -617,114 +577,6 @@ impl FanOutCache {
         }
     }
     // mesh-lint: end-hot
-
-    /// Write the cache's mutable state. The derived fields are recomputed
-    /// on restore and the scratch buffers restore empty.
-    fn snap_state(&self, w: &mut SnapWriter) {
-        let FanOutCache {
-            positions,
-            candidate_range_m: _, // derived from the PHY configuration
-            grid,
-            rings: _, // derived from `candidate_range_m` and the grid's cells
-            epoch,
-            cell_epochs,
-            cell_logs,
-            last_seq,
-            per_tx,
-            near_scratch: _,  // scratch
-            patch_scratch: _, // scratch
-            eval: _,          // derived from the PHY configuration
-        } = self;
-        positions.snap(w);
-        grid.snap(w);
-        epoch.snap(w);
-        cell_epochs.snap(w);
-        cell_logs.snap(w);
-        last_seq.snap(w);
-        per_tx.snap(w);
-    }
-
-    /// Rebuild a cache from a checkpoint written by
-    /// [`FanOutCache::snap_state`]. The serialized grid keeps the frame it
-    /// was built with (fixed at the *initial* positions), so `rings` is
-    /// recomputed against its cell size — building a fresh grid from the
-    /// current (moved) positions could choose a different frame and diverge.
-    fn unsnap_state(
-        r: &mut SnapReader<'_>,
-        phy: &PhyParams,
-        floor_w: f64,
-    ) -> Result<Self, SnapError> {
-        let positions: Vec<Pos> = Snap::unsnap(r)?;
-        let grid: NeighborIndex = Snap::unsnap(r)?;
-        let epoch = r.u64()?;
-        let cell_epochs: Vec<CellEpochs> = Snap::unsnap(r)?;
-        let cell_logs: Vec<CellLog> = Snap::unsnap(r)?;
-        let last_seq = r.u64()?;
-        let per_tx: Vec<Option<TxEntry>> = Snap::unsnap(r)?;
-        let (cols, rows) = grid.grid_dims();
-        let n = positions.len();
-        if cell_epochs.len() != cols * rows
-            || cell_logs.len() != cols * rows
-            || per_tx.len() != n
-            || grid.len() != n
-        {
-            return Err(SnapError::StateMismatch("fan-out cache geometry"));
-        }
-        // A fan-out indexes positions by every node an entry or a patch
-        // names, and patches by binary search into the superset.
-        if cell_logs
-            .iter()
-            .any(|log| log.patches.iter().any(|p| p.node as usize >= n))
-        {
-            return Err(SnapError::StateMismatch("fan-out cache patch node"));
-        }
-        let member_floor_w = floor_w / 100.0;
-        for (tx, entry) in per_tx.iter().enumerate() {
-            let Some(e) = entry else { continue };
-            if e.home_cell as usize >= cols * rows
-                || !e.superset.is_sorted_by(|a, b| a < b)
-                || e.superset.last().is_some_and(|&i| i as usize >= n)
-                || e.superset.binary_search(&(tx as u32)).is_ok()
-            {
-                return Err(SnapError::StateMismatch("fan-out cache entry"));
-            }
-            for c in &e.list {
-                if c.node.index() >= n {
-                    return Err(SnapError::StateMismatch("fan-out cache entry"));
-                }
-                // What `refilter` writes: a finite mean at or above the
-                // membership floor, and a finite, non-negative distance.
-                // The fan-out does not depend on it (it treats any mean as
-                // the scan does); this only holds the cache to its contract.
-                let as_refiltered = c.mean_w.is_finite()
-                    && c.mean_w >= member_floor_w
-                    && c.dist_m.is_finite()
-                    && c.dist_m >= 0.0;
-                if !as_refiltered {
-                    return Err(SnapError::StateMismatch("fan-out cache candidate"));
-                }
-            }
-        }
-        let candidate_range_m = phy.range_for_mean_power(floor_w / 100.0) * 1.001 + 1.0;
-        let mut rings = 1usize;
-        while (rings as f64) * grid.cell_size_m() < candidate_range_m {
-            rings += 1;
-        }
-        Ok(FanOutCache {
-            positions,
-            candidate_range_m,
-            grid,
-            rings,
-            epoch,
-            cell_epochs,
-            cell_logs,
-            last_seq,
-            per_tx,
-            near_scratch: Vec::new(),
-            patch_scratch: Vec::new(),
-            eval: phy.mean_power_eval(),
-        })
-    }
 }
 
 /// Physics-based medium: path loss + fading from node positions.
@@ -949,44 +801,30 @@ impl Medium for PhysicalMedium {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
+        // Who hears whom is a function of the positions the world restores,
+        // so only the link faults are run state.
         let PhysicalMedium {
             phy: _,     // scenario configuration
             floor_w: _, // derived from `phy`
             indexed: _, // scenario configuration
-            stats,
-            cache,
+            stats: _,   // counts this medium's cache work, which a resume redoes
+            cache: _,   // derived from the positions; the next fan-out rebuilds it
             faults,
             kept_scratch: _, // scratch
         } = self;
-        stats.snap(w);
         faults.snap(w);
-        match cache {
-            Some(c) => {
-                w.put_bool(true);
-                c.snap_state(w);
-            }
-            None => w.put_bool(false),
-        }
     }
 
+    /// Restores the link faults and drops the cache, so the next fan-out
+    /// rebuilds the grid and the candidate lists from the restored
+    /// positions, as the first fan-out does. A candidate list is the
+    /// NodeId-ascending set of nodes whose mean power clears
+    /// `floor_w / 100`, whatever grid frame built it, so the rebuilt lists
+    /// draw the RNG exactly as the uninterrupted run's do.
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.stats = Snap::unsnap(r)?;
         self.faults = Snap::unsnap(r)?;
-        self.cache = if r.bool()? {
-            Some(FanOutCache::unsnap_state(r, &self.phy, self.floor_w)?)
-        } else {
-            None
-        };
+        self.cache = None;
         Ok(())
-    }
-
-    fn check_positions(&self, positions: &[Pos]) -> Result<(), SnapError> {
-        match &self.cache {
-            Some(c) if c.positions != positions => {
-                Err(SnapError::StateMismatch("fan-out cache positions"))
-            }
-            _ => Ok(()),
-        }
     }
 }
 
@@ -1518,119 +1356,118 @@ mod tests {
         );
     }
 
-    /// A cache whose grid indexes fewer nodes than it has positions was
-    /// restored before, and the next mobility tick moving the missing node
-    /// indexed past the grid's `node_cell`.
-    #[test]
-    fn restore_rejects_a_cache_whose_grid_indexes_other_nodes() {
-        let p = positions();
-        let mut m = PhysicalMedium::default();
-        let mut rng = SimRng::seed_from(3);
-        m.fan_out(NodeId::new(0), &p, SimTime::ZERO, &mut rng, &mut Vec::new());
-        let cache = m.cache.as_mut().expect("the fan-out built the cache");
-        // Node 1 lies inside the bounding box, so the frame stays the same.
-        let short = NeighborIndex::build(&[p[0], p[2], p[3]], cache.grid.cell_size_m());
-        assert_eq!(short.grid_dims(), cache.grid.grid_dims());
-        cache.grid = short;
+    /// The links faulted on every medium of the checkpoint tests below.
+    fn fault_links(m: &mut PhysicalMedium) {
+        m.set_link_fault(NodeId::new(0), NodeId::new(1), LinkEffect::Blackout);
+        m.set_link_fault(NodeId::new(2), NodeId::new(5), LinkEffect::ExtraLoss(0.5));
+        m.set_link_fault(NodeId::new(7), NodeId::new(3), LinkEffect::ExtraLoss(0.25));
+    }
+
+    fn snapshot(m: &PhysicalMedium) -> Vec<u8> {
         let mut w = SnapWriter::new();
         m.snapshot_state(&mut w);
-        let bytes = w.into_bytes();
-        assert_eq!(
-            PhysicalMedium::default()
-                .restore_state(&mut SnapReader::new(&bytes))
-                .unwrap_err(),
-            SnapError::StateMismatch("fan-out cache geometry")
-        );
+        w.into_bytes()
     }
 
-    /// Entries and patches whose node ids a later fan-out would index
-    /// positions by, and positions that differ from the world's, restore
-    /// as a [`SnapError::StateMismatch`].
-    #[test]
-    fn restore_rejects_cache_entries_a_fan_out_would_panic_on() {
-        let p = positions();
-        let mut built = PhysicalMedium::default();
-        let mut rng = SimRng::seed_from(3);
-        built.fan_out(NodeId::new(0), &p, SimTime::ZERO, &mut rng, &mut Vec::new());
-        let restore = |m: &PhysicalMedium| {
-            let mut w = SnapWriter::new();
-            m.snapshot_state(&mut w);
-            let mut fresh = PhysicalMedium::default();
-            fresh.restore_state(&mut SnapReader::new(&w.into_bytes()))?;
-            fresh.check_positions(&p)
-        };
-        assert_eq!(restore(&built), Ok(()));
-        type Defect = fn(&mut FanOutCache);
-        fn entry(c: &mut FanOutCache) -> &mut TxEntry {
-            c.per_tx[0].as_mut().expect("node 0 sent")
+    /// One mobility tick: every node moves by up to `step_m` per axis.
+    fn tick(positions: &mut [Pos], rng: &mut SimRng, step_m: f64) -> Vec<PositionDelta> {
+        let mut moves = Vec::with_capacity(positions.len());
+        for (i, p) in positions.iter_mut().enumerate() {
+            let from = *p;
+            p.x += rng.uniform_range(-step_m, step_m);
+            p.y += rng.uniform_range(-step_m, step_m);
+            moves.push(PositionDelta {
+                node: NodeId::new(i as u32),
+                from,
+                to: *p,
+            });
         }
-        let defects: [(&str, Defect); 7] = [
-            ("fan-out cache entry", |c| entry(c).superset.push(4)),
-            ("fan-out cache entry", |c| entry(c).superset.reverse()),
-            ("fan-out cache entry", |c| entry(c).superset.insert(0, 0)),
-            ("fan-out cache entry", |c| entry(c).home_cell = u32::MAX),
-            ("fan-out cache entry", |c| {
-                entry(c).list[0].node = NodeId::new(9)
-            }),
-            ("fan-out cache patch node", |c| {
-                c.cell_logs[0].push(MembershipPatch {
-                    seq: 1,
-                    node: 4,
-                    added: true,
+        moves
+    }
+
+    /// An indexed medium over 40 nodes in a 5 km square (a 3×3 grid of
+    /// candidate-range cells) with the links of [`fault_links`] faulted,
+    /// which has fanned out twice from every node before each of four
+    /// mobility ticks of up to 300 m per axis. Returned with the current
+    /// positions and the stream that drew them.
+    fn worked_medium() -> (PhysicalMedium, Vec<Pos>, SimRng) {
+        let mut rng = SimRng::seed_from(0xC4EC);
+        let area = crate::geometry::Area::square(5000.0);
+        let mut positions = crate::topology::random_placement(40, area, &mut rng);
+        let mut m = PhysicalMedium::default();
+        fault_links(&mut m);
+        let mut out = Vec::new();
+        for _ in 0..4 {
+            for tx in (0..2 * positions.len()).map(|k| k % positions.len()) {
+                let tx = NodeId::new(tx as u32);
+                m.fan_out(tx, &positions, SimTime::ZERO, &mut rng, &mut out);
+            }
+            let moves = tick(&mut positions, &mut rng, 300.0);
+            m.positions_changed(&moves, &positions);
+        }
+        let stats = m.index_stats().expect("indexed");
+        assert!(stats.rebuckets > 0 && stats.cache_hits > 0, "{stats:?}");
+        assert!(!out.is_empty() && m.cache.is_some());
+        (m, positions, rng)
+    }
+
+    /// A medium that has fanned out and re-bucketed nodes checkpoints the
+    /// bytes of a fresh medium with the same link faults, indexed or not:
+    /// its spatial index, candidate lists and stats are not run state.
+    #[test]
+    fn a_worked_medium_checkpoints_only_its_link_faults() {
+        let (worked, _, _) = worked_medium();
+        let mut fresh = PhysicalMedium::default();
+        fault_links(&mut fresh);
+        let mut naive = PhysicalMedium::default().with_indexing(false);
+        fault_links(&mut naive);
+        let bytes = snapshot(&worked);
+        assert_eq!(bytes, snapshot(&fresh));
+        assert_eq!(bytes, snapshot(&naive));
+    }
+
+    /// Restored into a fresh medium, a worked medium's checkpoint rebuilds
+    /// the cache from the current positions on the next fan-out, in a grid
+    /// frame of its own, and from then on plans every frame as the
+    /// original and the naive scan do, leaving the RNG at the same draw.
+    #[test]
+    fn a_restored_medium_plans_as_the_original_and_the_scan() {
+        let (original, mut positions, mut move_rng) = worked_medium();
+        let mut restored = PhysicalMedium::default();
+        restored
+            .restore_state(&mut SnapReader::new(&snapshot(&original)))
+            .expect("the checkpoint restores");
+        assert!(restored.cache.is_none(), "restore drops the cache");
+        let mut naive = PhysicalMedium::default().with_indexing(false);
+        fault_links(&mut naive);
+        let mut media = [original, restored, naive];
+        let mut rngs = [(); 3].map(|_| SimRng::seed_from(0x5EED));
+        let mut planned = 0;
+        for k in 0..80u32 {
+            if k % 16 == 15 {
+                let moves = tick(&mut positions, &mut move_rng, 300.0);
+                for m in &mut media {
+                    m.positions_changed(&moves, &positions);
+                }
+            }
+            let tx = NodeId::new(k * 7 % 40);
+            let plans: Vec<Vec<RxPlan>> = media
+                .iter_mut()
+                .zip(&mut rngs)
+                .map(|(m, rng)| {
+                    let mut out = Vec::new();
+                    m.fan_out(tx, &positions, SimTime::ZERO, rng, &mut out);
+                    out
                 })
-            }),
-            ("fan-out cache positions", |c| c.positions[2].x += 1.0),
-        ];
-        for (field, defect) in defects {
-            let mut m = built.clone();
-            defect(m.cache.as_mut().expect("the fan-out built the cache"));
-            assert_eq!(restore(&m), Err(SnapError::StateMismatch(field)));
+                .collect();
+            assert_eq!(plans[1], plans[0], "fan-out {k} from {tx}: restored");
+            assert_eq!(plans[2], plans[0], "fan-out {k} from {tx}: naive scan");
+            let next = rngs.each_ref().map(|r| r.clone().next_u64());
+            assert_eq!(next, [next[0]; 3], "next draw after fan-out {k}");
+            planned += plans[0].len();
         }
-    }
-
-    /// A cached candidate must hold what `refilter` writes: a finite mean
-    /// at or above the membership floor (`floor_w / 100`) and a finite,
-    /// non-negative distance. Anything else restores as a
-    /// [`SnapError::StateMismatch`]; a mean at the floor at distance 0
-    /// restores.
-    #[test]
-    fn restore_rejects_candidates_refilter_cannot_produce() {
-        let p = positions();
-        let mut built = PhysicalMedium::default();
-        let mut rng = SimRng::seed_from(3);
-        built.fan_out(NodeId::new(0), &p, SimTime::ZERO, &mut rng, &mut Vec::new());
-        let member_floor_w = built.floor_w / 100.0;
-        let restore = |mean_w: f64, dist_m: f64| {
-            let mut m = built.clone();
-            let cache = m.cache.as_mut().expect("the fan-out built the cache");
-            let c = &mut cache.per_tx[0].as_mut().expect("node 0 sent").list[0];
-            (c.mean_w, c.dist_m) = (mean_w, dist_m);
-            let mut w = SnapWriter::new();
-            m.snapshot_state(&mut w);
-            PhysicalMedium::default().restore_state(&mut SnapReader::new(&w.into_bytes()))
-        };
-        assert_eq!(restore(member_floor_w, 0.0), Ok(()));
-        let bad = SnapError::StateMismatch("fan-out cache candidate");
-        for mean_w in [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            -1.0,
-            0.0,
-            member_floor_w * (1.0 - 1e-15),
-        ] {
-            assert_eq!(
-                restore(mean_w, 100.0),
-                Err(bad.clone()),
-                "mean_w {mean_w:e}"
-            );
-        }
-        for dist_m in [f64::NAN, f64::INFINITY, -f64::MIN_POSITIVE, -1.0] {
-            assert_eq!(
-                restore(1.0e-9, dist_m),
-                Err(bad.clone()),
-                "dist_m {dist_m:e}"
-            );
-        }
+        assert!(planned > 0, "nothing was planned");
+        let stats = media[1].index_stats().expect("indexed");
+        assert!(stats.rebuckets > 0, "the restored medium never re-bucketed");
     }
 }

@@ -12,7 +12,6 @@
 //! `schedule_hash` is identical with and without it.
 
 use crate::counters::Counters;
-use crate::medium::IndexStats;
 use crate::snapshot::SnapError;
 use crate::time::{SimDuration, SimTime};
 
@@ -52,17 +51,6 @@ pub struct MetricsBucket {
     pub deliveries: u64,
     /// Sum of end-to-end delays of those deliveries, seconds.
     pub delay_sum_s: f64,
-    /// Spatial-index maintenance: nodes re-bucketed across grid cells
-    /// (0 throughout when the medium keeps no index).
-    pub index_rebuckets: u64,
-    /// Spatial-index maintenance: per-cell epoch slots advanced.
-    pub index_epoch_bumps: u64,
-    /// Fan-outs answered from an unchanged cached candidate list.
-    pub index_cache_hits: u64,
-    /// Fan-outs that re-filtered a cached superset (motion nearby).
-    pub index_cache_refreshes: u64,
-    /// Fan-outs that rebuilt a candidate list from a grid query.
-    pub index_cache_rebuilds: u64,
 }
 
 impl MetricsBucket {
@@ -117,9 +105,6 @@ pub(crate) struct MetricsRecorder {
     open_start: SimTime,
     /// Cumulative counters at `open_start`.
     base: Counters,
-    /// Cumulative index stats at `open_start` (zero when the medium keeps
-    /// no index, which also zeroes every bucket's index fields).
-    base_index: IndexStats,
     /// Deliveries observed in the open bucket.
     open_deliveries: u64,
     open_delay_sum_s: f64,
@@ -141,7 +126,6 @@ impl MetricsRecorder {
             width,
             open_start: start,
             base: Counters::default(),
-            base_index: IndexStats::default(),
             open_deliveries: 0,
             open_delay_sum_s: 0.0,
             buckets: Vec::new(),
@@ -155,14 +139,13 @@ impl MetricsRecorder {
     }
 
     /// Close every bucket whose boundary `now` has reached, snapshotting
-    /// deltas against `counters` (and the medium's `index` stats, if any).
-    /// Called once per world step, *before* the event at `now` is
-    /// dispatched, so each bucket contains exactly the events with
-    /// `open_start <= time < end`.
-    pub fn advance(&mut self, now: SimTime, counters: &Counters, index: Option<IndexStats>) {
+    /// deltas against `counters`. Called once per world step, *before* the
+    /// event at `now` is dispatched, so each bucket contains exactly the
+    /// events with `open_start <= time < end`.
+    pub fn advance(&mut self, now: SimTime, counters: &Counters) {
         while self.bucket_due(now) {
             let end = self.open_start + self.width;
-            self.close_bucket(end, counters, index);
+            self.close_bucket(end, counters);
         }
     }
 
@@ -174,24 +157,17 @@ impl MetricsRecorder {
 
     /// Close the final (possibly partial) bucket at `now` and return the
     /// finished timeseries.
-    pub fn finish(
-        mut self,
-        now: SimTime,
-        counters: &Counters,
-        index: Option<IndexStats>,
-    ) -> TimeSeries {
-        self.advance(now, counters, index);
+    pub fn finish(mut self, now: SimTime, counters: &Counters) -> TimeSeries {
+        self.advance(now, counters);
         // Close the final partial bucket if it spans any time OR holds any
         // activity. The activity checks matter when the run ends exactly on
         // a bucket boundary: events dispatched at that instant (a mobility
         // tick at the stop time, say) land in a zero-width bucket that
         // would otherwise be dropped, losing their deltas from the series.
-        let pending = self.open_deliveries > 0
-            || *counters != self.base
-            || index.unwrap_or_default() != self.base_index;
+        let pending = self.open_deliveries > 0 || *counters != self.base;
         if now > self.open_start || pending {
             let end = now.max(self.open_start);
-            self.close_bucket(end, counters, index);
+            self.close_bucket(end, counters);
         }
         TimeSeries {
             bucket_width: self.width,
@@ -199,26 +175,24 @@ impl MetricsRecorder {
         }
     }
 
-    fn close_bucket(&mut self, end: SimTime, c: &Counters, index: Option<IndexStats>) {
-        let ix = index.unwrap_or_default();
+    fn close_bucket(&mut self, end: SimTime, c: &Counters) {
         // Counters only grow, and restore refuses bases ahead of them (see
         // `MetricsRecorder::check`), so every delta exists.
-        if let Some(bucket) = self.deltas(end, c, ix) {
+        if let Some(bucket) = self.deltas(end, c) {
             self.buckets.push(bucket);
         }
         self.open_start = end;
         self.base = c.clone();
-        self.base_index = ix;
         self.open_deliveries = 0;
         self.open_delay_sum_s = 0.0;
     }
 }
 
 impl MetricsRecorder {
-    /// The open bucket, closed at `end`: what the counters `c` and the index
-    /// stats `ix` gained since its bases. `None` if a base is ahead.
-    fn deltas(&self, end: SimTime, c: &Counters, ix: IndexStats) -> Option<MetricsBucket> {
-        let (b, bx) = (&self.base, &self.base_index);
+    /// The open bucket, closed at `end`: what the counters `c` gained since
+    /// its bases. `None` if a base is ahead.
+    fn deltas(&self, end: SimTime, c: &Counters) -> Option<MetricsBucket> {
+        let b = &self.base;
         let d = |now: u64, then: u64| now.checked_sub(then);
         Some(MetricsBucket {
             start: self.open_start,
@@ -237,23 +211,14 @@ impl MetricsRecorder {
             fault_events: d(c.fault_events, b.fault_events)?,
             deliveries: self.open_deliveries,
             delay_sum_s: self.open_delay_sum_s,
-            index_rebuckets: d(ix.rebuckets, bx.rebuckets)?,
-            index_epoch_bumps: d(ix.epoch_bumps, bx.epoch_bumps)?,
-            index_cache_hits: d(ix.cache_hits, bx.cache_hits)?,
-            index_cache_refreshes: d(ix.cache_refreshes, bx.cache_refreshes)?,
-            index_cache_rebuilds: d(ix.cache_rebuilds, bx.cache_rebuilds)?,
         })
     }
 
-    /// Check a restored recorder against the restored `counters` and the
-    /// medium's `index` stats: the next bucket closes on their growth since
-    /// its bases, so no base may be ahead.
-    pub(crate) fn check(
-        &self,
-        counters: &Counters,
-        index: Option<IndexStats>,
-    ) -> Result<(), SnapError> {
-        match self.deltas(self.open_start, counters, index.unwrap_or_default()) {
+    /// Check a restored recorder against the restored `counters`: the next
+    /// bucket closes on their growth since its bases, so no base may be
+    /// ahead.
+    pub(crate) fn check(&self, counters: &Counters) -> Result<(), SnapError> {
+        match self.deltas(self.open_start, counters) {
             Some(_) => Ok(()),
             None => Err(SnapError::StateMismatch("metrics recorder base")),
         }
@@ -281,11 +246,6 @@ crate::snap_struct!(MetricsBucket {
     fault_events,
     deliveries,
     delay_sum_s,
-    index_rebuckets,
-    index_epoch_bumps,
-    index_cache_hits,
-    index_cache_refreshes,
-    index_cache_rebuilds,
 });
 
 crate::snap_struct!(TimeSeries {
@@ -300,7 +260,6 @@ crate::snap_struct!(MetricsRecorder {
     width,
     open_start,
     base,
-    base_index,
     open_deliveries,
     open_delay_sum_s,
     buckets,
@@ -320,15 +279,12 @@ mod tests {
         };
         let mut rec = MetricsRecorder::new(SimDuration::from_secs(10), SimTime::ZERO);
         rec.base.collisions = 3;
-        assert_eq!(rec.check(&c, None), Ok(()));
+        assert_eq!(rec.check(&c), Ok(()));
         rec.base.collisions = 4;
         assert_eq!(
-            rec.check(&c, None),
+            rec.check(&c),
             Err(SnapError::StateMismatch("metrics recorder base"))
         );
-        rec.base.collisions = 0;
-        rec.base_index.cache_hits = 1;
-        assert!(rec.check(&c, Some(IndexStats::default())).is_err());
     }
 
     #[test]
@@ -341,7 +297,7 @@ mod tests {
         c.record_rx_data(0, 100);
         rec.record_delivery(SimDuration::from_millis(20));
         // First event at t=12s closes bucket [0, 10).
-        rec.advance(SimTime::from_secs(12), &c, None);
+        rec.advance(SimTime::from_secs(12), &c);
         assert_eq!(rec.buckets.len(), 1);
         assert_eq!(rec.buckets[0].tx_data_frames, 1);
         assert_eq!(rec.buckets[0].rx_data_bytes, 100);
@@ -349,7 +305,7 @@ mod tests {
 
         // One more event in bucket 1.
         c.record_rx_data(1, 50);
-        let ts = rec.finish(SimTime::from_secs(15), &c, None);
+        let ts = rec.finish(SimTime::from_secs(15), &c);
         assert_eq!(ts.buckets.len(), 2);
         assert_eq!(ts.buckets[1].start, SimTime::from_secs(10));
         assert_eq!(ts.buckets[1].end, SimTime::from_secs(15));
@@ -366,7 +322,7 @@ mod tests {
     fn idle_gaps_produce_empty_buckets() {
         let c = Counters::default();
         let mut rec = MetricsRecorder::new(SimDuration::from_secs(1), SimTime::ZERO);
-        rec.advance(SimTime::from_secs(3), &c, None);
+        rec.advance(SimTime::from_secs(3), &c);
         assert_eq!(rec.buckets.len(), 3);
         assert!(rec.buckets.iter().all(|b| b.tx_data_frames == 0));
     }
@@ -376,11 +332,8 @@ mod tests {
         let b = MetricsBucket::default();
         assert_eq!(b.throughput_bps(), 0.0);
         assert_eq!(b.mean_delay_s(), 0.0);
-        let ts = MetricsRecorder::new(SimDuration::from_secs(1), SimTime::ZERO).finish(
-            SimTime::ZERO,
-            &Counters::default(),
-            None,
-        );
+        let ts = MetricsRecorder::new(SimDuration::from_secs(1), SimTime::ZERO)
+            .finish(SimTime::ZERO, &Counters::default());
         assert!(ts.buckets.is_empty());
     }
 
@@ -390,23 +343,18 @@ mod tests {
         // zero-width final bucket; its deltas must still be reported.
         let mut c = Counters::default();
         let mut rec = MetricsRecorder::new(SimDuration::from_secs(10), SimTime::ZERO);
-        rec.advance(SimTime::from_secs(10), &c, None);
-        // Counter and index activity at t = 10 s, exactly on the boundary.
+        rec.advance(SimTime::from_secs(10), &c);
+        // Counter activity at t = 10 s, exactly on the boundary.
         c.record_tx_data(0, 100);
-        let ix = IndexStats {
-            rebuckets: 9,
-            ..IndexStats::default()
-        };
-        let ts = rec.finish(SimTime::from_secs(10), &c, Some(ix));
+        let ts = rec.finish(SimTime::from_secs(10), &c);
         assert_eq!(ts.buckets.len(), 2);
         let last = ts.buckets.last().unwrap();
         assert_eq!(last.start, last.end, "zero-width final bucket");
         assert_eq!(last.tx_data_frames, 1);
-        assert_eq!(last.index_rebuckets, 9);
         assert_eq!(last.throughput_bps(), 0.0, "zero width must not NaN");
         // A boundary finish with nothing pending still emits no bucket.
         let rec = MetricsRecorder::new(SimDuration::from_secs(10), SimTime::ZERO);
-        let ts = rec.finish(SimTime::ZERO, &Counters::default(), None);
+        let ts = rec.finish(SimTime::ZERO, &Counters::default());
         assert!(ts.buckets.is_empty());
     }
 
@@ -422,7 +370,7 @@ mod tests {
         let mut rec = MetricsRecorder::new(SimDuration::from_secs(1), SimTime::ZERO);
         rec.record_delivery(SimDuration::from_millis(10));
         rec.record_delivery(SimDuration::from_millis(30));
-        let ts = rec.finish(SimTime::ZERO + SimDuration::from_millis(500), &c, None);
+        let ts = rec.finish(SimTime::ZERO + SimDuration::from_millis(500), &c);
         assert_eq!(ts.buckets.len(), 1);
         assert!((ts.buckets[0].mean_delay_s() - 0.02).abs() < 1e-12);
     }

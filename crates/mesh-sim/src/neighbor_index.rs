@@ -23,7 +23,6 @@
 //! frame should rebuild the index.
 
 use crate::geometry::Pos;
-use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Upper bound on grid cells per axis; keeps degenerate configurations
 /// (tiny radio range in a huge area) from allocating unbounded cell arrays.
@@ -161,16 +160,6 @@ impl NeighborIndex {
     }
     // mesh-lint: end-hot
 
-    /// Number of indexed nodes.
-    pub fn len(&self) -> usize {
-        self.node_cell.len()
-    }
-
-    /// Whether the index holds no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.node_cell.is_empty()
-    }
-
     /// Grid dimensions `(cols, rows)`; exposed for diagnostics.
     pub fn grid_dims(&self) -> (usize, usize) {
         (self.cols, self.rows)
@@ -231,78 +220,6 @@ impl NeighborIndex {
     }
 }
 
-// The index is SERIALIZED rather than rebuilt on restore: the grid frame
-// (origin, cell size, dimensions) is fixed at `build()` time from the
-// *initial* bounding box, so a restore-time rebuild from the moved positions
-// would choose a different frame — and with it different cell traversal
-// orders downstream. Incremental updates provably equal a same-frame rebuild
-// (`incremental_updates_match_frame_rebuild`), so the serialized contents
-// are exactly what the uninterrupted run would hold.
-impl Snap for NeighborIndex {
-    fn snap(&self, w: &mut SnapWriter) {
-        let NeighborIndex {
-            origin,
-            cell_m,
-            cols,
-            rows,
-            cells,
-            node_cell,
-        } = self;
-        origin.snap(w);
-        cell_m.snap(w);
-        cols.snap(w);
-        rows.snap(w);
-        cells.snap(w);
-        node_cell.snap(w);
-    }
-
-    /// Decodes the index and checks the invariants `update_position` and
-    /// the queries index by: a positive finite cell size, `1..=256` cells
-    /// per axis filling `cells`, strictly ascending cells, and every node
-    /// in exactly the one cell `node_cell` names.
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let index = NeighborIndex {
-            origin: Snap::unsnap(r)?,
-            cell_m: Snap::unsnap(r)?,
-            cols: Snap::unsnap(r)?,
-            rows: Snap::unsnap(r)?,
-            cells: Snap::unsnap(r)?,
-            node_cell: Snap::unsnap(r)?,
-        };
-        let mismatch = SnapError::StateMismatch;
-        if !(index.cell_m > 0.0 && index.cell_m.is_finite()) {
-            return Err(mismatch("neighbor index cell size"));
-        }
-        let axis = 1..=MAX_CELLS_PER_AXIS;
-        if !axis.contains(&index.cols)
-            || !axis.contains(&index.rows)
-            || index.cells.len() != index.cols * index.rows
-        {
-            return Err(mismatch("neighbor index grid dimensions"));
-        }
-        let mut bucketed = 0;
-        for (c, bucket) in index.cells.iter().enumerate() {
-            if bucket.windows(2).any(|pair| pair[0] >= pair[1]) {
-                return Err(mismatch("neighbor index cell order"));
-            }
-            // A node listed here must name this cell; with every cell
-            // strictly ascending and as many listings as nodes, each node
-            // is then listed exactly once.
-            if bucket
-                .iter()
-                .any(|&n| index.node_cell.get(n as usize) != Some(&(c as u32)))
-            {
-                return Err(mismatch("neighbor index node cells"));
-            }
-            bucketed += bucket.len();
-        }
-        if bucketed != index.node_cell.len() {
-            return Err(mismatch("neighbor index node cells"));
-        }
-        Ok(index)
-    }
-}
-
 /// Cells needed to cover `span` meters with `cell`-sized cells, capped.
 fn grid_extent(span: f64, cell: f64) -> usize {
     ((span / cell).floor() as usize + 1).min(MAX_CELLS_PER_AXIS)
@@ -342,7 +259,7 @@ mod tests {
     fn handles_degenerate_inputs() {
         // Empty: one cell, holding nothing.
         let idx = NeighborIndex::build(&[], 10.0);
-        assert!(idx.is_empty());
+        assert!(idx.nodes_in_cell(0).is_empty());
         assert_eq!(idx.grid_dims(), (1, 1));
         let mut out = Vec::new();
         idx.nodes_in_block(0, 1, &mut out);
@@ -437,115 +354,5 @@ mod tests {
         assert_eq!(idx.node_cell(0), idx.node_cell(1));
         assert_eq!(idx.nodes_in_cell(new), &[0, 1]);
         assert!(idx.nodes_in_cell(old).is_empty());
-    }
-
-    /// Snapshot a 3-node index (nodes 0 and 1 share cell 0, node 2 is
-    /// alone in cell 5 of a 3×2 grid) after `corrupt` edits it, and decode
-    /// the bytes again.
-    fn restore_corrupted(
-        corrupt: impl FnOnce(&mut NeighborIndex),
-    ) -> Result<NeighborIndex, SnapError> {
-        let positions = [
-            Pos::new(50.0, 50.0),
-            Pos::new(60.0, 60.0),
-            Pos::new(250.0, 150.0),
-        ];
-        let mut idx = NeighborIndex::build(&positions, 100.0);
-        assert_eq!(idx.grid_dims(), (3, 2));
-        assert_eq!(idx.nodes_in_cell(0), &[0, 1]);
-        assert_eq!(idx.nodes_in_cell(5), &[2]);
-        corrupt(&mut idx);
-        let mut w = SnapWriter::new();
-        idx.snap(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let back = NeighborIndex::unsnap(&mut r)?;
-        r.finish()?;
-        Ok(back)
-    }
-
-    #[test]
-    fn restore_accepts_a_valid_index() {
-        let mut idx = restore_corrupted(|_| {}).expect("a valid index restores");
-        assert_eq!(idx.update_position(2, Pos::new(50.0, 150.0)), Some((5, 3)));
-    }
-
-    #[test]
-    fn restore_rejects_a_cell_size_that_is_not_positive_and_finite() {
-        for cell_m in [0.0, -100.0, f64::NAN, f64::INFINITY] {
-            assert_eq!(
-                restore_corrupted(|idx| idx.cell_m = cell_m).unwrap_err(),
-                SnapError::StateMismatch("neighbor index cell size"),
-                "cell_m = {cell_m}"
-            );
-        }
-    }
-
-    #[test]
-    fn restore_rejects_grid_dimensions_that_do_not_fill_the_cells() {
-        let corruptions: [fn(&mut NeighborIndex); 4] = [
-            // `cell_coords` computes `cols - 1`.
-            |idx| {
-                idx.cols = 0;
-                idx.cells.clear();
-            },
-            |idx| {
-                idx.rows = MAX_CELLS_PER_AXIS + 1;
-                idx.cells = vec![Vec::new(); 3 * (MAX_CELLS_PER_AXIS + 1)];
-                idx.cells[0] = vec![0, 1];
-                idx.cells[5] = vec![2];
-            },
-            // A 3×3 frame over the 6 cells: row 2 indexes past them.
-            |idx| idx.rows = 3,
-            |idx| idx.cells.push(Vec::new()),
-        ];
-        for corrupt in corruptions {
-            assert_eq!(
-                restore_corrupted(corrupt).unwrap_err(),
-                SnapError::StateMismatch("neighbor index grid dimensions")
-            );
-        }
-    }
-
-    #[test]
-    fn restore_rejects_a_cell_that_is_not_strictly_ascending() {
-        let corruptions: [fn(&mut NeighborIndex); 2] = [
-            |idx| idx.cells[0] = vec![1, 0],
-            |idx| {
-                idx.cells[0] = vec![0, 0, 1];
-                idx.node_cell.push(0);
-            },
-        ];
-        for corrupt in corruptions {
-            assert_eq!(
-                restore_corrupted(corrupt).unwrap_err(),
-                SnapError::StateMismatch("neighbor index cell order")
-            );
-        }
-    }
-
-    #[test]
-    fn restore_rejects_nodes_not_bucketed_exactly_once() {
-        let corruptions: [fn(&mut NeighborIndex); 5] = [
-            // `update_position(0, ..)` would index `cells[9999]`.
-            |idx| idx.node_cell[0] = 9999,
-            // Node 2 in no cell.
-            |idx| idx.cells[5].clear(),
-            // Node 2 in two cells.
-            |idx| idx.cells[4].push(2),
-            // A cell lists a node the index does not have.
-            |idx| idx.cells[4].push(7),
-            // A node in no cell, with as many listings as nodes.
-            |idx| {
-                idx.cells[5].clear();
-                idx.cells[4].push(0);
-            },
-        ];
-        for corrupt in corruptions {
-            assert_eq!(
-                restore_corrupted(corrupt).unwrap_err(),
-                SnapError::StateMismatch("neighbor index node cells")
-            );
-        }
     }
 }

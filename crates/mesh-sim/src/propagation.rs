@@ -187,12 +187,12 @@ impl PhyParams {
     /// The deterministic (no-fading) communication range implied by the
     /// receive threshold, found by bisection.
     pub fn nominal_range_m(&self) -> f64 {
-        self.range_for_threshold(self.rx_threshold_w)
+        self.range_for_mean_power(self.rx_threshold_w)
     }
 
     /// The deterministic carrier-sense range implied by the CS threshold.
     pub fn carrier_sense_range_m(&self) -> f64 {
-        self.range_for_threshold(self.cs_threshold_w)
+        self.range_for_mean_power(self.cs_threshold_w)
     }
 
     /// The largest distance at which the *mean* received power still reaches
@@ -201,10 +201,6 @@ impl PhyParams {
     /// Capped at 100 km. Spatial indexes use this to bound their search
     /// radius for a given power floor.
     pub fn range_for_mean_power(&self, thresh: f64) -> f64 {
-        self.range_for_threshold(thresh)
-    }
-
-    fn range_for_threshold(&self, thresh: f64) -> f64 {
         let (mut lo, mut hi) = (0.1, 1.0e5);
         if self.mean_rx_power_w(hi) >= thresh {
             return hi;

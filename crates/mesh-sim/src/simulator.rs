@@ -137,8 +137,8 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// # Panics
     ///
-    /// Panics if a plan is already attached or a fault is scheduled in the
-    /// past.
+    /// Panics if a plan is already attached, or a fault is scheduled in the
+    /// past or names a node the world does not have.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.world.set_fault_plan(plan);
     }

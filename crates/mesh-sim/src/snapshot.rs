@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 /// Current snapshot format version. Bump on ANY wire-format change and
 /// regenerate the golden fixture in the same PR.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
 
 /// Magic bytes opening every snapshot ("Mesh SNaPshot").
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MSNP";

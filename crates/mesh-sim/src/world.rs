@@ -185,16 +185,21 @@ impl<M: Clone + std::fmt::Debug> World<M> {
     ///
     /// # Panics
     ///
-    /// Panics if a plan is already attached or any fault is scheduled before
-    /// the current time.
+    /// Panics if a plan is already attached, or any fault is scheduled
+    /// before the current time or names a node this world does not have.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         assert!(
             self.fault_plan.is_none(),
             "a fault plan is already attached"
         );
-        for (idx, &(t, _)) in plan.events().iter().enumerate() {
-            assert!(t >= self.now, "fault scheduled in the past");
-            self.queue.push(t, EventKind::Fault { idx });
+        let n = self.positions.len();
+        for (idx, (t, fault)) in plan.events().iter().enumerate() {
+            assert!(*t >= self.now, "fault scheduled in the past");
+            assert!(
+                fault.nodes().all(|v| v.index() < n),
+                "fault names a node the world does not have"
+            );
+            self.queue.push(*t, EventKind::Fault { idx });
         }
         self.fault_plan = Some(plan);
     }
@@ -243,10 +248,9 @@ impl<M: Clone + std::fmt::Debug> World<M> {
     /// Stop recording and return the finished timeseries, if one was
     /// attached; the final partial bucket is closed at the current time.
     pub fn take_metrics(&mut self) -> Option<TimeSeries> {
-        let index = self.medium.index_stats();
         self.metrics
             .take()
-            .map(|rec| rec.finish(self.now, &self.counters, index))
+            .map(|rec| rec.finish(self.now, &self.counters))
     }
 
     /// Spatial-index maintenance statistics from the medium, if it keeps an
@@ -401,10 +405,9 @@ impl<M: Clone + std::fmt::Debug> World<M> {
         }
         // Close metrics buckets the clock has passed *before* dispatching, so
         // every bucket holds exactly the events inside its time span. Reads
-        // counters, mutates nothing else: zero-perturbation. The medium's
-        // index stats are read only when a bucket actually closes.
+        // counters, mutates nothing else: zero-perturbation.
         if let Some(m) = self.metrics.as_mut().filter(|m| m.bucket_due(self.now)) {
-            m.advance(self.now, &self.counters, self.medium.index_stats());
+            m.advance(self.now, &self.counters);
         }
         self.counters.events += 1;
         match ev.kind {
@@ -1354,7 +1357,7 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
             moves_buf: _,      // scratch
             down,
             tx_orphaned,
-            fault_plan,
+            fault_plan: _, // scenario configuration
             partition_links,
             class_drop,
             time_regressions,
@@ -1381,7 +1384,6 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
         }
         down.snap(w);
         tx_orphaned.snap(w);
-        fault_plan.snap(w);
         partition_links.snap(w);
         class_drop.snap(w);
         time_regressions.snap(w);
@@ -1393,18 +1395,17 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
     /// the same scenario config (same node count, medium, mobility and fault
     /// plan); constructor side effects like the initial mobility tick or the
     /// fault plan's scheduled events are wholly superseded because the event
-    /// queue, RNG and all per-node state are replaced. `fault_plan` is
-    /// assigned directly — *not* via [`World::set_fault_plan`] — because the
-    /// restored queue already holds the pending `Fault` events.
+    /// queue, RNG and all per-node state are replaced. The fault plan is
+    /// configuration and stays: the restored queue holds the pending
+    /// `Fault` events, which index it.
     ///
     /// Per-node state must have one entry per node, and every queued event
     /// must be due no earlier than the restored clock, name a node of this
     /// world and, for `RxStart`/`RxEnd`/`TxEnd`, a live frame, or for a
-    /// `Fault`, an entry of the fault plan, whose faults name nodes of this
-    /// world. The frame slab's bookkeeping, the medium's copy of the
-    /// positions and the metrics recorder's bucket bases are checked too.
-    /// Anything else would panic in a later `step` that reaches it, so it
-    /// is a [`SnapError::StateMismatch`] naming the field.
+    /// `Fault`, an entry of the fault plan. The frame slab's bookkeeping and
+    /// the metrics recorder's bucket bases are checked too. Anything else
+    /// would panic in a later `step` that reaches it, so it is a
+    /// [`SnapError::StateMismatch`] naming the field.
     pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = self.positions.len();
         self.now = Snap::unsnap(r)?;
@@ -1415,14 +1416,13 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
         self.frames = Snap::unsnap(r)?;
         self.frames.check()?;
         self.medium.restore_state(r)?;
-        self.medium.check_positions(&self.positions)?;
         self.rng = Snap::unsnap(r)?;
         self.counters = Snap::unsnap(r)?;
         self.timer_seq = r.u64()?;
         self.handle_seq = r.u64()?;
         self.metrics = Snap::unsnap(r)?;
         if let Some(m) = &self.metrics {
-            m.check(&self.counters, self.medium.index_stats())?;
+            m.check(&self.counters)?;
         }
         let has_mobility = r.bool()?;
         match self.mobility.as_mut() {
@@ -1432,14 +1432,6 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
         }
         self.down = unsnap_per_node(r, n, "down")?;
         self.tx_orphaned = unsnap_per_node(r, n, "tx_orphaned")?;
-        self.fault_plan = Snap::unsnap(r)?;
-        let faults = self.fault_plan.as_ref().map_or(&[][..], |p| p.events());
-        if faults
-            .iter()
-            .any(|(_, f)| f.nodes().any(|v| v.index() >= n))
-        {
-            return Err(SnapError::StateMismatch("fault plan node"));
-        }
         self.partition_links = Snap::unsnap(r)?;
         self.class_drop = Snap::unsnap(r)?;
         self.time_regressions = r.u64()?;
@@ -1447,6 +1439,7 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
         self.fan_buf.clear();
         self.prev_positions.clear();
         self.moves_buf.clear();
+        let faults = self.fault_plan.as_ref().map_or(0, |p| p.len());
         for ev in self.queue.pending() {
             if ev.time < self.now {
                 return Err(SnapError::StateMismatch("queued event time"));
@@ -1458,7 +1451,7 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
                 EventKind::TxEnd { node, frame }
                 | EventKind::RxStart { node, frame, .. }
                 | EventKind::RxEnd { node, frame, .. } => (Some(node), Some(frame)),
-                EventKind::Fault { idx } if idx >= faults.len() => {
+                EventKind::Fault { idx } if idx >= faults => {
                     return Err(SnapError::StateMismatch("queued fault"));
                 }
                 EventKind::MobilityTick | EventKind::Fault { .. } => (None, None),
@@ -1724,17 +1717,21 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_faults_naming_an_absent_node_or_plan_entry() {
-        let mut w = three_nodes();
-        w.fault_plan = Some(FaultPlan::new().at(
+    #[should_panic(expected = "fault names a node the world does not have")]
+    fn set_fault_plan_rejects_a_fault_naming_an_absent_node() {
+        three_nodes().set_fault_plan(FaultPlan::new().at(
             SimTime::from_secs(1),
             FaultKind::LinkRestore {
                 from: NodeId::new(0),
                 to: NodeId::new(3),
             },
         ));
-        assert_eq!(mismatch(&snapshot(&w)), Some("fault plan node"));
+    }
 
+    /// The restoring world keeps its own fault plan, so a queued fault
+    /// must index an entry of it.
+    #[test]
+    fn restore_rejects_a_queued_fault_without_a_plan_entry() {
         let mut w = three_nodes();
         w.queue
             .push(SimTime::from_secs(1), EventKind::Fault { idx: 0 });
