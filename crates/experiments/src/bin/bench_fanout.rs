@@ -1,6 +1,7 @@
 //! Scalability benchmark for `PhysicalMedium::fan_out`: the naive full scan
-//! vs the spatially-indexed cache with incremental epoch-based
-//! invalidation, across network sizes, densities and mobility patterns.
+//! vs the spatially-indexed cache, whose candidate lists are replayed until
+//! a node moves and then rebuilt from the transmitter's grid block, across
+//! network sizes, densities and mobility patterns.
 //! Verifies both paths produce bit-identical `RxPlan` streams and RNG
 //! positions before timing them, on the timed medium and on a faulted and
 //! a fading-off twin, and writes
@@ -13,11 +14,12 @@
 //! over a proportionally larger area (constant nodes-per-kilometre corridor
 //! spacing), where pruning dominates and the speedup grows with N.
 //!
-//! Mobility is where the maintenance policy matters: the incremental path
-//! re-buckets only cell-crossing nodes and re-filters only the transmitters
-//! whose cell neighborhood saw motion, keeping mobile configurations close
-//! to static-index throughput (a wholesale rebuild on every move, the
-//! earlier policy, managed only ~1.26× at mobile-metro-n500).
+//! Mobility is where the maintenance policy matters: the indexed path
+//! re-buckets only cell-crossing nodes, and a move stales every cached
+//! list, but each transmitter rebuilds its own lazily, at its next frame,
+//! from the nodes of its grid block rather than from all N, into the
+//! list's own buffer (dropping the whole cache on every move, the earliest
+//! policy, managed only ~1.26× at mobile-metro-n500).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -56,7 +58,8 @@ impl Motion {
 enum Mode {
     /// Full O(N) scan per frame, no caching.
     Naive,
-    /// Spatial index, incremental re-bucketing + epoch invalidation.
+    /// Spatial index with incremental re-bucketing; a move stamp stales
+    /// the cached candidate lists, which rebuild from the grid block.
     Incremental,
 }
 
@@ -255,7 +258,6 @@ fn drive(
                 if old != new {
                     moves.push(PositionDelta {
                         node: NodeId::new(i as u32),
-                        from: old,
                         to: new,
                     });
                 }

@@ -331,7 +331,7 @@ fn metrics_recorder_perturbs_neither_the_schedule_nor_the_index_stats() {
         fn start(&mut self, ctx: &mut Ctx<'_, u32>) {
             let jitter = SimDuration::from_micros(211 * (ctx.node().index() as u64 + 1));
             // Faster than the 100 ms mobility tick, so consecutive beacons
-            // from one node land inside a single motion epoch and exercise
+            // from one node land under a single move stamp and exercise
             // the cache-hit path, not just refreshes.
             ctx.set_timer(SimDuration::from_millis(40) + jitter, 0);
         }
@@ -388,7 +388,7 @@ fn metrics_recorder_perturbs_neither_the_schedule_nor_the_index_stats() {
     );
 
     // The run actually exercised incremental maintenance — all of it:
-    // crossings, epoch stamps, hits, and misses.
+    // crossings, move stamps, hits, and misses.
     assert!(
         stats.rebuckets > 0,
         "mobility never crossed a cell: {stats:?}"

@@ -12,7 +12,8 @@
 //!   call sites whose in-file signature declares a conflicting suffix.
 //! * **R8 hot-path allocation** — inside `// mesh-lint: hot(<label>)`
 //!   regions, allocating calls (`Vec::new`, `.clone()`, `.collect()`,
-//!   `format!`, `.to_string()`, `Box::new`, …) are findings.
+//!   `format!`, `.to_string()`, `Box::new`, …) and bulk buffer growth
+//!   (`.resize()`, `.reserve()`, `.extend()`, …) are findings.
 //!
 //! Known blind spots (documented in DESIGN.md §10): R6's index check only
 //! fires on arithmetic indices (`v[i + 1]`) — plain `v[i]` over
@@ -40,10 +41,23 @@ const ALLOC_PATHS: &[(&str, &[&str])] = &[
 /// …allocating macros…
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
-/// …and allocating (or potentially deep-copying) postfix methods.
-/// `Arc::clone(&x)` in path form is deliberately legal: it advertises a
-/// refcount bump, not a deep copy.
-const ALLOC_METHODS: &[&str] = &["clone", "collect", "to_string", "to_owned", "to_vec"];
+/// …and allocating (or potentially deep-copying) postfix methods, including
+/// the bulk growth calls that size a buffer. `Arc::clone(&x)` in path form
+/// is deliberately legal: it advertises a refcount bump, not a deep copy.
+/// `push` and `insert` stay legal too: pushing into a buffer that is
+/// already big enough is the normal hot-path idiom.
+const ALLOC_METHODS: &[&str] = &[
+    "clone",
+    "collect",
+    "to_string",
+    "to_owned",
+    "to_vec",
+    "resize",
+    "reserve",
+    "reserve_exact",
+    "extend",
+    "extend_from_slice",
+];
 
 /// R6: panic-freedom in simulator hot crates (outside test code).
 pub fn rule_r6_panic_freedom(tokens: &[Token], scopes: &ScopeMap, out: &mut Vec<Finding>) {
@@ -327,7 +341,7 @@ pub fn rule_r8_hot_alloc(tokens: &[Token], scopes: &ScopeMap, out: &mut Vec<Find
                 rule: "R8".into(),
                 line,
                 message: format!(
-                    "`{what}` allocates inside hot region `{}`; hoist it out of the hot \
+                    "`{what}` can allocate inside hot region `{}`; hoist it out of the hot \
                      path, reuse a scratch buffer, or allow(R8) with the reasoned cost",
                     region.label
                 ),
@@ -495,10 +509,17 @@ mod tests {
                        let s = format!(\"x\");\n\
                        let c = xs.to_vec();\n\
                        let d = thing.clone();\n\
+                       buf.resize(xs.len(), 0);\n\
+                       buf.reserve(8);\n\
+                       buf.reserve_exact(8);\n\
+                       buf.extend(xs.iter());\n\
+                       buf.extend_from_slice(xs);\n\
+                       buf.push(1);\n\
+                       buf.insert(0, 1);\n\
                    }\n\
                    // mesh-lint: end-hot\n\
-                   fn cold2() { let s = String::new(); }\n";
-        assert_eq!(rules(src, rule_r8_hot_alloc), ["R8", "R8", "R8", "R8"]);
+                   fn cold2() { let s = String::new(); buf.resize(9, 0); }\n";
+        assert_eq!(rules(src, rule_r8_hot_alloc), ["R8"; 9]);
     }
 
     #[test]

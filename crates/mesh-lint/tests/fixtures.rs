@@ -84,7 +84,10 @@ fn r7_fixture_fires_on_unit_mixes_and_call_sites() {
 
 #[test]
 fn r8_fixture_fires_on_hot_region_allocation() {
-    assert_eq!(fired_all("r8_hot_alloc.rs"), ["R8", "R8", "R8", "R8"]);
+    assert_eq!(
+        fired_all("r8_hot_alloc.rs"),
+        ["R8", "R8", "R8", "R8", "R8", "R8", "R8", "R8", "R8"]
+    );
 }
 
 #[test]

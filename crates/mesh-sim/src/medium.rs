@@ -24,8 +24,6 @@ use std::collections::BTreeMap;
 pub struct PositionDelta {
     /// The node that moved.
     pub node: NodeId,
-    /// Its position before the tick.
-    pub from: Pos,
     /// Its position after the tick (equals `positions[node]`).
     pub to: Pos,
 }
@@ -40,16 +38,16 @@ pub struct PositionDelta {
 pub struct IndexStats {
     /// Nodes moved between grid cells by `update_position`.
     pub rebuckets: u64,
-    /// Per-cell epoch slots advanced (membership or motion).
+    /// Mobility ticks that moved a node, each advancing the cache's move
+    /// stamp (and so staling every cached candidate list).
     pub epoch_bumps: u64,
     /// Fan-outs answered by replaying a cached candidate list unchanged.
     pub cache_hits: u64,
-    /// Fan-outs that re-filtered a cached superset (nodes moved within
-    /// cells near the transmitter, so distances changed but membership of
-    /// the cell block did not).
+    /// Fan-outs that rebuilt a transmitter's existing candidate list
+    /// because a node moved since it was built.
     pub cache_refreshes: u64,
-    /// Fan-outs that rebuilt a candidate list from a fresh grid query
-    /// (cell membership near the transmitter changed, or first use).
+    /// Fan-outs that built a transmitter's first candidate list (after
+    /// the cache was built, invalidated or restored).
     pub cache_rebuilds: u64,
     /// Wholesale cache invalidations (explicit
     /// [`Medium::invalidate_positions`] calls while indexed).
@@ -134,9 +132,11 @@ pub trait Medium {
 
     /// Notification that exactly the nodes in `moves` changed position over
     /// one mobility tick; `positions` is the post-move snapshot. Media that
-    /// maintain geometry caches incrementally override this; the default
-    /// conservatively forwards to [`Medium::invalidate_positions`], so a
-    /// medium that only implements wholesale invalidation stays correct.
+    /// keep geometry caches across ticks override this (the indexed
+    /// [`PhysicalMedium`] re-buckets the movers in its grid and stales its
+    /// candidate lists); the default conservatively forwards to
+    /// [`Medium::invalidate_positions`], so a medium that only implements
+    /// wholesale invalidation stays correct.
     fn positions_changed(&mut self, moves: &[PositionDelta], positions: &[Pos]) {
         let _ = (moves, positions);
         self.invalidate_positions();
@@ -179,7 +179,7 @@ pub trait Medium {
 /// Stores the distance, not the propagation delay: like the naive scan, the
 /// delay is only computed for candidates whose sampled power clears the
 /// floor — a small fraction of the list — instead of for every candidate on
-/// every refresh.
+/// every rebuild.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     node: NodeId,
@@ -187,122 +187,26 @@ struct Candidate {
     dist_m: f64,
 }
 
-/// The distance-independent inputs of one [`FanOutCache::refilter`] pass,
-/// bundled so both call sites in `plan_with` hand over one value.
-#[derive(Clone, Copy)]
-struct RefilterParams {
-    tx: NodeId,
-    candidate_range_m: f64,
-    floor_w: f64,
-    eval: MeanPowerEval,
-}
-
-/// One bucket-membership change (a node entering or leaving a grid cell),
-/// kept in a short per-cell log so cached supersets can be patched in order
-/// instead of rebuilt from a grid query.
-#[derive(Debug, Clone, Copy)]
-struct MembershipPatch {
-    /// Global order stamp, monotone across all cells; a node crossing cells
-    /// logs its removal before its insertion.
-    seq: u64,
-    node: u32,
-    /// True if the node entered the cell, false if it left.
-    added: bool,
-}
-
-/// Per-cell epoch pair, kept adjacent so the hot block scan in
-/// [`FanOutCache::plan_with`] touches one slot per cell instead of two
-/// parallel arrays.
-#[derive(Debug, Clone, Copy, Default)]
-struct CellEpochs {
-    /// Epoch of the last bucket-membership change (a node entered or left).
-    membership: u64,
-    /// Epoch of the last movement of any node bucketed in the cell.
-    motion: u64,
-}
-
-/// Bounded log of recent [`MembershipPatch`]es for one grid cell, oldest
-/// first. Patching a cached superset is valid only while every patch newer
-/// than the superset is still retained; once the log overflows, older
-/// transmitter entries fall back to a full rebuild.
-#[derive(Debug, Clone)]
-struct CellLog {
-    patches: Vec<MembershipPatch>,
-    /// Every patch with `seq < retained_from` has been dropped.
-    retained_from: u64,
-}
-
-/// Retained patches per cell. Sized so several mobility ticks' worth of
-/// crossings fit between two transmissions of the same node at realistic
-/// densities; overflow costs a rebuild, never correctness.
-const CELL_LOG_CAP: usize = 16;
-
-impl CellLog {
-    fn new() -> Self {
-        CellLog {
-            patches: Vec::new(),
-            retained_from: 1,
-        }
-    }
-
-    fn push(&mut self, p: MembershipPatch) {
-        if self.patches.len() == CELL_LOG_CAP {
-            self.retained_from = self.patches[0].seq + 1;
-            self.patches.remove(0);
-        }
-        self.patches.push(p);
-    }
-}
-
-/// One transmitter's cached fan-out state (see [`FanOutCache`]).
-#[derive(Debug, Clone)]
-struct TxEntry {
-    /// The grid cell the transmitter occupied when `superset` was captured;
-    /// a transmitter that changed cells always rebuilds.
-    home_cell: u32,
-    /// Value of the cache epoch when `superset` was captured: current while
-    /// no cell of the 3×3 block has a newer membership epoch.
-    seen_membership: u64,
-    /// Value of the cache epoch when `list` was filtered: valid while no
-    /// cell of the block has a newer motion epoch.
-    seen_motion: u64,
-    /// Global patch sequence the superset is synchronized to: applying every
-    /// retained block-cell patch with a larger `seq` brings it current.
-    seen_seq: u64,
-    /// Every node bucketed in the 3×3 cell block around `home_cell`,
-    /// NodeId-ascending — a superset of all possible candidates.
-    superset: Vec<u32>,
-    /// `superset` filtered through the exact floor predicate, with
-    /// geometry-derived quantities precomputed.
-    list: Vec<Candidate>,
-}
-
-/// Geometry caches for [`PhysicalMedium`], maintained incrementally across
-/// position changes.
+/// Geometry caches for [`PhysicalMedium`]: a grid over the node positions
+/// and one candidate list per transmitter, kept across mobility ticks.
 ///
-/// Invalidation is per-cell, not global: every mobility tick advances
-/// `epoch`, and each move stamps that epoch onto the affected cells — onto
-/// the **membership** epoch of the cells a node left/entered (the set of
-/// nodes bucketed there changed) and onto the **motion** epoch of any cell
-/// containing a node that moved at all (distances from nearby transmitters
-/// changed, membership did not). A transmitter's cached state is then aged
-/// against the 3×3 cell block around it:
+/// Each list carries the move stamp it was built at. A mobility tick that
+/// moves a node re-buckets the movers in the grid and advances the stamp,
+/// so a fan-out either replays its transmitter's list (the stamp is
+/// current) or rebuilds it from the positions (the stamp is older). The
+/// rebuild visits the `(2·rings+1)²` cell block around the transmitter,
+/// sets one bit per block member inside the candidate radius in a bitmap
+/// indexed by NodeId, and walks the bitmap's words in order, so the list
+/// comes out NodeId-ascending with no sort.
 ///
-/// * block membership newer than the entry → rebuild superset and list from
-///   the grid (the only path that queries and sorts);
-/// * block motion newer → re-filter the cached superset (distance math only,
-///   no query, no sort, no allocation);
-/// * neither → replay the cached list unchanged.
-///
-/// The block covers every node within the candidate radius of the
-/// transmitter (cells are at least that wide), so correctness never depends
-/// on the epochs being precise — only on them never going backwards.
+/// One stamp for the whole cache, not one per cell: under the paper's
+/// radio the candidate radius is about 1.7 km, so the grid of every shipped
+/// scenario has at most 2×2 cells and the block around any cell is the
+/// whole grid, where any move reaches every list. The grid still pays on
+/// sparse fields (`bench_fanout`'s 10–40 km configurations), where a block
+/// leaves most nodes out and a rebuild touches only the nodes in it.
 #[derive(Debug, Clone)]
 struct FanOutCache {
-    /// The positions the grid and entries are maintained against; checked
-    /// (debug builds) to catch positions changing without
-    /// `positions_changed`/`invalidate_positions`.
-    positions: Vec<Pos>,
     /// Search radius covering every node that can pass the floor predicate;
     /// anything farther is rejected on squared distance alone, skipping the
     /// expensive path-loss evaluation for most of a cell block.
@@ -312,20 +216,14 @@ struct FanOutCache {
     /// `candidate_range_m`, so the `(2·rings+1)²` block around a
     /// transmitter's cell is a superset of its audible disc.
     rings: usize,
-    /// Monotone tick counter; cell epochs are stamped from it.
-    epoch: u64,
-    /// Per-cell membership/motion epochs (see [`CellEpochs`]).
-    cell_epochs: Vec<CellEpochs>,
-    /// Per-cell membership patch logs (see [`CellLog`]).
-    cell_logs: Vec<CellLog>,
-    /// Last [`MembershipPatch::seq`] issued (0 before any crossing).
-    last_seq: u64,
-    /// Lazily-built per-transmitter entries.
-    per_tx: Vec<Option<TxEntry>>,
-    /// Scratch for the refilter distance pass: `(node, d_sq)` survivors.
-    near_scratch: Vec<(u32, f64)>,
-    /// Scratch for collecting block-cell patches in sequence order.
-    patch_scratch: Vec<MembershipPatch>,
+    /// Advanced by every mobility tick that moves a node. It starts at 1,
+    /// so a list stamped 0 has never been built.
+    stamp: u64,
+    /// Per transmitter: the stamp its list was built at, and the list.
+    lists: Vec<(u64, Vec<Candidate>)>,
+    /// One bit per node: a rebuild sets the bits of the block members
+    /// inside the candidate radius, and its walk clears them as it reads.
+    in_range: Vec<u64>,
     /// Precomputed path-loss evaluator, bit-identical to the medium's
     /// [`PhyParams::mean_rx_power_w`] (rebuilt with the cache whenever the
     /// medium's parameters change).
@@ -338,9 +236,9 @@ impl FanOutCache {
         // bisection slop can't exclude a passing node; the exact per-node
         // predicate decides membership either way.
         let candidate_range_m = phy.range_for_mean_power(floor_w / 100.0) * 1.001 + 1.0;
-        // Full-range cells: finer cells shrink the superset scan but double
-        // the crossing rate (and with it patch/epoch traffic), which costs
-        // more than the scan saves at realistic densities. `rings` is
+        // Full-range cells, so the block is 3×3 cells: finer cells would
+        // tighten the block but multiply the cells a rebuild visits and the
+        // crossings a move re-buckets. `rings` is
         // computed rather than assumed so the invariant
         // `rings × cell ≥ candidate_range` survives the grid widening its
         // cells (per-axis cap or degenerate extents).
@@ -349,232 +247,97 @@ impl FanOutCache {
         while (rings as f64) * grid.cell_size_m() < candidate_range_m {
             rings += 1;
         }
-        let (cols, rows) = grid.grid_dims();
         FanOutCache {
-            positions: positions.to_vec(),
             candidate_range_m,
             grid,
             rings,
-            epoch: 0,
-            cell_epochs: vec![CellEpochs::default(); cols * rows],
-            cell_logs: vec![CellLog::new(); cols * rows],
-            last_seq: 0,
-            per_tx: vec![None; positions.len()],
-            near_scratch: Vec::new(),
-            patch_scratch: Vec::new(),
+            stamp: 1,
+            lists: vec![(0, Vec::new()); positions.len()],
+            in_range: vec![0; positions.len().div_ceil(64)],
             eval: phy.mean_power_eval(),
         }
     }
 
     // mesh-lint: hot(index-replay)
-    /// Absorb one mobility tick's moves, stamping epochs onto the affected
-    /// cells. `stats` is the owning medium's maintenance ledger.
+    /// Absorb one mobility tick's moves: re-bucket the movers and, if any
+    /// node moved, advance the stamp. `stats` is the owning medium's
+    /// maintenance ledger.
     fn absorb_moves(&mut self, moves: &[PositionDelta], stats: &mut IndexStats) {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let mut bump = |slot: &mut u64| {
-            if *slot != epoch {
-                *slot = epoch;
-                stats.epoch_bumps += 1;
-            }
-        };
         for mv in moves {
-            let i = mv.node.index();
-            self.positions[i] = mv.to;
-            match self.grid.update_position(i as u32, mv.to) {
-                Some((old, new)) => {
-                    stats.rebuckets += 1;
-                    bump(&mut self.cell_epochs[old].membership);
-                    bump(&mut self.cell_epochs[old].motion);
-                    bump(&mut self.cell_epochs[new].membership);
-                    bump(&mut self.cell_epochs[new].motion);
-                    // Log the crossing, removal first, so cached supersets
-                    // can replay membership changes in order.
-                    self.last_seq += 1;
-                    self.cell_logs[old].push(MembershipPatch {
-                        seq: self.last_seq,
-                        node: i as u32,
-                        added: false,
-                    });
-                    self.last_seq += 1;
-                    self.cell_logs[new].push(MembershipPatch {
-                        seq: self.last_seq,
-                        node: i as u32,
-                        added: true,
-                    });
-                }
-                None => bump(&mut self.cell_epochs[self.grid.node_cell(i as u32)].motion),
-            }
+            let crossed = self.grid.update_position(mv.node.index() as u32, mv.to);
+            stats.rebuckets += u64::from(crossed.is_some());
+        }
+        if !moves.is_empty() {
+            self.stamp += 1;
+            stats.epoch_bumps += 1;
         }
     }
 
-    /// Filter `entry.superset` through the exact floor predicate into
-    /// `entry.list`. Membership and order match the full naive scan: the
-    /// superset is NodeId-ascending and the predicate is the same, so
-    /// sampling the list draws the same RNG stream as the full scan.
-    fn refilter(
-        entry: &mut TxEntry,
-        scratch: &mut Vec<(u32, f64)>,
+    /// `tx`'s candidates in NodeId order: the cached list while no node
+    /// has moved since it was built, else a list rebuilt from `positions`.
+    fn plan_with(
+        &mut self,
+        tx: NodeId,
         positions: &[Pos],
-        p: RefilterParams,
-    ) {
-        let RefilterParams {
-            tx,
+        floor_w: f64,
+        stats: &mut IndexStats,
+    ) -> &[Candidate] {
+        let FanOutCache {
             candidate_range_m,
-            floor_w,
+            grid,
+            rings,
+            stamp,
+            lists,
+            in_range,
             eval,
-        } = p;
+        } = self;
+        let (built, list) = &mut lists[tx.index()];
+        if *built == *stamp {
+            stats.cache_hits += 1;
+            return list;
+        }
+        if *built == 0 {
+            stats.cache_rebuilds += 1;
+        } else {
+            stats.cache_refreshes += 1;
+        }
+        *built = *stamp;
         let src = positions[tx.index()];
         // Everything passing the floor predicate lies strictly inside the
-        // (padded) candidate range, so nodes beyond it are rejected on
-        // squared distance alone — no path-loss math for the bulk of the
-        // cell block that merely surrounds the audible disc. The distance
-        // pass is branchless (survivors are compacted by a conditional
-        // index bump) so the superset scan pipelines regardless of how
-        // node order interleaves near and far nodes.
-        let range_sq = candidate_range_m * candidate_range_m;
-        let floor = floor_w / 100.0;
-        // Grow-only: every slot up to `k` is overwritten before it is read,
-        // so stale contents beyond `k` never matter and the buffer is not
-        // re-zeroed on each refresh.
-        if scratch.len() < entry.superset.len() {
-            scratch.resize(entry.superset.len(), (0, 0.0));
-        }
-        let mut k = 0usize;
-        // The superset never contains `tx` itself (excluded at rebuild and
-        // patch time), so the pass is a pure distance test.
-        for &i in &entry.superset {
-            let d_sq = src.distance_sq(positions[i as usize]);
-            scratch[k] = (i, d_sq);
-            k += usize::from(d_sq <= range_sq);
-        }
-        entry.list.clear();
-        for &(i, d_sq) in &scratch[..k] {
-            let d = d_sq.sqrt();
-            let mean_w = eval.eval(d);
-            if mean_w < floor {
-                continue;
+        // (padded) candidate range, so the rest of the block is ruled out
+        // on squared distance alone: its bits stay clear, and the mark is
+        // an OR, not a branch, however near and far nodes interleave.
+        let range_sq = *candidate_range_m * *candidate_range_m;
+        let grid = &*grid;
+        grid.for_each_block_cell(grid.node_cell(tx.index() as u32), *rings, |c| {
+            for &i in grid.nodes_in_cell(c) {
+                let near = src.distance_sq(positions[i as usize]) <= range_sq;
+                in_range[i as usize / 64] |= u64::from(near) << (i % 64);
             }
-            entry.list.push(Candidate {
-                node: NodeId::new(i),
-                mean_w,
-                dist_m: d,
-            });
-        }
-    }
-
-    /// `tx`'s candidates in NodeId order. Served from the cached list when
-    /// nothing nearby moved; otherwise the superset is patched or rebuilt
-    /// and re-filtered into the list first.
-    fn plan_with(&mut self, tx: NodeId, floor_w: f64, stats: &mut IndexStats) -> &[Candidate] {
-        let params = RefilterParams {
-            tx,
-            candidate_range_m: self.candidate_range_m,
-            floor_w,
-            eval: self.eval,
-        };
-        let cell = self.grid.node_cell(tx.index() as u32);
-        let (mut mem_max, mut mot_max) = (0u64, 0u64);
-        self.grid.for_each_block_cell(cell, self.rings, |c| {
-            let e = self.cell_epochs[c];
-            mem_max = mem_max.max(e.membership);
-            mot_max = mot_max.max(e.motion);
         });
-        let slot = &mut self.per_tx[tx.index()];
-        let stale_superset = match slot {
-            Some(e) => e.home_cell as usize != cell || e.seen_membership < mem_max,
-            None => true,
-        };
-        if stale_superset {
-            // A stale superset is usually a few cell crossings old, not
-            // wrong everywhere: if every block cell still retains all
-            // patches newer than the superset, replaying them (ordered
-            // insert/remove) brings it current without a grid query or a
-            // sort. Only log overflow or a transmitter that itself changed
-            // cells forces the full rebuild.
-            let patchable = match slot {
-                Some(e) if e.home_cell as usize == cell => {
-                    let seen = e.seen_seq;
-                    self.patch_scratch.clear();
-                    let mut ok = true;
-                    let (logs, patches) = (&self.cell_logs, &mut self.patch_scratch);
-                    self.grid.for_each_block_cell(cell, self.rings, |c| {
-                        let log = &logs[c];
-                        ok &= seen + 1 >= log.retained_from;
-                        // Logs are seq-ascending, so the patches newer than
-                        // the entry are exactly the tail past the partition
-                        // point — typically empty or a couple of entries,
-                        // never a scan of the whole retained history.
-                        let start = log.patches.partition_point(|p| p.seq <= seen);
-                        patches.extend_from_slice(&log.patches[start..]);
-                    });
-                    ok
+        // The transmitter is always in its own block but never a receiver.
+        in_range[tx.index() / 64] &= !(1u64 << (tx.index() % 64));
+        let floor = floor_w / 100.0;
+        list.clear();
+        for (w, word) in in_range.iter_mut().enumerate() {
+            // Taking the word clears it for the next rebuild.
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let d = src.distance_sq(positions[i]).sqrt();
+                let mean_w = eval.eval(d);
+                if mean_w < floor {
+                    continue;
                 }
-                _ => false,
-            };
-            let entry = slot.get_or_insert_with(|| TxEntry {
-                home_cell: 0,
-                seen_membership: 0,
-                seen_motion: 0,
-                seen_seq: 0,
-                // mesh-lint: allow(R8, "capacity-0 Vec::new() does not allocate; the buffers grow on the entry's first rebuild only")
-                superset: Vec::new(),
-                // mesh-lint: allow(R8, "capacity-0 Vec::new() does not allocate; the buffers grow on the entry's first rebuild only")
-                list: Vec::new(),
-            });
-            if patchable {
-                stats.cache_refreshes += 1;
-                self.patch_scratch.sort_unstable_by_key(|p| p.seq);
-                for p in &self.patch_scratch {
-                    // The transmitter is never a member of its own superset;
-                    // its crossings (which kept `home_cell` unchanged, or we
-                    // would be rebuilding) replay as no-ops.
-                    if p.node as usize == tx.index() {
-                        continue;
-                    }
-                    match (p.added, entry.superset.binary_search(&p.node)) {
-                        (true, Err(at)) => entry.superset.insert(at, p.node),
-                        (false, Ok(at)) => {
-                            entry.superset.remove(at);
-                        }
-                        // A patch re-adding a present node (or removing an
-                        // absent one) cannot happen: patches replay the
-                        // grid's own bucket operations in sequence order.
-                        (added, _) => debug_assert!(false, "inconsistent patch added={added}"),
-                    }
-                }
-            } else {
-                stats.cache_rebuilds += 1;
-                entry.home_cell = cell as u32;
-                entry.superset.clear();
-                self.grid
-                    .nodes_in_block(cell, self.rings, &mut entry.superset);
-                // NodeId-ascending so the RNG draw order matches the full
-                // scan; the transmitter itself (always bucketed in its own
-                // block) is excluded so the refilter pass needs no self-test.
-                entry.superset.sort_unstable();
-                if let Ok(at) = entry.superset.binary_search(&(tx.index() as u32)) {
-                    entry.superset.remove(at);
-                }
+                list.push(Candidate {
+                    node: NodeId::new(i as u32),
+                    mean_w,
+                    dist_m: d,
+                });
             }
-            entry.seen_membership = self.epoch;
-            entry.seen_motion = self.epoch;
-            entry.seen_seq = self.last_seq;
-            Self::refilter(entry, &mut self.near_scratch, &self.positions, params);
-            &entry.list
-        } else {
-            // mesh-lint: allow(R6, "stale_superset above is true whenever the slot is None, so this branch only runs on an occupied slot")
-            let entry = slot.as_mut().expect("entry exists when not stale");
-            if entry.seen_motion < mot_max {
-                stats.cache_refreshes += 1;
-                entry.seen_motion = self.epoch;
-                entry.seen_seq = self.last_seq;
-                Self::refilter(entry, &mut self.near_scratch, &self.positions, params);
-            } else {
-                stats.cache_hits += 1;
-            }
-            &entry.list
         }
+        list
     }
     // mesh-lint: end-hot
 }
@@ -587,8 +350,8 @@ impl FanOutCache {
 /// frame, so static topologies pay the O(N) geometry math once instead of
 /// per transmission. Every mobility tick reports its moves through
 /// [`Medium::positions_changed`], which re-buckets the moved nodes and
-/// stamps epochs on the cells they touched, so the next fan-out refreshes
-/// only the cached lists near them. [`Medium::invalidate_positions`] drops
+/// advances the cache's move stamp, so each transmitter's next fan-out
+/// rebuilds its list from the grid. [`Medium::invalidate_positions`] drops
 /// the caches wholesale; the world calls it only when a mobility model is
 /// attached.
 ///
@@ -715,15 +478,11 @@ impl Medium for PhysicalMedium {
             ..
         } = self;
         let cache = match cache {
-            Some(c) if c.positions.len() == positions.len() => c,
+            Some(c) if c.lists.len() == positions.len() => c,
             slot => slot.insert(FanOutCache::new(positions, phy, *floor_w)),
         };
-        debug_assert_eq!(
-            cache.positions, positions,
-            "positions changed without Medium::positions_changed()"
-        );
         let (floor_w, fading, faulted) = (*floor_w, phy.fading, !faults.is_empty());
-        let list = cache.plan_with(tx, floor_w, stats);
+        let list = cache.plan_with(tx, positions, floor_w, stats);
         // Pass 1 makes every RNG draw, in list order and in the scan's
         // order per candidate (fading, then the fault's trial), and keeps a
         // candidate unless its fault silences it or its draw surely puts
@@ -731,6 +490,7 @@ impl Medium for PhysicalMedium {
         // draws are random, so a branch on them mispredicts often.
         // Grow-only: every slot up to `k` is written before it is read.
         if kept_scratch.len() < list.len() {
+            // mesh-lint: allow(R8, "grow-only: the buffer reaches the longest candidate list once and is never shrunk, so steady state resizes nothing")
             kept_scratch.resize(list.len(), (0, 0.0));
         }
         let kept = &mut kept_scratch[..list.len()];
@@ -782,7 +542,7 @@ impl Medium for PhysicalMedium {
         match self.cache.as_mut() {
             // Not built yet (or node count changed — not a supported move
             // set): the next fan_out builds from the current positions.
-            Some(c) if c.positions.len() != positions.len() => self.cache = None,
+            Some(c) if c.lists.len() != positions.len() => self.cache = None,
             Some(c) => c.absorb_moves(moves, &mut self.stats),
             None => {}
         }
@@ -1373,12 +1133,10 @@ mod tests {
     fn tick(positions: &mut [Pos], rng: &mut SimRng, step_m: f64) -> Vec<PositionDelta> {
         let mut moves = Vec::with_capacity(positions.len());
         for (i, p) in positions.iter_mut().enumerate() {
-            let from = *p;
             p.x += rng.uniform_range(-step_m, step_m);
             p.y += rng.uniform_range(-step_m, step_m);
             moves.push(PositionDelta {
                 node: NodeId::new(i as u32),
-                from,
                 to: *p,
             });
         }

@@ -4,16 +4,18 @@
 //! [`NeighborIndex`] buckets nodes into square cells so that range queries
 //! ("every node within `r` meters of this node") touch only the block of
 //! cells around the node's own cell instead of scanning all N nodes. The
-//! medium uses it to build its per-transmitter candidate caches in O(K) per
-//! transmitter (K = nodes in range) rather than O(N).
+//! medium uses it to build a transmitter's candidate list from the K nodes
+//! of its cell block (plus one bitmap word per 64 nodes) rather than from
+//! all N.
 //!
 //! The index observes position changes through [`NeighborIndex::update_position`]:
 //! a node that moved is re-bucketed only if its position crossed a grid-cell
 //! boundary, in O(bucket) instead of the O(N) of a full rebuild. Intra-cell
-//! ordering is stable (node ids ascending), so candidate enumeration order —
-//! and everything derived from it, like the RNG draw order of the medium —
-//! is identical to a from-scratch build over the same grid frame
-//! ([`NeighborIndex::rebuilt`] checks exactly that in tests).
+//! ordering is stable (node ids ascending), so the index, enumeration order
+//! included, is identical to a from-scratch build over the same grid frame
+//! ([`NeighborIndex::rebuilt`] checks exactly that in tests). The medium
+//! does not depend on that order: it sorts a block's members by NodeId
+//! through a bitmap.
 //!
 //! The grid *frame* (origin, cell size, dimensions) is fixed at build time
 //! from the initial bounding box. Nodes that later wander outside the frame
@@ -200,8 +202,8 @@ impl NeighborIndex {
     /// displacement, so whenever `rings × cell_size_m` is at least the query
     /// radius, this block covers every node within that radius of any point
     /// inside `cell` — including clamped out-of-frame positions. It is the
-    /// conservative cell neighborhood the medium's epoch checks and cached
-    /// candidate supersets are defined over.
+    /// conservative cell neighborhood the medium rebuilds a transmitter's
+    /// candidate list from.
     pub fn for_each_block_cell(&self, cell: usize, rings: usize, mut f: impl FnMut(usize)) {
         let (cx, cy) = (cell % self.cols, cell / self.cols);
         for y in cy.saturating_sub(rings)..=(cy + rings).min(self.rows - 1) {

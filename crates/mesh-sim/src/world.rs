@@ -448,7 +448,6 @@ impl<M: Clone + std::fmt::Debug> World<M> {
                         if old != new {
                             self.moves_buf.push(PositionDelta {
                                 node: NodeId::new(i as u32),
-                                from: old,
                                 to: new,
                             });
                         }

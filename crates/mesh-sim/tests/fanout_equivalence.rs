@@ -65,18 +65,21 @@ proptest! {
         }
     }
 
-    /// The two maintenance modes — naive O(N) scan and incrementally-patched
-    /// index — stay bit-identical while a
+    /// The two maintenance modes — naive O(N) scan and incrementally
+    /// maintained index — stay bit-identical while a
     /// random-waypoint walk feeds per-tick [`Medium::positions_changed`]
     /// deltas: identical plan sequences, identical RNG consumption, for
     /// every transmitter on every tick. Resting nodes are deliberately left
     /// out of the move list so partial deltas (the incremental fast path)
-    /// are exercised, not just full-population ticks.
+    /// are exercised, not just full-population ticks. Up to 199 nodes, so
+    /// transmitters and receivers straddle the 64-node words of the
+    /// rebuild's bitmap, on sides up to 12 km, where the grid has up to 7×7
+    /// candidate-range cells and most blocks leave cells out.
     #[test]
     fn incremental_matches_naive(
-        n in 2usize..50,
+        n in 2usize..200,
         seed in any::<u64>(),
-        side in 200.0f64..3000.0,
+        side in 200.0f64..12000.0,
         speed in 0.5f64..40.0,
     ) {
         let mut rng = SimRng::seed_from(seed);
@@ -113,7 +116,7 @@ proptest! {
                     Pos::new(p.x + dx / dist * speed, p.y + dy / dist * speed)
                 };
                 positions[i] = to;
-                moves.push(PositionDelta { node: NodeId::new(i as u32), from: p, to });
+                moves.push(PositionDelta { node: NodeId::new(i as u32), to });
             }
             naive.positions_changed(&moves, &positions);
             incremental.positions_changed(&moves, &positions);
@@ -124,13 +127,15 @@ proptest! {
     /// loss, so the fault trial draws between fading draws — the indexed
     /// fan-out still emits the naive scan's plans and leaves the RNG where
     /// the scan leaves it. Faults are set, replaced and cleared between
-    /// rounds while nodes move.
+    /// rounds while nodes move. Node counts and sides reach past the
+    /// bitmap's word boundaries and a 3×3 grid, as in
+    /// `incremental_matches_naive`.
     #[test]
     fn faulted_indexed_matches_naive(
-        n in 2usize..60,
+        n in 2usize..200,
         seed in any::<u64>(),
-        side in 100.0f64..2000.0,
-        faulted_links in 1usize..80,
+        side in 100.0f64..10000.0,
+        faulted_links in 1usize..300,
     ) {
         let mut layout_rng = SimRng::seed_from(seed);
         let mut positions =
@@ -204,10 +209,9 @@ proptest! {
             }
             let mut moves = Vec::new();
             for (i, p) in positions.iter_mut().enumerate() {
-                let from = *p;
                 p.x += layout_rng.uniform_range(-80.0, 80.0);
                 p.y += layout_rng.uniform_range(-80.0, 80.0);
-                moves.push(PositionDelta { node: NodeId::new(i as u32), from, to: *p });
+                moves.push(PositionDelta { node: NodeId::new(i as u32), to: *p });
             }
             naive.positions_changed(&moves, &positions);
             indexed.positions_changed(&moves, &positions);
